@@ -8,19 +8,21 @@ so each group of equal-c terms must cancel on its own.  For an irregular
 polygon in canonical rotation there is a vertex index j whose group cannot
 cancel with positive masses, and this module mechanizes that argument:
 
-  * base_groups assembles the grouped linear forms over the masses,
+  * base_groups scales the grouped linear forms over the masses, which are
+    built once per polygon without rho, by the amplitudes at one rho,
   * find_contradiction_j locates the witness index,
   * classify_case derives the non-vanishing coefficient form(s),
   * mass_feasibility independently searches for positive masses by linear
     programming, and certify requires the two routes to agree.
 
 Angle arithmetic on the certification path is exact (rational fractions of a
-turn), so group membership and the pairing identities carry no float
-tolerance.
+turn, held as integer residues modulo their common denominator), so group
+membership and the pairing identities carry no float tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -32,11 +34,11 @@ from .criterion import (
     PolygonConfig,
     _check_kernel_domain,
     _rho_value,
+    _turn_residues,
     canonicalize,
     cyclic_gaps,
     is_regular,
     mu,
-    turn_class,
 )
 from .errors import (
     AmbiguousGroupingError,
@@ -67,6 +69,11 @@ __all__ = [
 
 FLOAT_MERGE_TOL = 1e-12
 FLOAT_GROUP_TOL = 1e-9
+# Canonical polygons whose rho-free grouped forms and LP solution are kept.
+# Callers ask about one polygon at a few rho in a row (certify, then
+# mass_feasibility per rho); a polygon revisited only after many others is
+# rebuilt, which costs time and never changes a result.
+_MEMO_POLYGONS = 32
 
 
 def mu_derivative(c: float, rho, k: int) -> float:
@@ -203,9 +210,13 @@ def _difference_terms(cfg: PolygonConfig):
     merged (2,1) term and +/- m_j on (j,1), (j,2) for j = 3..n; the gamma
     difference carries (m_1 + m_2) s_21/c_21 on (2,1) and +/- m_j s_ji/c_ji
     elsewhere.  Gamma terms with s = 0 vanish identically and are omitted.
+    Exact terms carry their turn class, the Fraction min(d, 1 - d) of the
+    separation d mod 1, which determines c exactly.
     """
     n = cfg.n
     rad = cfg.radians
+    if cfg.is_exact:
+        res, full = _turn_residues(cfg)
     out = []  # (j, i, delta_terms or None, gamma_sign_terms or None)
     pairs = [(2, 1, {2: 1.0, 1: -1.0}, {1: 1.0, 2: 1.0})]
     for j in range(3, n + 1):
@@ -216,8 +227,9 @@ def _difference_terms(cfg: PolygonConfig):
         c = 1.0 - math.cos(d)
         s = math.sin(d)
         if cfg.is_exact:
-            klass = turn_class(cfg.turns[j - 1] - cfg.turns[i - 1])
-            exact_s_zero = (cfg.turns[j - 1] - cfg.turns[i - 1]) % 1 == Fraction(1, 2)
+            d_res = (res[j - 1] - res[i - 1]) % full
+            klass = Fraction(min(d_res, full - d_res), full)
+            exact_s_zero = 2 * d_res == full
         else:
             klass = None
             exact_s_zero = abs(s) < 1e-15
@@ -253,16 +265,16 @@ def _float_group_keys(values):
     return keys
 
 
-def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
-    """Group the difference-equation terms by chord value at the given rho.
+@functools.lru_cache(maxsize=_MEMO_POLYGONS)
+def _grouped_forms(cfg: PolygonConfig):
+    """Group the difference-equation terms by chord value, in increasing c.
 
     Exact mode groups by the rational turn class, which decides c equality
     with no tolerance; float mode clusters c values and refuses inputs in
-    the ambiguous band.  Each group's forms carry the shared amplitude a as
-    a positive common factor.
+    the ambiguous band.  Returns (key, c, members, delta_form, gamma_form)
+    per group, with forms not yet scaled by the amplitude: nothing here
+    depends on rho.
     """
-    _require_canonical(cfg)
-    rho_v = _rho_value(rho)
     terms = _difference_terms(cfg)
     n = cfg.n
     if cfg.is_exact:
@@ -273,17 +285,12 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
     for idx, key in enumerate(keys):
         grouped.setdefault(key, []).append(idx)
     groups = []
-    for key in sorted(grouped, key=lambda k: (float(k) if isinstance(k, Fraction) else k)):
-        idxs = grouped[key]
-        if isinstance(key, Fraction):
-            c_rep = 1.0 - math.cos(2.0 * math.pi * float(key))
-        else:
-            c_rep = float(key)
-        a, g = decompose(c_rep, rho_v)
+    for key in sorted(grouped):
+        c_rep = 1.0 - math.cos(2.0 * math.pi * float(key)) if cfg.is_exact else key
         members = []
         delta_total = MassForm((0.0,) * n)
         gamma_total = MassForm((0.0,) * n)
-        for idx in idxs:
+        for idx in grouped[key]:
             j, i, _, _, dterms, gterms = terms[idx]
             dform = MassForm.from_terms(n, dterms)
             members.append(GroupTerm(j, i, "delta", dform))
@@ -292,15 +299,60 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
                 gform = MassForm.from_terms(n, gterms)
                 members.append(GroupTerm(j, i, "gamma", gform))
                 gamma_total = MassForm(tuple(x + y for x, y in zip(gamma_total.coeffs, gform.coeffs)))
+        groups.append((key, c_rep, tuple(members), delta_total, gamma_total))
+    return tuple(groups)
+
+
+@functools.lru_cache(maxsize=_MEMO_POLYGONS)
+def _rho_free_masses(cfg: PolygonConfig) -> tuple[float, ...] | None:
+    """Masses solving {every grouped form = 0, m_i >= 1}, or None if infeasible.
+
+    At any rho each grouped row is its rho-free row times the amplitude
+    a(c, rho) > 0, so the feasible set, and with it the verdict, is the same
+    for every rho: one linear program on the unscaled rows decides them all.
+    """
+    rows = [
+        form.coeffs
+        for _, _, _, delta_form, gamma_form in _grouped_forms(cfg)
+        for form in (delta_form, gamma_form)
+        if not form.is_zero
+    ]
+    n = cfg.n
+    res = linprog(
+        c=np.zeros(n),
+        A_eq=np.array(rows, dtype=float),
+        b_eq=np.zeros(len(rows)),
+        bounds=[(1.0, None)] * n,
+        method="highs",
+    )
+    if res.status == 0:
+        return tuple(float(m) for m in res.x)
+    if res.status == 2:
+        return None
+    raise InternalConsistencyError(f"unexpected LP status {res.status}: {res.message}")
+
+
+def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
+    """Group the difference-equation terms by chord value at the given rho.
+
+    The groups are those of _grouped_forms, which do not depend on rho; here
+    each group's forms carry the shared amplitude a(c, rho) as a positive
+    common factor, and the bases g must increase strictly with c.
+    """
+    _require_canonical(cfg)
+    rho_v = _rho_value(rho)
+    groups = []
+    for key, c, members, delta_form, gamma_form in _grouped_forms(cfg):
+        a, g = decompose(c, rho_v)
         groups.append(
             BaseGroup(
                 key=key,
-                c=c_rep,
+                c=c,
                 a=a,
                 g=g,
-                members=tuple(members),
-                delta_form=delta_total.scaled(a),
-                gamma_form=gamma_total.scaled(a),
+                members=members,
+                delta_form=delta_form.scaled(a),
+                gamma_form=gamma_form.scaled(a),
             )
         )
     for prev, cur in zip(groups, groups[1:]):
@@ -309,14 +361,13 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
                 "base map not strictly increasing across groups; "
                 f"g({prev.c}) = {prev.g} vs g({cur.c}) = {cur.g}"
             )
-    return CoefficientSystem(n=n, rho=rho_v, groups=tuple(groups))
+    return CoefficientSystem(n=cfg.n, rho=rho_v, groups=tuple(groups))
 
 
-def _find_vertex(cfg: PolygonConfig, target: Fraction) -> int | None:
-    for idx, a in enumerate(cfg.turns):
-        if a == target:
-            return idx + 1
-    return None
+def _vertex_lookup(cfg: PolygonConfig) -> tuple[tuple[int, ...], int, dict[int, int]]:
+    """Turn residues, their modulus, and the 1-based vertex at each residue."""
+    res, full = _turn_residues(cfg)
+    return res, full, {r: k + 1 for k, r in enumerate(res)}
 
 
 def pairing_possibility1(cfg: PolygonConfig, j: int) -> int | None:
@@ -327,11 +378,11 @@ def pairing_possibility1(cfg: PolygonConfig, j: int) -> int | None:
     a non-canonical configuration.
     """
     _require_exact(cfg)
-    a = cfg.turns
     n = cfg.n
     if not 2 <= j <= n:
         raise ValueError(f"vertex index {j} outside 2..{n}")
-    u = _find_vertex(cfg, (a[j - 1] + a[1] - a[0]) % 1)
+    r, full, vertex_at = _vertex_lookup(cfg)
+    u = vertex_at.get((r[j - 1] + r[1] - r[0]) % full)
     if u is None:
         return None
     expected = j + 1 if j < n else 1
@@ -351,10 +402,10 @@ def pairing_u(cfg: PolygonConfig, j: int) -> int | None:
     Its chord satisfies c_u2 = c_j1 with s_u2 = -s_j1.
     """
     _require_exact(cfg)
-    a = cfg.turns
     if not 3 <= j <= cfg.n:
         raise ValueError(f"vertex index {j} outside 3..{cfg.n}")
-    u = _find_vertex(cfg, (a[0] + a[1] - a[j - 1]) % 1)
+    r, full, vertex_at = _vertex_lookup(cfg)
+    u = vertex_at.get((r[0] + r[1] - r[j - 1]) % full)
     if u in (1, 2):
         raise InternalConsistencyError(f"pairing vertex u={u} collides with the base pair")
     return u
@@ -367,10 +418,10 @@ def pairing_v(cfg: PolygonConfig, j: int) -> int | None:
     s_v1 = -s_j1.
     """
     _require_exact(cfg)
-    a = cfg.turns
     if not 3 <= j <= cfg.n:
         raise ValueError(f"vertex index {j} outside 3..{cfg.n}")
-    v = _find_vertex(cfg, (2 * a[0] - a[j - 1]) % 1)
+    r, full, vertex_at = _vertex_lookup(cfg)
+    v = vertex_at.get((2 * r[0] - r[j - 1]) % full)
     if v == j:
         return None
     if v == 1:
@@ -653,37 +704,28 @@ def mass_feasibility(cfg: PolygonConfig, rho, floor: float = 1e-9) -> Feasibilit
     Solves the linear program {all grouped forms = 0, m_i >= floor}; the
     system is homogeneous in the masses, so the verdict is independent of the
     floor and the program is solved with a unit lower bound for conditioning.
-    Witness masses are reported in canonical vertex order.
+    Rho only scales each grouped form by a positive amplitude, so the program
+    is solved once per polygon on the rho-free forms; the residual is taken
+    against the forms at the given rho.  Witness masses are reported in
+    canonical vertex order.
     """
     if not floor > 0.0:
         raise ValueError(f"mass floor must be positive, got {floor!r}")
     canon = canonicalize(cfg)
     system = base_groups(canon, rho)
-    rows, _ = system.equality_rows()
-    n = canon.n
-    if rows.shape[0] == 0:
-        masses = tuple(max(1.0, floor) for _ in range(n))
-        return FeasibilityResult(True, masses, 0.0, system.rho, floor)
-    res = linprog(
-        c=np.zeros(n),
-        A_eq=rows,
-        b_eq=np.zeros(rows.shape[0]),
-        bounds=[(1.0, None)] * n,
-        method="highs",
-    )
-    if res.status == 0:
-        masses = np.asarray(res.x, dtype=float)
-        if floor > 1.0:
-            masses = masses * floor
-        residual = float(np.max(np.abs(rows @ masses)))
-        if residual > 1e-10:
-            raise InternalConsistencyError(
-                f"feasible point violates the grouped forms: residual {residual!r}"
-            )
-        return FeasibilityResult(True, tuple(float(m) for m in masses), residual, system.rho, floor)
-    if res.status == 2:
+    unit_masses = _rho_free_masses(canon)
+    if unit_masses is None:
         return FeasibilityResult(False, None, math.inf, system.rho, floor)
-    raise InternalConsistencyError(f"unexpected LP status {res.status}: {res.message}")
+    masses = np.asarray(unit_masses)
+    if floor > 1.0:
+        masses = masses * floor
+    rows, _ = system.equality_rows()
+    residual = float(np.max(np.abs(rows @ masses)))
+    if residual > 1e-10:
+        raise InternalConsistencyError(
+            f"feasible point violates the grouped forms: residual {residual!r}"
+        )
+    return FeasibilityResult(True, tuple(float(m) for m in masses), residual, system.rho, floor)
 
 
 def certify(cfg: PolygonConfig, rho=None, floor: float = 1e-9) -> Certificate:

@@ -267,14 +267,15 @@ def criterion_check(cfg: PolygonConfig, masses, rho, tol: float = 1e-10) -> Crit
     )
 
 
-def _rotations(cfg: PolygonConfig):
-    """All relabelings that start the angle list at one of its vertices."""
-    full = Fraction(1) if cfg.is_exact else TWO_PI
-    out = []
-    for start in cfg.angles:
-        shifted = sorted((a - start) % full for a in cfg.angles)
-        out.append(tuple(shifted))
-    return out
+def _turn_residues(cfg: PolygonConfig) -> tuple[tuple[int, ...], int]:
+    """Exact turns as integer residues r_k = alpha_k * L modulo L.
+
+    L is the lcm of the angle denominators, so sums, differences and
+    comparisons of turns become exact integer arithmetic.
+    """
+    turns = cfg.turns
+    full = math.lcm(*(a.denominator for a in turns))
+    return tuple(a.numerator * (full // a.denominator) for a in turns), full
 
 
 def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
@@ -283,11 +284,18 @@ def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
     Among rotations achieving the minimal first gap the lexicographically
     smallest angle tuple wins.  That tie-break matters: it is what guarantees
     the certificate search below always finds its witness index among
-    j = 3..n for an irregular polygon.
+    j = 3..n for an irregular polygon.  Exact angles are compared as integer
+    residues modulo their common denominator.
     """
-    candidates = _rotations(cfg)
+    if cfg.is_exact:
+        values, full = _turn_residues(cfg)
+    else:
+        values, full = cfg.angles, TWO_PI
+    candidates = [tuple(sorted((v - start) % full for v in values)) for start in values]
     min_first_gap = min(t[1] for t in candidates)
     best = min(t for t in candidates if t[1] == min_first_gap)
+    if cfg.is_exact:
+        best = tuple(Fraction(r, full) for r in best)
     return PolygonConfig(best, cfg.representation)
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from curvednbody import (
     AmbiguousGroupingError,
@@ -25,6 +26,7 @@ from curvednbody import (
     classify_case,
     decompose,
     find_contradiction_j,
+    is_regular,
     mass_feasibility,
     mu,
     mu_derivative,
@@ -33,6 +35,7 @@ from curvednbody import (
     pairing_v,
     random_irregular_polygon,
 )
+from curvednbody import certificate
 from curvednbody.jsonout import dumps
 
 
@@ -394,6 +397,82 @@ class TestMassFeasibility:
         for _ in range(100):
             cfg = random_irregular_polygon(rng, 3 + rng.randrange(4))
             assert not mass_feasibility(cfg, 0.5).feasible
+
+
+def reference_feasible(cfg, rho):
+    """Per-rho LP verdict on the rho-scaled grouped rows, solved here."""
+    rows, _ = base_groups(canonicalize(cfg), rho).equality_rows()
+    res = linprog(
+        np.zeros(cfg.n),
+        A_eq=rows,
+        b_eq=np.zeros(rows.shape[0]),
+        bounds=[(1.0, None)] * cfg.n,
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+class TestRhoFreeFeasibility:
+    RHOS = (0.25, 0.5, 0.75, -1.0, -10.0)
+
+    def test_verdict_matches_per_rho_reference_lp(self):
+        rng = random.Random(43)
+        for n in range(3, 13):
+            for _ in range(3):
+                cfg = random_irregular_polygon(rng, n, 10**4)
+                for rho in self.RHOS:
+                    assert mass_feasibility(cfg, rho).feasible == reference_feasible(cfg, rho), (
+                        cfg.turns,
+                        rho,
+                    )
+
+    def test_regular_polygons_feasible_at_every_rho(self):
+        for n in range(3, 13):
+            cfg = PolygonConfig.from_turns(tuple(F(k, n) for k in range(n)))
+            for rho in self.RHOS:
+                res = mass_feasibility(cfg, rho)
+                assert res.feasible and reference_feasible(cfg, rho), (n, rho)
+                m = np.asarray(res.masses)
+                np.testing.assert_allclose(m, m[0], rtol=1e-9)
+                assert res.residual <= 1e-10
+
+    def test_results_do_not_depend_on_call_history(self):
+        rhos = (0.25, 0.5, 0.75, -1.0)
+        # Distinct canonical polygons, one more than the memo holds.
+        evictors = [turns(0, F(1, k), "1/2") for k in range(3, certificate._MEMO_POLYGONS + 4)]
+        for poly in (PolygonConfig.from_turns(tuple(F(k, 7) for k in range(7))),
+                     turns(0, "1/8", "1/2", "5/8")):
+            regular = is_regular(canonicalize(poly))
+
+            def snapshot(rho):
+                out = dumps(mass_feasibility(poly, rho).to_json_dict())
+                if not regular:
+                    out += dumps(certify(poly, rho).to_json_dict())
+                return out
+
+            def run_certify():
+                if regular:
+                    with pytest.raises(RegularPolygonError):
+                        certify(poly)
+                else:
+                    certify(poly)
+
+            for rho in rhos:
+                certificate._grouped_forms.cache_clear()
+                certificate._rho_free_masses.cache_clear()
+                cold = snapshot(rho)
+                for other in rhos:
+                    if other != rho:
+                        mass_feasibility(poly, other)
+                assert snapshot(rho) == cold, (poly.turns, rho, "after other rho")
+                run_certify()
+                assert snapshot(rho) == cold, (poly.turns, rho, "after certify")
+                for other in evictors:
+                    mass_feasibility(other, 0.5)
+                misses = certificate._rho_free_masses.cache_info().misses
+                assert snapshot(rho) == cold, (poly.turns, rho, "after eviction")
+                assert certificate._rho_free_masses.cache_info().misses == misses + 1
 
 
 class TestCertify:

@@ -257,6 +257,30 @@ class TestCanonicalize:
         reg = turns(0, "1/4", "1/2", "3/4")
         assert canonicalize(reg).turns == reg.turns
 
+    def test_matches_rotation_reference(self):
+        # Reference: sort every rotation (a - start) mod full, keep the
+        # minimal first gap, break ties lexicographically.
+        def reference(angles, full):
+            rotations = [tuple(sorted((a - s) % full for a in angles)) for s in angles]
+            first = min(t[1] for t in rotations)
+            return min(t for t in rotations if t[1] == first)
+
+        rng = random.Random(41)
+        polys = [random_irregular_polygon(rng, n, 10**4) for n in range(3, 13) for _ in range(5)]
+        polys.append(turns(0, "1/7", "3/11", "5/13", "7/17"))
+        for n in range(3, 13):
+            polys.append(PolygonConfig.from_turns(tuple(F(k, n) for k in range(n))))
+            mixed = {F(rng.randrange(q), q) for q in (rng.randint(2, 10**4) for _ in range(n))}
+            if len(mixed) >= 3:
+                polys.append(PolygonConfig.from_turns(sorted(mixed)))
+        for poly in list(polys):
+            offset = F(rng.randrange(997), 997)
+            polys.append(PolygonConfig.from_turns(sorted((a + offset) % 1 for a in poly.turns)))
+        for poly in polys:
+            assert canonicalize(poly).turns == reference(poly.turns, F(1))
+            rad = PolygonConfig.from_radians(poly.radians)
+            assert canonicalize(rad).angles == reference(rad.angles, TWO_PI)
+
 
 def test_is_regular():
     assert is_regular(PolygonConfig.from_radians((0.0, TWO_PI / 3, 2 * TWO_PI / 3)))
