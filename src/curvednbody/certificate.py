@@ -739,9 +739,7 @@ def certify(cfg: PolygonConfig, rho=None, floor: float = 1e-9) -> Certificate:
     """
     _require_exact(cfg)
     canon = canonicalize(cfg)
-    if is_regular(canon):
-        raise RegularPolygonError("regular polygons admit the orbit family; nothing to certify")
-    j = find_contradiction_j(canon)
+    j = find_contradiction_j(canon)  # raises RegularPolygonError for a regular polygon
     cert = classify_case(canon, j)
     rho_v = 0.5 if rho is None else _rho_value(rho)
     feas = mass_feasibility(canon, rho_v, floor)

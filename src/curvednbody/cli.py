@@ -18,9 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,15 +30,24 @@ from .criterion import (
     MassVector,
     PolygonConfig,
     Rho,
+    _spreads,
     canonicalize,
     chord_c,
     criterion_check,
     cyclic_gaps,
+    delta_gamma,
     is_regular,
     rho_grid,
     validate_rho_for_kappa,
 )
-from .dynamics import BodySystem, IntegratorConfig, integrate, solve_omega
+from .dynamics import (
+    BodySystem,
+    IntegratorConfig,
+    RelativeEquilibrium,
+    build_polygon_state,
+    integrate,
+    solve_omega,
+)
 from .errors import (
     ConfigError,
     ConstraintDriftError,
@@ -69,6 +76,7 @@ _KNOWN_KEYS = {
     "velocities",
 }
 _KNOWN_INTEGRATOR_KEYS = {"dt", "t_end", "project_each_step", "max_constraint_drift"}
+_SWEEP_BLOCK = 256  # rho values per delta_gamma call: bounds its (block, n, n) tables
 
 
 def _as_real(value, field: str) -> float:
@@ -79,6 +87,26 @@ def _as_real(value, field: str) -> float:
     if not math.isfinite(v):
         raise ConfigError(field, f"expected a finite number, got {value!r}")
     return v
+
+
+def _parse_rho(value, kappa: float) -> float | None:
+    """A rho from the config or --rho, checked against the curvature branch."""
+    if value is None:
+        return None
+    try:
+        rho = Rho(value).value
+        validate_rho_for_kappa(rho, kappa)
+    except ValueError as exc:
+        raise ConfigError("rho", str(exc)) from None
+    return rho
+
+
+def _parse_tol(value) -> float:
+    """A tolerance from the config or --tol: finite and positive."""
+    tol = _as_real(value, "tol")
+    if tol <= 0.0:
+        raise ConfigError("tol", f"must be positive, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -194,12 +222,7 @@ def load_config(path: str) -> RunConfig:
 
     rho = None
     if doc.get("rho") is not None:
-        v = _as_real(doc["rho"], "rho")
-        try:
-            rho = Rho(v).value
-            validate_rho_for_kappa(rho, curvature.kappa)
-        except ValueError as exc:
-            raise ConfigError("rho", str(exc)) from None
+        rho = _parse_rho(_as_real(doc["rho"], "rho"), curvature.kappa)
 
     dt = t_end = None
     project = True
@@ -230,9 +253,7 @@ def load_config(path: str) -> RunConfig:
 
     tol = 1e-10
     if doc.get("tol") is not None:
-        tol = _as_real(doc["tol"], "tol")
-        if tol <= 0.0:
-            raise ConfigError("tol", f"must be positive, got {tol!r}")
+        tol = _parse_tol(doc["tol"])
 
     seed = 0
     if doc.get("seed") is not None:
@@ -271,21 +292,18 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _require(cfg: RunConfig, field: str):
-    value = getattr(cfg, field)
-    if value is None:
-        raise ConfigError(field, "required by this command but missing")
-    return value
+def _resolve(field: str, flag, configured, default=None):
+    """The flag if given, else the configured value, else the default."""
+    for value in (flag, configured, default):
+        if value is not None:
+            return value
+    raise ConfigError(field, "required by this command but missing")
 
 
 def _require_polygon(cfg: RunConfig) -> PolygonConfig:
     if cfg.polygon is None:
         raise ConfigError("angles", "this command needs a polygon with at least 3 vertices")
     return cfg.polygon
-
-
-def _default_rho(curvature: Curvature) -> float:
-    return 0.5 if curvature.kappa > 0 else -1.0
 
 
 def _emit(report: dict) -> None:
@@ -330,19 +348,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_criterion(cfg: RunConfig, rho_flag, tol_flag) -> int:
     polygon = _require_polygon(cfg)
-    masses = _require(cfg, "masses")
-    rho = cfg.rho
-    if rho_flag is not None:
-        try:
-            rho = Rho(rho_flag).value
-            validate_rho_for_kappa(rho, cfg.curvature.kappa)
-        except ValueError as exc:
-            raise ConfigError("rho", str(exc)) from None
-    if rho is None:
-        raise ConfigError("rho", "required by this command but missing")
-    tol = cfg.tol if tol_flag is None else tol_flag
-    if tol <= 0.0:
-        raise ConfigError("tol", f"must be positive, got {tol!r}")
+    masses = _resolve("masses", None, cfg.masses)
+    rho = _resolve("rho", _parse_rho(rho_flag, cfg.curvature.kappa), cfg.rho)
+    tol = cfg.tol if tol_flag is None else _parse_tol(tol_flag)
     report = criterion_check(polygon, masses, rho, tol=tol)
     _emit(
         {
@@ -364,15 +372,8 @@ def cmd_certify(cfg: RunConfig, rho_flag) -> int:
     polygon = _require_polygon(cfg)
     if cfg.representation != "exact":
         raise ConfigError("angles", "certification requires exact \"p/q\" turn angles")
-    rho = cfg.rho
-    if rho_flag is not None:
-        try:
-            rho = Rho(rho_flag).value
-            validate_rho_for_kappa(rho, cfg.curvature.kappa)
-        except ValueError as exc:
-            raise ConfigError("rho", str(exc)) from None
-    if rho is None:
-        rho = _default_rho(cfg.curvature)
+    kappa = cfg.curvature.kappa
+    rho = _resolve("rho", _parse_rho(rho_flag, kappa), cfg.rho, 0.5 if kappa > 0 else -1.0)
     try:
         cert = certify(polygon, rho=rho)
     except RegularPolygonError:
@@ -397,15 +398,7 @@ def cmd_feasibility(cfg: RunConfig, rho_flag) -> int:
     polygon = _require_polygon(cfg)
     if cfg.representation != "exact":
         raise ConfigError("angles", "feasibility search requires exact \"p/q\" turn angles")
-    rho = cfg.rho
-    if rho_flag is not None:
-        try:
-            rho = Rho(rho_flag).value
-            validate_rho_for_kappa(rho, cfg.curvature.kappa)
-        except ValueError as exc:
-            raise ConfigError("rho", str(exc)) from None
-    if rho is None:
-        raise ConfigError("rho", "required by this command but missing")
+    rho = _resolve("rho", _parse_rho(rho_flag, cfg.curvature.kappa), cfg.rho)
     result = mass_feasibility(polygon, rho)
     doc = result.to_json_dict()
     doc["command"] = "feasibility"
@@ -420,17 +413,6 @@ def _place_on_circle(radians, r: float, z: float) -> np.ndarray:
     )
 
 
-def _rigid_velocities(radians, r: float, omega_dot: float) -> np.ndarray:
-    theta = np.asarray(radians, dtype=float)
-    return np.column_stack(
-        (
-            -r * omega_dot * np.sin(theta),
-            r * omega_dot * np.cos(theta),
-            np.zeros(theta.shape),
-        )
-    )
-
-
 def _pair_c_matrix(state: BodySystem) -> np.ndarray:
     c = state.curvature
     metric = np.array([1.0, 1.0, float(c.sigma)])
@@ -439,14 +421,10 @@ def _pair_c_matrix(state: BodySystem) -> np.ndarray:
 
 
 def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
-    masses = _require(cfg, "masses")
-    rho = _require(cfg, "rho")
-    dt = dt_flag if dt_flag is not None else cfg.dt
-    t_end = t_end_flag if t_end_flag is not None else cfg.t_end
-    if dt is None:
-        raise ConfigError("integrator.dt", "required by this command but missing")
-    if t_end is None:
-        raise ConfigError("integrator.t_end", "required by this command but missing")
+    masses = _resolve("masses", None, cfg.masses)
+    rho = _resolve("rho", None, cfg.rho)
+    dt = _resolve("integrator.dt", dt_flag, cfg.dt)
+    t_end = _resolve("integrator.t_end", t_end_flag, cfg.t_end)
     try:
         icfg = IntegratorConfig(
             dt=dt,
@@ -459,20 +437,21 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
 
     c = cfg.curvature
     r = math.sqrt(rho / c.kappa)
-    z = math.sqrt(c.sigma / c.kappa - c.sigma * r * r)
-    rads = cfg.radians
-    positions = _place_on_circle(rads, r, z)
     omega_dot = None
-    if cfg.velocities is not None:
-        velocities = np.array(cfg.velocities, dtype=float)
-    else:
+    if cfg.velocities is None:
+        # solve_omega has already built and checked this same state
         polygon = _require_polygon(cfg)
         omega_dot = solve_omega(polygon, masses, r, c)
-        velocities = _rigid_velocities(rads, r, omega_dot)
-    try:
-        state = BodySystem(c, masses.as_array(), positions, velocities)
-    except ValueError as exc:
-        raise ConfigError("velocities", str(exc)) from None
+        rigid = RelativeEquilibrium.from_radius(polygon, r, omega_dot, c)
+        state = build_polygon_state(rigid, masses, c)
+    else:
+        z = math.sqrt(c.sigma / c.kappa - c.sigma * r * r)
+        positions = _place_on_circle(cfg.radians, r, z)
+        velocities = np.array(cfg.velocities, dtype=float)
+        try:
+            state = BodySystem(c, masses.as_array(), positions, velocities)
+        except ValueError as exc:
+            raise ConfigError("velocities", str(exc)) from None
 
     traj = integrate(state, icfg)
 
@@ -514,42 +493,27 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
     return EXIT_OK
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CURVED_NBODY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_sweep(cfg: RunConfig, grid_count: int, out_path) -> int:
     polygon = _require_polygon(cfg)
-    masses = _require(cfg, "masses")
+    masses = _resolve("masses", None, cfg.masses)
     if grid_count < 1:
         raise ConfigError("rho-grid", f"must be >= 1, got {grid_count}")
     grid = rho_grid(cfg.curvature.kappa, grid_count)
-
-    def one(rho):
-        rep = criterion_check(polygon, masses, rho, tol=cfg.tol)
-        return rep.max_delta_spread, rep.max_gamma_spread
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            spreads = list(pool.map(one, grid))
-    else:
-        spreads = [one(rho) for rho in grid]
-
-    rows = [[rho, d, g] for rho, (d, g) in zip(grid, spreads)]
-    text = csv_text(["rho", "delta_spread", "gamma_spread"], rows)
+    d_spreads, g_spreads = [], []
+    for start in range(0, len(grid), _SWEEP_BLOCK):
+        block = np.array(grid[start : start + _SWEEP_BLOCK])
+        d, g = _spreads(*delta_gamma(polygon, masses, block))
+        d_spreads += d.tolist()
+        g_spreads += g.tolist()
+    text = csv_text(["rho", "delta_spread", "gamma_spread"], zip(grid, d_spreads, g_spreads))
     if out_path is not None:
         write_text_atomic(out_path, text)
         _emit(
             {
                 "command": "sweep",
                 "points": len(grid),
-                "max_delta_spread": max(d for d, _ in spreads),
-                "max_gamma_spread": max(g for _, g in spreads),
+                "max_delta_spread": max(d_spreads),
+                "max_gamma_spread": max(g_spreads),
                 "out": out_path,
             }
         )

@@ -208,8 +208,8 @@ def nu(c: float, s: float, rho) -> float:
     return s / (c**1.5 * base**1.5)
 
 
-def _pair_tables(cfg: PolygonConfig, rho: float):
-    """Pairwise c, s and kernel base tables with a masked diagonal."""
+def _pair_tables(cfg: PolygonConfig, rho: np.ndarray):
+    """Pairwise c and s tables (rho-free), the base 2 - c*rho per rho, and the mask."""
     a = np.array(cfg.radians, dtype=float)
     d = a[:, None] - a[None, :]  # d[j, i] = alpha_j - alpha_i
     c = 1.0 - np.cos(d)
@@ -217,18 +217,24 @@ def _pair_tables(cfg: PolygonConfig, rho: float):
     off = ~np.eye(cfg.n, dtype=bool)
     if np.any(c[off] == 0.0):
         raise CoincidentAngleError("two polygon angles coincide modulo a full turn")
-    base = 2.0 - c * rho
-    if np.min(base[off]) <= 0.0:
+    base = 2.0 - c * rho[..., None, None]
+    if np.min(base[..., off]) <= 0.0:
         raise KernelDomainError("nonpositive kernel base for some pair")
     return c, s, base, off
 
 
 def delta_gamma(cfg: PolygonConfig, masses, rho) -> tuple[np.ndarray, np.ndarray]:
-    """Per-body sums delta_i = sum_j m_j mu_ji and gamma_i = sum_j m_j nu_ji."""
+    """Per-body sums delta_i = sum_j m_j mu_ji and gamma_i = sum_j m_j nu_ji.
+
+    A scalar rho gives two (n,) arrays; a 1-D array of rho gives two
+    (len(rho), n) arrays whose rows equal the scalar results.
+    """
     m = masses.as_array() if isinstance(masses, MassVector) else np.asarray(masses, dtype=float)
     if m.shape != (cfg.n,):
         raise ValueError(f"expected {cfg.n} masses, got shape {m.shape}")
-    r = _rho_value(rho)
+    r = np.asarray(rho.value if isinstance(rho, Rho) else rho, dtype=float)
+    if r.ndim > 1:
+        raise ValueError(f"rho must be a scalar or a 1-D array, got shape {r.shape}")
     c, s, base, off = _pair_tables(cfg, r)
     cs = np.where(off, c, 1.0)  # diagonal placeholder, masked out below
     bs = np.where(off, base, 1.0)
@@ -237,6 +243,14 @@ def delta_gamma(cfg: PolygonConfig, masses, rho) -> tuple[np.ndarray, np.ndarray
     deltas = m @ mu_t  # delta_i = sum_j m_j mu[j, i]
     gammas = m @ nu_t
     return deltas, gammas
+
+
+def _spreads(deltas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest |delta_i - delta_1| and |gamma_i - gamma_1| over the last axis."""
+    return (
+        np.max(np.abs(deltas - deltas[..., :1]), axis=-1),
+        np.max(np.abs(gammas - gammas[..., :1]), axis=-1),
+    )
 
 
 @dataclass(frozen=True)
@@ -254,8 +268,7 @@ class CriterionReport:
 def criterion_check(cfg: PolygonConfig, masses, rho, tol: float = 1e-10) -> CriterionReport:
     """Evaluate the balance criterion with spread tolerance tol * (1 + |delta_1|)."""
     deltas, gammas = delta_gamma(cfg, masses, rho)
-    d_spread = float(np.max(np.abs(deltas - deltas[0])))
-    g_spread = float(np.max(np.abs(gammas - gammas[0])))
+    d_spread, g_spread = (float(x) for x in _spreads(deltas, gammas))
     threshold = tol * (1.0 + abs(float(deltas[0])))
     return CriterionReport(
         deltas=tuple(float(x) for x in deltas),

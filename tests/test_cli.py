@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import curvednbody
-from curvednbody import cli
+from curvednbody import cli, criterion_check, rho_grid
+from curvednbody.jsonout import format_float
 
 
 def run_cli(argv):
@@ -141,6 +143,51 @@ class TestCriterion:
         code, _, err = run_cli(["criterion", "--config", cfg])
         assert code == 2
         assert "rho" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tol_flag_must_be_finite_and_positive(self, tmp_path, tol):
+        cfg = write_config(tmp_path, TRIANGLE_EXACT)
+        code, out, err = run_cli(["criterion", "--config", cfg, "--tol", tol])
+        assert code == 2 and out == ""
+        assert "config error: tol:" in err
+
+
+def reported_rho(command, doc):
+    return doc["feasibility"]["rho"] if command == "certify" else doc["rho"]
+
+
+@pytest.mark.parametrize("command", ["criterion", "certify", "feasibility"])
+class TestRhoResolution:
+    """--rho wins over the config rho, which wins over the command's default."""
+
+    @pytest.mark.parametrize("kappa, flag", [(1.0, 0.25), (-1.0, -0.75)])
+    def test_flag_overrides_config(self, tmp_path, command, kappa, flag):
+        doc = dict(TRIANGLE_EXACT, kappa=kappa, rho=0.5 if kappa > 0 else -1.5)
+        cfg = write_config(tmp_path, doc)
+        code, out, _ = run_cli([command, "--config", cfg, "--rho", str(flag)])
+        assert code in (0, 1)
+        assert reported_rho(command, json.loads(out)) == flag
+
+    @pytest.mark.parametrize("kappa, flag", [(1.0, "-0.5"), (-1.0, "0.5")])
+    def test_wrong_branch_flag_rejected(self, tmp_path, command, kappa, flag):
+        doc = dict(TRIANGLE_EXACT, kappa=kappa, rho=0.5 if kappa > 0 else -1.5)
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli([command, "--config", cfg, "--rho", flag])
+        assert code == 2 and out == ""
+        assert "config error: rho:" in err
+
+    @pytest.mark.parametrize("kappa, default", [(1.0, 0.5), (-1.0, -1.0)])
+    def test_neither_flag_nor_config(self, tmp_path, command, kappa, default):
+        doc = dict(TRIANGLE_EXACT, kappa=kappa)
+        del doc["rho"]
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli([command, "--config", cfg])
+        if command == "certify":
+            assert code == 0
+            assert reported_rho(command, json.loads(out)) == default
+        else:
+            assert code == 2 and out == ""
+            assert "config error: rho: required by this command but missing" in err
 
 
 class TestCertify:
@@ -304,7 +351,39 @@ class TestSimulate:
         assert "regular" in err
 
 
+def sweep_polygons():
+    """Seeded exact n = 3..12 polygons (denominators <= 10^4) and one float polygon."""
+    rng = random.Random(4242)
+    polygons = []
+    for n in range(3, 13):
+        q = rng.randint(n, 10_000)
+        polygons.append([f"{p}/{q}" for p in sorted(rng.sample(range(q), n))])
+    polygons.append([0.0, 0.9, 2.5, 4.1, 5.0])
+    return polygons
+
+
 class TestSweep:
+    @pytest.mark.parametrize("kappa", [1.0, -1.0])
+    @pytest.mark.parametrize("points", [1, 12, 600])  # 600 spans three kernel blocks
+    def test_cells_equal_criterion_check(self, tmp_path, kappa, points):
+        rng = random.Random(points)
+        for k, angles in enumerate(sweep_polygons()):
+            masses = [rng.uniform(0.5, 2.0) for _ in angles]
+            doc = {"kappa": kappa, "angles": angles, "masses": masses}
+            path = write_config(tmp_path, doc, f"polygon{k}.json")
+            code, out, _ = run_cli(["sweep", "--config", path, "--rho-grid", str(points)])
+            assert code == 0
+            cfg = cli.load_config(path)
+            lines = out.splitlines()
+            assert len(lines) == points + 1
+            for line, rho in zip(lines[1:], rho_grid(kappa, points)):
+                report = criterion_check(cfg.polygon, cfg.masses, rho)
+                assert line.split(",") == [
+                    format_float(rho),
+                    format_float(report.max_delta_spread),
+                    format_float(report.max_gamma_spread),
+                ]
+
     def test_stdout_grid(self, tmp_path):
         cfg = write_config(tmp_path, SQUARE_EXACT)
         code, out, _ = run_cli(["sweep", "--config", cfg, "--rho-grid", "5"])

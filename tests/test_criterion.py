@@ -192,6 +192,27 @@ class TestDeltaGamma:
             d, _ = delta_gamma(cfg, m, rho)
             assert np.all(np.asarray(d) > 0.0)
 
+    def test_rho_array_rows_equal_scalar_calls(self):
+        rng = random.Random(31)
+        polygons = [random_irregular_polygon(rng, n, 10_000) for n in range(3, 13)]
+        polygons.append(PolygonConfig.from_radians((0.0, 0.9, 2.5, 4.1, 5.0)))
+        for cfg in polygons:
+            m = MassVector(tuple(rng.uniform(0.5, 2.0) for _ in range(cfg.n)))
+            for kappa in (1.0, -1.0):
+                rhos = np.array(rho_grid(kappa, 600))
+                deltas, gammas = delta_gamma(cfg, m, rhos)
+                assert deltas.shape == gammas.shape == (600, cfg.n)
+                rows = [delta_gamma(cfg, m, float(r)) for r in rhos]
+                np.testing.assert_array_equal(deltas, np.stack([d for d, _ in rows]))
+                np.testing.assert_array_equal(gammas, np.stack([g for _, g in rows]))
+
+    def test_rho_array_domain_checked(self):
+        tri = turns(0, "1/3", "1/2")
+        with pytest.raises(KernelDomainError):
+            delta_gamma(tri, (1.0, 1.0, 1.0), np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            delta_gamma(tri, (1.0, 1.0, 1.0), np.full((2, 2), 0.5))
+
 
 class TestCriterionCheck:
     def test_regular_satisfied_everywhere(self):
