@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .criterion import (
     PolygonConfig,
@@ -310,7 +309,10 @@ def _rho_free_masses(cfg: PolygonConfig) -> tuple[float, ...] | None:
     At any rho each grouped row is its rho-free row times the amplitude
     a(c, rho) > 0, so the feasible set, and with it the verdict, is the same
     for every rho: one linear program on the unscaled rows decides them all.
+    scipy is imported here, on a memo miss, so that only the LP loads it.
     """
+    from scipy.optimize import linprog
+
     rows = [
         form.coeffs
         for _, _, _, delta_form, gamma_form in _grouped_forms(cfg)

@@ -10,7 +10,8 @@ with the signed dot product of the surface metric.  The pair part is tangent
 at q_i and the trailing term is the geodesic curvature term, so on the surface
 q_i . a_i + v_i . v_i = 0 holds identically.  Integration is classical RK4
 with an optional per-step projection back onto the surface and tangent
-bundle, plus a drift guard.
+bundle, plus a drift guard.  `solve_omega` gives the rigid-rotation rate of a
+regular equal-mass polygon in closed form, omega^2 = -f0 / (r (1 - rho)).
 
 One kernel, `_accel`, evaluates the field for the integrator, `acceleration`
 and `solve_omega`.  It works on plain floats and visits each pair once; for
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .criterion import MassVector, PolygonConfig, is_regular
 from .errors import (
@@ -427,11 +427,12 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
 
     Only regular polygons with equal masses balance this way; anything else
     raises NoBalanceError, as does a radius with no nonnegative root (the
-    equator for kappa > 0).  The root of the radial equation is found by
-    bracketed one-dimensional root-finding and then verified against the
-    full acceleration field.
+    equator for kappa > 0).  Only the -kappa (v . v) q term of the field
+    depends on the rate, and v . v = (r omega)^2, so the radial residual is
+    f0 + r (1 - rho) omega^2, f0 its value at rest: the rate is
+    sqrt(-f0 / (r (1 - rho))), verified against the full acceleration field.
     """
-    m = masses.as_array() if isinstance(masses, MassVector) else np.asarray(masses, dtype=float)
+    m = (masses if isinstance(masses, MassVector) else MassVector(masses)).as_array()
     if not is_regular(polygon):
         raise NoBalanceError("radial balance requires a regular polygon")
     if np.max(np.abs(m - m[0])) > 1e-12 * m[0]:
@@ -440,22 +441,15 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
     if c.kappa > 0.0 and rho >= 1.0 - 1e-12:
         # On the equator the radial equation degenerates: every rate balances.
         raise NoBalanceError(f"no unique rotation rate at rho {rho!r} (equator or beyond)")
-    f = lambda x: _radial_residual(polygon, m, r, c, x)
-    f0 = f(0.0)
+    f0 = _radial_residual(polygon, m, r, c, 0.0)
     if f0 == 0.0:
         return 0.0
     if f0 > 0.0:
         raise NoBalanceError(
             f"radial force {f0!r} points outward at rest; no nonnegative rate balances it"
         )
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoBalanceError("radial equation has no nonnegative root")
-    omega = float(brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    # r > 0 (from_radius checked it) and rho < 1, so the slope r (1 - rho) is positive
+    omega = math.sqrt(-f0 / (r * (1.0 - rho)))
     req = RelativeEquilibrium.from_radius(polygon, r, omega, c)
     sys = build_polygon_state(req, m, c)
     A = np.array(_accel(*_floats(sys), c.kappa, c.sigma))

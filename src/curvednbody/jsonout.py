@@ -85,13 +85,14 @@ def csv_text(header: list, rows) -> str:
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, (bool, np.bool_)):
+            if isinstance(cell, float):  # most cells; np.float64 subclasses float
+                cells.append(format_float(cell) if math.isfinite(cell) else "nan")
+            elif isinstance(cell, (bool, np.bool_)):
                 cells.append("true" if cell else "false")
             elif isinstance(cell, (int, np.integer)):
                 cells.append(str(int(cell)))
-            elif isinstance(cell, (float, np.floating)):
-                f = float(cell)
-                cells.append(format_float(f) if math.isfinite(f) else "nan")
+            elif isinstance(cell, np.floating):
+                cells.append(format_float(float(cell)) if math.isfinite(cell) else "nan")
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))

@@ -447,6 +447,58 @@ def package_env():
     return env
 
 
+class TestImports:
+    def test_scipy_loads_only_for_the_lp(self, tmp_path):
+        # only the LP needs scipy: a fresh interpreter must not load it for
+        # import, validate, criterion, sweep or simulate, and must for certify
+        polygon = write_config(tmp_path, TRIANGLE_EXACT)
+        rotation = write_config(
+            tmp_path,
+            {
+                "kappa": 1.0,
+                "angles": ["0/1", "1/3", "2/3"],
+                "masses": [1.0, 1.0, 1.0],
+                "rho": 0.36,
+                "integrator": {"dt": 0.001, "t_end": 0.01},
+            },
+            name="rotation.json",
+        )
+        runs = [
+            ["validate", "--config", polygon],
+            ["criterion", "--config", polygon],
+            ["sweep", "--config", polygon, "--rho-grid", "5"],
+            ["simulate", "--config", rotation, "--out", str(tmp_path / "traj.csv")],
+            ["certify", "--config", polygon],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import curvednbody\n"
+            "from curvednbody.cli import main\n"
+            "seen = [[None, 'scipy' in sys.modules]]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    seen.append([code, 'scipy' in sys.modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=package_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            [None, False],
+            [0, False],  # validate
+            [1, False],  # criterion: the triangle is irregular
+            [0, False],  # sweep
+            [0, False],  # simulate, through solve_omega
+            [0, True],  # certify, through its LP
+        ]
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         # Run the curved-nbody command exactly as declared in pyproject.toml,

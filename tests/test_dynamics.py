@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from curvednbody import (
     BodySystem,
@@ -22,6 +23,7 @@ from curvednbody import (
     step,
     surface_residual,
 )
+from curvednbody.dynamics import _radial_residual
 
 SPHERE = Curvature(1.0)
 HYPER = Curvature(-1.0)
@@ -316,6 +318,17 @@ class TestBuildPolygonState:
             RelativeEquilibrium.from_radius(regular_polygon(3), 1.2, 0.0, SPHERE)
 
 
+def assert_full_balance(poly, masses, r, w, c):
+    # a rigid rotation at rate w has kinematic acceleration -w^2 (x, y, 0);
+    # the dynamical field must reproduce it exactly
+    req = RelativeEquilibrium.from_radius(poly, r, w, c)
+    system = build_polygon_state(req, masses, c)
+    acc = acceleration(system)
+    expect = -(w**2) * system.positions * np.array([1.0, 1.0, 0.0])
+    scale = max(1.0, np.max(np.abs(acc)))
+    assert np.max(np.abs(acc - expect)) <= 1e-9 * scale
+
+
 class TestSolveOmega:
     def test_spherical_triangle_reference_value(self):
         w = solve_omega(regular_polygon(3), (1.0,) * 3, 0.6, SPHERE)
@@ -326,18 +339,10 @@ class TestSolveOmega:
         assert w == pytest.approx(1.3665956060662887, rel=1e-12)
 
     def test_balance_closes_full_field(self):
-        # a rigid rotation at the solved rate has kinematic acceleration
-        # -w^2 (x, y, 0); the dynamical field must reproduce it exactly
         for c, n in ((SPHERE, 5), (HYPER, 4)):
             poly = regular_polygon(n)
             masses = (2.0,) * n
-            w = solve_omega(poly, masses, 0.45, c)
-            req = RelativeEquilibrium.from_radius(poly, 0.45, w, c)
-            system = build_polygon_state(req, masses, c)
-            acc = acceleration(system)
-            expect = -(w**2) * system.positions * np.array([1.0, 1.0, 0.0])
-            scale = max(1.0, np.max(np.abs(acc)))
-            assert np.max(np.abs(acc - expect)) <= 1e-9 * scale
+            assert_full_balance(poly, masses, 0.45, solve_omega(poly, masses, 0.45, c), c)
 
     def test_mass_scaling(self):
         poly = regular_polygon(3)
@@ -359,6 +364,34 @@ class TestSolveOmega:
     def test_equator_rejected(self):
         with pytest.raises(NoBalanceError):
             solve_omega(regular_polygon(3), (1.0,) * 3, 1.0, SPHERE)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_invalid_masses_rejected(self, value):
+        # equal but not positive or not finite: the MassVector check, no warning
+        with pytest.raises(ValueError, match="masses must be finite and positive"):
+            solve_omega(regular_polygon(3), (value,) * 3, 0.5, SPHERE)
+
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 2.0, -3.0])
+    def test_closed_form_matches_bracketed_root(self, kappa):
+        # the root-finding the closed form replaced: double a bracket on the
+        # radial residual until it changes sign, then brentq inside it
+        c = Curvature(kappa)
+        if kappa > 0.0:
+            radii = [t / math.sqrt(kappa) for t in (0.05, 0.45, 0.8, 0.999)]
+        else:
+            radii = [0.05, 0.6, 2.0, 5.0]
+        for n in range(3, 13):
+            poly = regular_polygon(n)
+            masses = np.full(n, 1.5)
+            for r in radii:
+                w = solve_omega(poly, masses, r, c)
+                f = lambda x: _radial_residual(poly, masses, r, c, x)
+                hi = 1.0
+                while f(hi) <= 0.0:
+                    hi *= 2.0
+                ref = brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+                assert w == pytest.approx(ref, rel=1e-12), (n, r)
+                assert_full_balance(poly, masses, r, w, c)
 
 
 class TestDiagnostics:
