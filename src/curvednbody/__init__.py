@@ -6,7 +6,7 @@ hyperboloid sheet for kappa < 0).  It provides the equations of motion with
 a constraint-preserving integrator, the delta/gamma balance criterion for
 polygonal configurations, a mechanized nonexistence certificate showing that
 irregular polygons admit no positive masses satisfying the criterion, an
-independent linear-programming feasibility search that cross-checks the
+independent exact mass-feasibility search that cross-checks the
 certificate, and a batch CLI.
 """
 

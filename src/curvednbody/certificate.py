@@ -12,8 +12,11 @@ cancel with positive masses, and this module mechanizes that argument:
     built once per polygon without rho, by the amplitudes at one rho,
   * find_contradiction_j locates the witness index,
   * classify_case derives the non-vanishing coefficient form(s),
-  * mass_feasibility independently searches for positive masses by linear
-    programming, and certify requires the two routes to agree.
+  * mass_feasibility independently decides whether positive masses exist:
+    it builds one integer row per chord class for every difference
+    delta_i - delta_1 and gamma_i - gamma_1 straight from the turn residues,
+    and solves {A m = 0, m >= 1} exactly,
+  * certify requires the two routes to agree.
 
 Angle arithmetic on the certification path is exact (rational fractions of a
 turn, held as integer residues modulo their common denominator), so group
@@ -23,6 +26,7 @@ membership and the pairing identities carry no float tolerance.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -68,10 +72,10 @@ __all__ = [
 
 FLOAT_MERGE_TOL = 1e-12
 FLOAT_GROUP_TOL = 1e-9
-# Canonical polygons whose rho-free grouped forms and LP solution are kept.
-# Callers ask about one polygon at a few rho in a row (certify, then
-# mass_feasibility per rho); a polygon revisited only after many others is
-# rebuilt, which costs time and never changes a result.
+# Canonical polygons whose rho-free grouped forms and exact mass solution are
+# kept, each in its own memo.  Callers ask about one polygon at a few rho in a
+# row (certify, then mass_feasibility per rho); a polygon revisited only after
+# many others is rebuilt, which costs time and never changes a result.
 _MEMO_POLYGONS = 32
 
 
@@ -302,36 +306,150 @@ def _grouped_forms(cfg: PolygonConfig):
     return tuple(groups)
 
 
-@functools.lru_cache(maxsize=_MEMO_POLYGONS)
-def _rho_free_masses(cfg: PolygonConfig) -> tuple[float, ...] | None:
-    """Masses solving {every grouped form = 0, m_i >= 1}, or None if infeasible.
+def _class_forms(cfg: PolygonConfig):
+    """Integer chord-class coefficients of the n - 1 differences.
 
-    At any rho each grouped row is its rho-free row times the amplitude
-    a(c, rho) > 0, so the feasible set, and with it the verdict, is the same
-    for every rho: one linear program on the unscaled rows decides them all.
-    scipy is imported here, on a memo miss, so that only the LP loads it.
+    For i = 2..n, delta_i - delta_1 sums +m_j over the pairs (j, i) and -m_j
+    over the pairs (j, 1), each at its kernel mu(c); gamma carries the extra
+    factor s/c.  Pairs whose separations d = alpha_j - alpha_i (mod 1) share
+    the class k = min(d, 1 - d) share c, and their s/c differ only in sign,
+    positive for d < 1/2; a half-turn pair has s = 0 and drops from gamma.
+    Each class coefficient must vanish on its own, which leaves a delta and a
+    gamma row, entries in {-2..2}, per (i, class).  Only the turn residues
+    are read.  Yields (i, k, delta row, gamma row) in increasing i, then k,
+    with k a residue modulo the full turn of _turn_residues.
     """
-    from scipy.optimize import linprog
-
-    rows = [
-        form.coeffs
-        for _, _, _, delta_form, gamma_form in _grouped_forms(cfg)
-        for form in (delta_form, gamma_form)
-        if not form.is_zero
-    ]
+    res, full = _turn_residues(cfg)
     n = cfg.n
-    res = linprog(
-        c=np.zeros(n),
-        A_eq=np.array(rows, dtype=float),
-        b_eq=np.zeros(len(rows)),
-        bounds=[(1.0, None)] * n,
-        method="highs",
-    )
-    if res.status == 0:
-        return tuple(float(m) for m in res.x)
-    if res.status == 2:
+    for i in range(1, n):
+        forms: dict[int, tuple[list[int], list[int]]] = {}
+        for target, sign in ((i, 1), (0, -1)):
+            for j in range(n):
+                if j == target:
+                    continue
+                d = (res[j] - res[target]) % full
+                delta, gamma = forms.setdefault(min(d, full - d), ([0] * n, [0] * n))
+                delta[j] += sign
+                if 2 * d != full:
+                    gamma[j] += sign if 2 * d < full else -sign
+        for k in sorted(forms):
+            yield (i + 1, k) + forms[k]
+
+
+def _eliminate(pivot_row: list[int], row: list[int], col: int) -> list[int]:
+    """row with its entry in col cancelled by pivot_row, divided by its gcd."""
+    a, b = pivot_row[col], row[col]
+    out = [a * y - b * x for x, y in zip(pivot_row, row)]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
+def _phase_one(rows: list[list[int]], n: int) -> list[int] | None:
+    """Bland's-rule phase-1 simplex in exact fractions for {rows . m = 0, m >= 1}.
+
+    Returns a solution scaled to integers, or None if there is none.
+
+    With m = 1 + x the system reads rows . x = -rows . 1, x >= 0.  One
+    artificial per row starts a feasible basis; their sum is driven to zero
+    exactly when the system is feasible.  Artificials that leave the basis
+    never re-enter, so the tableau keeps only the x columns and the right
+    side, and reduced costs start at -(column sums).
+    """
+    tab = []
+    for row in rows:
+        sign = -1 if sum(row) > 0 else 1
+        tab.append([Fraction(sign * a) for a in row + [-sum(row)]])
+    basis = [n + r for r in range(len(tab))]  # artificials rank after every x
+    cost = [-sum(t[c] for t in tab) for c in range(n + 1)]
+    while True:
+        enter = next((c for c in range(n) if cost[c] < 0), None)
+        if enter is None:
+            break
+        ratios = [(t[n] / t[enter], basis[r], r) for r, t in enumerate(tab) if t[enter] > 0]
+        _, _, r = min(ratios)
+        pivot = tab[r] = [v / tab[r][enter] for v in tab[r]]
+        for q, t in enumerate(tab):
+            if q != r and t[enter]:
+                tab[q] = [v - t[enter] * p for v, p in zip(t, pivot)]
+        cost = [v - cost[enter] * p for v, p in zip(cost, pivot)]
+        basis[r] = enter
+    if cost[n] != 0:
         return None
-    raise InternalConsistencyError(f"unexpected LP status {res.status}: {res.message}")
+    m = [Fraction(1)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            m[b] += tab[r][n]
+    den = math.lcm(*(x.denominator for x in m))
+    return [x.numerator * (den // x.denominator) for x in m]
+
+
+def _positive_kernel_point(rows, n: int) -> list[int] | None:
+    """An integer m with rows . m = 0 and every m_i > 0, or None if none exists.
+
+    Fraction-free elimination keeps a basis of the rows seen so far, each row
+    zero at every other row's pivot column.  Once the rank is n - 1 the
+    kernel is one integer vector: infeasible unless strictly one-signed, and
+    each later row either annihilates it or lifts the rank to n, which
+    leaves only m = 0.  A larger kernel goes to the simplex.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> reduced integer row
+    kernel = None
+    for row in rows:
+        if kernel is not None:
+            if sum(a * x for a, x in zip(row, kernel)):
+                return None
+            continue
+        row = list(row)
+        for col, prow in basis.items():
+            if row[col]:
+                row = _eliminate(prow, row, col)
+        pivot = next((col for col, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        for col, prow in basis.items():
+            if prow[pivot]:
+                basis[col] = _eliminate(row, prow, pivot)
+        basis[pivot] = row
+        if len(basis) == n - 1:
+            (free,) = set(range(n)) - basis.keys()
+            scale = math.lcm(*(prow[col] for col, prow in basis.items()))
+            kernel = [scale] * n
+            for col, prow in basis.items():
+                kernel[col] = -prow[free] * (scale // prow[col])
+            if min(kernel) <= 0:
+                return None
+    return kernel if kernel is not None else _phase_one(list(basis.values()), n)
+
+
+@functools.lru_cache(maxsize=_MEMO_POLYGONS)
+def _exact_system(cfg: PolygonConfig) -> tuple[tuple[float, ...], tuple[Fraction, ...] | None]:
+    """Chords of the polygon's classes, increasing, and its masses or None.
+
+    Rho scales each class row only by a positive amplitude a(c, rho), so the
+    feasible set, and with it the verdict, is the same for every rho.  The
+    masses are exact, with the smallest equal to 1.
+    """
+
+    def rows():
+        return (row for *_, delta, gamma in _class_forms(cfg) for row in (delta, gamma))
+
+    point = _positive_kernel_point(rows(), cfg.n)
+    masses = None
+    if point is not None:
+        if any(sum(a * x for a, x in zip(row, point)) for row in rows()):
+            raise InternalConsistencyError(f"point {point} does not solve the class rows")
+        masses = tuple(Fraction(x, min(point)) for x in point)
+    res, full = _turn_residues(cfg)
+    classes = sorted({min((a - b) % full, (b - a) % full) for a, b in itertools.combinations(res, 2)})
+    return tuple(1.0 - math.cos(2.0 * math.pi * k / full) for k in classes), masses
+
+
+def _require_increasing_bases(chords, bases) -> None:
+    for c0, g0, c1, g1 in zip(chords, bases, chords[1:], bases[1:]):
+        if not g0 < g1:
+            raise InternalConsistencyError(
+                f"base map not strictly increasing across groups; g({c0}) = {g0} vs g({c1}) = {g1}"
+            )
 
 
 def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
@@ -357,12 +475,7 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
                 gamma_form=gamma_form.scaled(a),
             )
         )
-    for prev, cur in zip(groups, groups[1:]):
-        if not prev.g < cur.g:
-            raise InternalConsistencyError(
-                "base map not strictly increasing across groups; "
-                f"g({prev.c}) = {prev.g} vs g({cur.c}) = {cur.g}"
-            )
+    _require_increasing_bases([grp.c for grp in groups], [grp.g for grp in groups])
     return CoefficientSystem(n=cfg.n, rho=rho_v, groups=tuple(groups))
 
 
@@ -701,33 +814,26 @@ class FeasibilityResult:
 
 
 def mass_feasibility(cfg: PolygonConfig, rho, floor: float = 1e-9) -> FeasibilityResult:
-    """Search for positive masses killing every grouped coefficient form.
+    """Search for positive masses killing every chord-class coefficient.
 
-    Solves the linear program {all grouped forms = 0, m_i >= floor}; the
-    system is homogeneous in the masses, so the verdict is independent of the
-    floor and the program is solved with a unit lower bound for conditioning.
-    Rho only scales each grouped form by a positive amplitude, so the program
-    is solved once per polygon on the rho-free forms; the residual is taken
-    against the forms at the given rho.  Witness masses are reported in
-    canonical vertex order.
+    Decides {A m = 0, m_i >= floor} exactly, with A the integer class rows
+    of every difference delta_i - delta_1 and gamma_i - gamma_1; the system is
+    homogeneous, so the verdict is independent of the floor and of rho, and
+    is found once per polygon with min(m) = 1.  At the given rho every class
+    must lie in the kernel domain with strictly increasing bases g.  Witness
+    masses are reported in canonical vertex order; they solve the rows
+    exactly, so the residual is 0.
     """
     if not floor > 0.0:
         raise ValueError(f"mass floor must be positive, got {floor!r}")
-    canon = canonicalize(cfg)
-    system = base_groups(canon, rho)
-    unit_masses = _rho_free_masses(canon)
-    if unit_masses is None:
-        return FeasibilityResult(False, None, math.inf, system.rho, floor)
-    masses = np.asarray(unit_masses)
-    if floor > 1.0:
-        masses = masses * floor
-    rows, _ = system.equality_rows()
-    residual = float(np.max(np.abs(rows @ masses)))
-    if residual > 1e-10:
-        raise InternalConsistencyError(
-            f"feasible point violates the grouped forms: residual {residual!r}"
-        )
-    return FeasibilityResult(True, tuple(float(m) for m in masses), residual, system.rho, floor)
+    _require_exact(cfg)
+    rho_v = _rho_value(rho)
+    chords, masses = _exact_system(canonicalize(cfg))
+    _require_increasing_bases(chords, [c / _check_kernel_domain(c, rho_v) for c in chords])
+    if masses is None:
+        return FeasibilityResult(False, None, math.inf, rho_v, floor)
+    scale = max(floor, 1.0)
+    return FeasibilityResult(True, tuple(float(m) * scale for m in masses), 0.0, rho_v, floor)
 
 
 def certify(cfg: PolygonConfig, rho=None, floor: float = 1e-9) -> Certificate:

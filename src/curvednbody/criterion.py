@@ -353,9 +353,13 @@ def rho_grid(kappa: float, count: int) -> tuple[float, ...]:
 
 
 def random_irregular_polygon(rng: random.Random, n: int, max_denominator: int = 360) -> PolygonConfig:
-    """Random exact irregular polygon with turn denominators <= max_denominator."""
-    if n < 3 or max_denominator < n:
-        raise ValueError("need n >= 3 and max_denominator >= n")
+    """Random exact irregular polygon with turn denominators <= max_denominator.
+
+    The only n distinct multiples of 1/n form the regular polygon, so an
+    irregular one needs a denominator above n.
+    """
+    if n < 3 or max_denominator <= n:
+        raise ValueError("need n >= 3 and max_denominator > n")
     while True:
         q = rng.randint(n, max_denominator)
         numerators = sorted(rng.sample(range(q), n))
@@ -365,7 +369,13 @@ def random_irregular_polygon(rng: random.Random, n: int, max_denominator: int = 
 
 
 def random_scalene_triangle(rng: random.Random, max_denominator: int = 360) -> PolygonConfig:
-    """Random exact triangle with three pairwise distinct cyclic gaps."""
+    """Random exact triangle with three pairwise distinct cyclic gaps.
+
+    Three distinct positive gaps of a turn, multiples of 1/q, sum to at least
+    (1 + 2 + 3)/q, so the denominator must reach 6.
+    """
+    if max_denominator < 6:
+        raise ValueError("three distinct gaps need max_denominator >= 6")
     while True:
         cfg = random_irregular_polygon(rng, 3, max_denominator)
         g = cyclic_gaps(cfg)

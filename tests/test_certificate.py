@@ -2,7 +2,7 @@
 
 The heart of the package: an irregular polygon must yield a witness index
 whose grouped mass form cannot vanish with positive masses, and the
-independent linear-programming route must agree.
+independent exact mass search must agree.
 """
 
 import json
@@ -12,6 +12,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from curvednbody import (
@@ -25,6 +27,7 @@ from curvednbody import (
     certify,
     classify_case,
     decompose,
+    delta_gamma,
     find_contradiction_j,
     is_regular,
     mass_feasibility,
@@ -433,9 +436,8 @@ class TestRhoFreeFeasibility:
             for rho in self.RHOS:
                 res = mass_feasibility(cfg, rho)
                 assert res.feasible and reference_feasible(cfg, rho), (n, rho)
-                m = np.asarray(res.masses)
-                np.testing.assert_allclose(m, m[0], rtol=1e-9)
-                assert res.residual <= 1e-10
+                assert res.masses == (1.0,) * n, (n, rho)
+                assert res.residual == 0.0
 
     def test_results_do_not_depend_on_call_history(self):
         rhos = (0.25, 0.5, 0.75, -1.0)
@@ -460,7 +462,7 @@ class TestRhoFreeFeasibility:
 
             for rho in rhos:
                 certificate._grouped_forms.cache_clear()
-                certificate._rho_free_masses.cache_clear()
+                certificate._exact_system.cache_clear()
                 cold = snapshot(rho)
                 for other in rhos:
                     if other != rho:
@@ -470,9 +472,9 @@ class TestRhoFreeFeasibility:
                 assert snapshot(rho) == cold, (poly.turns, rho, "after certify")
                 for other in evictors:
                     mass_feasibility(other, 0.5)
-                misses = certificate._rho_free_masses.cache_info().misses
+                misses = certificate._exact_system.cache_info().misses
                 assert snapshot(rho) == cold, (poly.turns, rho, "after eviction")
-                assert certificate._rho_free_masses.cache_info().misses == misses + 1
+                assert certificate._exact_system.cache_info().misses == misses + 1
 
 
 class TestCertify:
@@ -527,3 +529,216 @@ class TestCertify:
             cfg = random_irregular_polygon(rng, 3 + rng.randrange(4))
             cert = certify(cfg)  # raises DisagreementError on any conflict
             assert cert.feasibility_feasible is False
+
+
+def linprog_feasible(rows, n):
+    """Reference verdict for {rows . m = 0, m >= 1} from HiGHS."""
+    A = np.array(rows, dtype=float).reshape(-1, n)
+    res = linprog(np.zeros(n), A_eq=A, b_eq=np.zeros(A.shape[0]),
+                  bounds=[(1.0, None)] * n, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def assert_exact_point(rows, point):
+    assert all(isinstance(m, int) and m > 0 for m in point), point
+    for row in rows:
+        assert sum(a * m for a, m in zip(row, point)) == 0, (row, point)
+
+
+class TestExactSolver:
+    """The exact solver on integer systems written out by hand, against HiGHS."""
+
+    # (n, rows, feasible); the comment gives the kernel dimension
+    SYSTEMS = [
+        (3, [[1, -1, 0], [0, 1, -1], [1, 0, 0]], False),  # 0
+        (3, [[1, 1, 1], [1, -1, 0], [0, 1, -1], [2, 0, -2]], False),  # 0, redundant rows
+        (3, [[1, -1, 0], [0, 1, -1]], True),  # 1: all-ones
+        (3, [[2, -1, 0], [0, 3, -1]], True),  # 1: (1, 2, 6)
+        (3, [[1, 1, 0], [0, 1, -1]], False),  # 1: (-1, 1, 1), mixed signs
+        (3, [[1, 0, 0], [0, 1, -1]], False),  # 1: (0, 1, 1), not strictly positive
+        (4, [[-2, 1, 1, 0], [0, 0, 1, -1], [1, -1, 0, 0], [2, -2, 0, 0]], True),  # 1, redundant
+        (4, [[1, 1, -2, 0]], True),  # 3
+        (4, [[1, 1, 0, 0]], False),  # 3
+        (5, [[2, -1, -1, 0, 0], [0, 0, 1, -1, 0]], True),  # 3
+        (5, [[1, -2, 0, 0, 1], [0, 1, 1, -2, 0], [1, 0, -1, 0, -2]], True),  # 2
+        (5, [[1, 2, -1, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, -1]], False),  # 2
+        (5, [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [1, 0, 1, 0, -2], [2, 0, 2, 0, -2]], False),  # 2
+        (6, [[1, -1, 1, -1, 0, 0], [0, 1, -2, 1, 0, 0], [1, 0, 0, 0, -1, -1]], True),  # 3
+        (6, [[1, -2, 1, 0, 0, 0], [0, 1, -2, 1, 0, 0], [0, 0, 1, -2, 1, 0], [1, 0, 0, 0, 0, 0]], False),  # 2
+        (4, [], True),  # 4: no rows at all
+    ]
+
+    @pytest.mark.parametrize("n,rows,feasible", SYSTEMS)
+    def test_hand_written_systems(self, n, rows, feasible):
+        assert linprog_feasible(rows, n) == feasible
+        point = certificate._positive_kernel_point(rows, n)
+        assert (point is not None) == feasible
+        if feasible:
+            assert_exact_point(rows, point)
+
+    def test_exact_kernel_point(self):
+        # in either row order the one kernel direction comes out exactly
+        for rows in ([[2, -1, 0], [0, 3, -1]], [[0, 3, -1], [2, -1, 0]]):
+            point = certificate._positive_kernel_point(rows, 3)
+            assert [F(m, point[0]) for m in point] == [1, 2, 6]
+
+    def test_random_wide_kernels_match_linprog(self):
+        # fewer rows than n - 1 leave a kernel of dimension >= 2: the simplex path
+        rng = random.Random(61)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(3, 7)
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n - 2))]
+            point = certificate._positive_kernel_point(rows, n)
+            assert (point is not None) == linprog_feasible(rows, n), rows
+            if point is not None:
+                assert_exact_point(rows, point)
+            verdicts.add(point is not None)
+        assert verdicts == {True, False}
+
+
+def class_differences(cfg, masses, rho):
+    """delta_i - delta_1 and gamma_i - gamma_1, i = 2..n, rebuilt from the class rows."""
+    _, full = certificate._turn_residues(cfg)
+    dd = np.zeros(cfg.n - 1)
+    gg = np.zeros(cfg.n - 1)
+    for i, k, delta, gamma in certificate._class_forms(cfg):
+        c = 1.0 - math.cos(2.0 * math.pi * k / full)
+        t = math.sin(2.0 * math.pi * k / full) / c  # |s/c| of the class
+        dd[i - 2] += mu(c, rho) * np.dot(delta, masses)
+        gg[i - 2] += mu(c, rho) * t * np.dot(gamma, masses)
+    return dd, gg
+
+
+class TestClassRows:
+    """The exact route's rows, built from turn residues alone."""
+
+    def test_rows_reproduce_delta_gamma(self):
+        # at any masses and rho, summing the class rows at their kernels gives
+        # back every difference that delta_gamma computes directly
+        rng = random.Random(71)
+        polygons = [turns(0, "1/8", "1/2", "5/8"), turns(0, "1/5", "2/5", "3/5"),
+                    turns(0, "1/6", "1/3", "1/2", "2/3")]
+        polygons += [canonicalize(random_irregular_polygon(rng, n, d))
+                     for n in range(3, 13) for d in (2 * n + 2, 10**4)]
+        for cfg in polygons:
+            for rho in (0.5, -10.0, 0.9):
+                masses = np.array([rng.uniform(0.5, 2.0) for _ in range(cfg.n)])
+                deltas, gammas = delta_gamma(cfg, masses, rho)
+                dd, gg = class_differences(cfg, masses, rho)
+                scale = np.max(np.abs(deltas)) + np.max(np.abs(gammas))
+                np.testing.assert_allclose(dd, deltas[1:] - deltas[0], rtol=0, atol=1e-12 * scale)
+                np.testing.assert_allclose(gg, gammas[1:] - gammas[0], rtol=0, atol=1e-12 * scale)
+
+    def test_rank_is_n_exactly_when_irregular(self):
+        rng = random.Random(73)
+        for n in range(3, 13):
+            regular = PolygonConfig.from_turns(tuple(F(k, n) for k in range(n)))
+            for cfg in [regular] + [canonicalize(random_irregular_polygon(rng, n, 10**4)) for _ in range(5)]:
+                rows = [row for *_, d, g in certificate._class_forms(cfg) for row in (d, g)]
+                assert np.linalg.matrix_rank(np.array(rows, dtype=float)) == n - is_regular(cfg)
+
+
+# one fixture per case tag, plus a half-turn pair in case 1 and u = j in case 3
+CASE_FIXTURES = [
+    ("0", "1/8", "1/4", "3/8"),
+    ("0", "1/8", "1/2"),
+    ("0", "1/8", "3/8", "3/4"),
+    ("0", "1/8", "1/4", "3/4"),
+    ("0", "1/6", "1/3", "1/2", "2/3"),
+    ("0", "1/5", "2/5", "3/5"),
+]
+
+
+class TestIndependentRoutes:
+    def test_feasibility_reads_no_case_analysis_forms(self, monkeypatch):
+        polygons = [PolygonConfig.from_turns(tuple(F(k, 7) for k in range(7)))]
+        polygons += [turns(*t) for t in CASE_FIXTURES]
+        assert {classify_case(p, find_contradiction_j(p)).case_tag for p in polygons[1:]} == {
+            "case1", "case2u", "case2v", "case3"}
+
+        def snapshot():
+            certificate._exact_system.cache_clear()
+            out = []
+            for poly in polygons:
+                for rho in (0.25, 0.5, -1.0, -10.0):
+                    out.append(dumps(mass_feasibility(poly, rho).to_json_dict()))
+                if not is_regular(poly):
+                    out.append(dumps(certify(poly, 0.5).to_json_dict()))
+            return out
+
+        expected = snapshot()
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the case analysis's grouped forms were read")
+
+        monkeypatch.setattr(certificate, "_difference_terms", unavailable)
+        monkeypatch.setattr(certificate, "_grouped_forms", unavailable)
+        assert snapshot() == expected
+
+
+@st.composite
+def rational_polygons(draw):
+    """Exact polygons, n <= 12, with one denominator q <= 10^4 per polygon.
+
+    Besides generic draws: polygons made of half-turn pairs (s = 0), polygons
+    mirrored about the bisector of a short edge (u = j pairings), and
+    regular polygons at any offset, the only feasible ones.
+    """
+    kind = draw(st.sampled_from(["generic", "half_turn", "mirror", "regular"]))
+    if kind == "regular":
+        n = draw(st.integers(3, 12))
+        q = n * draw(st.integers(1, 10**4 // n))
+        start = draw(st.integers(0, q // n - 1))
+        nums = {start + k * (q // n) for k in range(n)}
+    elif kind == "half_turn":
+        q = 2 * draw(st.integers(4, 5000))
+        half = draw(st.lists(st.integers(0, q // 2 - 1), min_size=2, max_size=6, unique=True))
+        nums = {p for h in half for p in (h, h + q // 2)}
+    elif kind == "mirror":
+        q = 2 * draw(st.integers(6, 5000))
+        h = draw(st.integers(1, q // 12))
+        side = draw(st.lists(st.integers(4 * h, q // 2 + h - 1), max_size=4, unique=True))
+        # 0 and 2h form the shortest edge; q/2 + h sits on its bisector
+        nums = {0, 2 * h, q // 2 + h} | {p for s in side for p in (s, (2 * h - s) % q)}
+    else:
+        q = draw(st.integers(4, 10**4))
+        nums = set(draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=12, unique=True)))
+    return PolygonConfig.from_turns(F(p, q) for p in sorted(nums))
+
+
+def sampled_rho_feasible(cfg, rhos):
+    """HiGHS verdict on the float rows delta_i - delta_1, gamma_i - gamma_1 at sampled rho."""
+    units = np.eye(cfg.n)
+    blocks = []
+    for part in (0, 1):  # delta, gamma
+        # values[j, k, i]: delta_i (or gamma_i) at rhos[k] for unit mass on body j
+        values = np.stack([delta_gamma(cfg, e, np.asarray(rhos))[part] for e in units])
+        diffs = values[:, :, 1:] - values[:, :, :1]
+        blocks.append(diffs.reshape(cfg.n, -1).T)
+    rows = np.vstack(blocks)
+    return linprog_feasible(rows / np.max(np.abs(rows)), cfg.n)
+
+
+class TestSampledRhoOracle:
+    """Balance at 2n + 1 sampled rho decides feasibility as the exact route does.
+
+    The rows come from criterion.delta_gamma, not from any grouping of
+    terms, and HiGHS solves them in floating point: a route that shares no
+    code with the certificate package's own solver.
+    """
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(
+        cfg=rational_polygons(),
+        rho=st.one_of(st.floats(0.01, 0.99), st.floats(-10.0, -0.01)),
+    )
+    @example(cfg=turns(0, "1/5", "2/5", "3/5"), rho=-10.0)
+    @example(cfg=turns(0, "1/8", "1/2", "5/8"), rho=0.5)
+    @example(cfg=PolygonConfig.from_turns(tuple(F(k, 12) for k in range(12))), rho=-10.0)
+    def test_verdict_matches_sampled_rho_lp(self, cfg, rho):
+        samples = list(np.linspace(-10.0, 0.95, 2 * cfg.n)) + [rho]
+        res = mass_feasibility(cfg, rho)
+        assert res.feasible == sampled_rho_feasible(cfg, samples)
+        assert res.feasible == is_regular(cfg)

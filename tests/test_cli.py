@@ -448,9 +448,9 @@ def package_env():
 
 
 class TestImports:
-    def test_scipy_loads_only_for_the_lp(self, tmp_path):
-        # only the LP needs scipy: a fresh interpreter must not load it for
-        # import, validate, criterion, sweep or simulate, and must for certify
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        # the runtime needs numpy alone: a fresh interpreter must not load
+        # scipy for the import or for any of the six subcommands
         polygon = write_config(tmp_path, TRIANGLE_EXACT)
         rotation = write_config(
             tmp_path,
@@ -469,6 +469,7 @@ class TestImports:
             ["sweep", "--config", polygon, "--rho-grid", "5"],
             ["simulate", "--config", rotation, "--out", str(tmp_path / "traj.csv")],
             ["certify", "--config", polygon],
+            ["feasibility", "--config", polygon],
         ]
         script = (
             "import contextlib, io, json, sys\n"
@@ -495,7 +496,8 @@ class TestImports:
             [1, False],  # criterion: the triangle is irregular
             [0, False],  # sweep
             [0, False],  # simulate, through solve_omega
-            [0, True],  # certify, through its LP
+            [0, False],  # certify, through the exact mass search
+            [1, False],  # feasibility: no positive masses
         ]
 
 

@@ -333,6 +333,24 @@ class TestRhoGrid:
         assert rho_grid(-1.0, 1) == (-1.0,)
 
 
+class BoundedRandom(random.Random):
+    """Seeded Random that fails after a fixed number of draws.
+
+    A generator whose rejection loop can never succeed then fails its test
+    instead of spinning forever.
+    """
+
+    def __init__(self, seed, draws=10_000):
+        self.draws_left = draws
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.draws_left -= 1
+        if self.draws_left < 0:
+            raise AssertionError("generator did not return within its draw budget")
+        return super().getrandbits(k)
+
+
 class TestRandomPolygons:
     def test_irregular_generator(self):
         rng = random.Random(0)
@@ -342,6 +360,19 @@ class TestRandomPolygons:
             assert cfg.n == 4
             assert not is_regular(cfg)
             assert all(f.denominator <= 360 for f in cfg.turns)
+
+    def test_irregular_generator_needs_a_denominator_above_n(self):
+        for n in (3, 5, 12):
+            with pytest.raises(ValueError, match="max_denominator > n"):
+                random_irregular_polygon(BoundedRandom(n), n, n)
+            cfg = random_irregular_polygon(BoundedRandom(n), n, n + 1)
+            assert not is_regular(cfg)
+
+    def test_scalene_generator_needs_denominator_six(self):
+        for d in (3, 4, 5):
+            with pytest.raises(ValueError, match="max_denominator >= 6"):
+                random_scalene_triangle(BoundedRandom(d), d)
+        assert len(set(cyclic_gaps(random_scalene_triangle(BoundedRandom(6), 6)))) == 3
 
     def test_scalene_generator_has_distinct_gaps(self):
         rng = random.Random(1)
