@@ -64,7 +64,6 @@ from .dynamics import (
     step,
 )
 from .errors import (
-    AmbiguousGroupingError,
     CoincidentAngleError,
     ConfigError,
     ConstraintDriftError,
@@ -156,7 +155,6 @@ __all__ = [
     "ConstraintDriftError",
     "NoBalanceError",
     "RegularPolygonError",
-    "AmbiguousGroupingError",
     "InternalConsistencyError",
     "DisagreementError",
     "ConfigError",

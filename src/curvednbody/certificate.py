@@ -8,8 +8,9 @@ so each group of equal-c terms must cancel on its own.  For an irregular
 polygon in canonical rotation there is a vertex index j whose group cannot
 cancel with positive masses, and this module mechanizes that argument:
 
-  * base_groups scales the grouped linear forms over the masses, which are
-    built once per polygon without rho, by the amplitudes at one rho,
+  * base_groups groups the terms of the two differences by their exact turn
+    class and scales each group's linear form over the masses by its
+    amplitude at one rho,
   * find_contradiction_j locates the witness index,
   * classify_case derives the non-vanishing coefficient form(s),
   * mass_feasibility independently decides whether positive masses exist:
@@ -44,7 +45,6 @@ from .criterion import (
     mu,
 )
 from .errors import (
-    AmbiguousGroupingError,
     DisagreementError,
     InternalConsistencyError,
     RegularPolygonError,
@@ -70,12 +70,10 @@ __all__ = [
     "certify",
 ]
 
-FLOAT_MERGE_TOL = 1e-12
-FLOAT_GROUP_TOL = 1e-9
-# Canonical polygons whose rho-free grouped forms and exact mass solution are
-# kept, each in its own memo.  Callers ask about one polygon at a few rho in a
-# row (certify, then mass_feasibility per rho); a polygon revisited only after
-# many others is rebuilt, which costs time and never changes a result.
+# Canonical polygons whose exact mass solution is kept.  Callers ask about one
+# polygon at a few rho in a row (certify, then mass_feasibility per rho); a
+# polygon revisited only after many others is solved again, which costs time
+# and never changes a result.
 _MEMO_POLYGONS = 32
 
 
@@ -89,7 +87,8 @@ def mu_derivative(c: float, rho, k: int) -> float:
 
     and k = 0 reduces to mu itself.
     """
-    if k < 0 or int(k) != k:
+    # inf % 1 and nan % 1 are nan, so non-finite orders fail here too
+    if not (k >= 0 and k % 1 == 0):
         raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
     if k == 0:
         return mu(c, rho)
@@ -166,7 +165,7 @@ class GroupTerm:
 class BaseGroup:
     """All terms sharing one chord value c, hence one base g."""
 
-    key: object  # exact turn class (Fraction) or representative float c
+    key: Fraction  # exact turn class min(d, 1 - d) of the members' separation
     c: float
     a: float
     g: float
@@ -191,8 +190,7 @@ class CoefficientSystem:
                 if not form.is_zero:
                     rows.append(form.coeffs)
                     labels.append((gi, eq))
-        if not rows:
-            return np.zeros((0, self.n)), ()
+        # the (2,1) delta form carries -m_1, which no other term cancels
         return np.array(rows, dtype=float), tuple(labels)
 
 
@@ -212,89 +210,48 @@ def _difference_terms(cfg: PolygonConfig):
     The delta difference 0 = delta_1 - delta_2 carries (m_2 - m_1) on the
     merged (2,1) term and +/- m_j on (j,1), (j,2) for j = 3..n; the gamma
     difference carries (m_1 + m_2) s_21/c_21 on (2,1) and +/- m_j s_ji/c_ji
-    elsewhere.  Gamma terms with s = 0 vanish identically and are omitted.
-    Exact terms carry their turn class, the Fraction min(d, 1 - d) of the
-    separation d mod 1, which determines c exactly.
+    elsewhere.  Gamma terms of half-turn pairs have s = 0, vanish identically
+    and are omitted.  Each term carries its turn class, the Fraction
+    min(d, 1 - d) of the separation d mod 1, which determines c exactly.
     """
-    n = cfg.n
     rad = cfg.radians
-    if cfg.is_exact:
-        res, full = _turn_residues(cfg)
-    out = []  # (j, i, delta_terms or None, gamma_sign_terms or None)
+    res, full = _turn_residues(cfg)
+    out = []  # (j, i, turn class, delta terms, gamma terms or None)
     pairs = [(2, 1, {2: 1.0, 1: -1.0}, {1: 1.0, 2: 1.0})]
-    for j in range(3, n + 1):
+    for j in range(3, cfg.n + 1):
         pairs.append((j, 1, {j: 1.0}, {j: 1.0}))
         pairs.append((j, 2, {j: -1.0}, {j: -1.0}))
     for j, i, dterms, gterms in pairs:
-        d = rad[j - 1] - rad[i - 1]
-        c = 1.0 - math.cos(d)
-        s = math.sin(d)
-        if cfg.is_exact:
-            d_res = (res[j - 1] - res[i - 1]) % full
-            klass = Fraction(min(d_res, full - d_res), full)
-            exact_s_zero = 2 * d_res == full
-        else:
-            klass = None
-            exact_s_zero = abs(s) < 1e-15
-        t = 0.0 if exact_s_zero else s / c
-        gamma = None if exact_s_zero else {idx: coeff * t for idx, coeff in gterms.items()}
-        out.append((j, i, klass, c, dterms, gamma))
+        d_res = (res[j - 1] - res[i - 1]) % full
+        gamma = None
+        if 2 * d_res != full:
+            d = rad[j - 1] - rad[i - 1]
+            t = math.sin(d) / (1.0 - math.cos(d))
+            gamma = {idx: coeff * t for idx, coeff in gterms.items()}
+        out.append((j, i, Fraction(min(d_res, full - d_res), full), dterms, gamma))
     return out
 
 
-def _float_group_keys(values):
-    """Cluster float c values: merge within 1e-12, demand 1e-9 separation."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    keys = [None] * len(values)
-    clusters = []  # list of (representative, [indices])
-    for i in order:
-        if clusters and values[i] - clusters[-1][1][-1] <= FLOAT_MERGE_TOL:
-            clusters[-1][1].append(values[i])
-            clusters[-1][2].append(i)
-        else:
-            clusters.append((values[i], [values[i]], [i]))
-    for (rep, vals, idxs), nxt in zip(clusters, clusters[1:] + [None]):
-        if vals[-1] - vals[0] > FLOAT_MERGE_TOL:
-            raise AmbiguousGroupingError(
-                f"c values near {rep!r} chain across the merge tolerance"
-            )
-        if nxt is not None and nxt[1][0] - vals[-1] < FLOAT_GROUP_TOL:
-            raise AmbiguousGroupingError(
-                f"c values {vals[-1]!r} and {nxt[1][0]!r} differ by less than "
-                f"{FLOAT_GROUP_TOL} but more than {FLOAT_MERGE_TOL}"
-            )
-        for i in idxs:
-            keys[i] = rep
-    return keys
-
-
-@functools.lru_cache(maxsize=_MEMO_POLYGONS)
 def _grouped_forms(cfg: PolygonConfig):
-    """Group the difference-equation terms by chord value, in increasing c.
+    """Group the difference-equation terms by turn class, in increasing c.
 
-    Exact mode groups by the rational turn class, which decides c equality
-    with no tolerance; float mode clusters c values and refuses inputs in
-    the ambiguous band.  Returns (key, c, members, delta_form, gamma_form)
-    per group, with forms not yet scaled by the amplitude: nothing here
-    depends on rho.
+    The rational turn class decides c equality with no tolerance.  Returns
+    (key, c, members, delta_form, gamma_form) per group, with forms not yet
+    scaled by the amplitude: nothing here depends on rho.
     """
     terms = _difference_terms(cfg)
     n = cfg.n
-    if cfg.is_exact:
-        keys = [klass for (_, _, klass, _, _, _) in terms]
-    else:
-        keys = _float_group_keys([c for (_, _, _, c, _, _) in terms])
-    grouped: dict[object, list[int]] = {}
-    for idx, key in enumerate(keys):
-        grouped.setdefault(key, []).append(idx)
+    grouped: dict[Fraction, list[int]] = {}
+    for idx, (_, _, klass, _, _) in enumerate(terms):
+        grouped.setdefault(klass, []).append(idx)
     groups = []
     for key in sorted(grouped):
-        c_rep = 1.0 - math.cos(2.0 * math.pi * float(key)) if cfg.is_exact else key
+        c_rep = 1.0 - math.cos(2.0 * math.pi * float(key))
         members = []
         delta_total = MassForm((0.0,) * n)
         gamma_total = MassForm((0.0,) * n)
         for idx in grouped[key]:
-            j, i, _, _, dterms, gterms = terms[idx]
+            j, i, _, dterms, gterms = terms[idx]
             dform = MassForm.from_terms(n, dterms)
             members.append(GroupTerm(j, i, "delta", dform))
             delta_total = MassForm(tuple(x + y for x, y in zip(delta_total.coeffs, dform.coeffs)))
@@ -455,10 +412,12 @@ def _require_increasing_bases(chords, bases) -> None:
 def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
     """Group the difference-equation terms by chord value at the given rho.
 
-    The groups are those of _grouped_forms, which do not depend on rho; here
-    each group's forms carry the shared amplitude a(c, rho) as a positive
-    common factor, and the bases g must increase strictly with c.
+    Needs exact turn angles.  The groups are those of _grouped_forms, which
+    do not depend on rho; here each group's forms carry the shared amplitude
+    a(c, rho) as a positive common factor, and the bases g must increase
+    strictly with c.
     """
+    _require_exact(cfg)
     _require_canonical(cfg)
     rho_v = _rho_value(rho)
     groups = []
@@ -824,8 +783,8 @@ def mass_feasibility(cfg: PolygonConfig, rho, floor: float = 1e-9) -> Feasibilit
     masses are reported in canonical vertex order; they solve the rows
     exactly, so the residual is 0.
     """
-    if not floor > 0.0:
-        raise ValueError(f"mass floor must be positive, got {floor!r}")
+    if not 0.0 < floor < math.inf:
+        raise ValueError(f"mass floor must be positive and finite, got {floor!r}")
     _require_exact(cfg)
     rho_v = _rho_value(rho)
     chords, masses = _exact_system(canonicalize(cfg))

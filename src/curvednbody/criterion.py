@@ -189,8 +189,9 @@ def _check_kernel_domain(c: float, rho: float) -> float:
     if not (0.0 < c <= 2.0):
         raise KernelDomainError(f"chord value c={c!r} outside (0, 2]")
     base = 2.0 - c * rho
-    if base <= 0.0:
-        raise KernelDomainError(f"nonpositive kernel base 2 - c*rho = {base!r}")
+    # a NaN or infinite rho makes the base NaN or infinite, never in range
+    if not 0.0 < base < math.inf:
+        raise KernelDomainError(f"kernel base 2 - c*rho = {base!r} is not finite and positive")
     return base
 
 
@@ -217,9 +218,13 @@ def _pair_tables(cfg: PolygonConfig, rho: np.ndarray):
     off = ~np.eye(cfg.n, dtype=bool)
     if np.any(c[off] == 0.0):
         raise CoincidentAngleError("two polygon angles coincide modulo a full turn")
-    base = 2.0 - c * rho[..., None, None]
-    if np.min(base[..., off]) <= 0.0:
-        raise KernelDomainError("nonpositive kernel base for some pair")
+    # a non-finite or huge rho gives NaN (0 * inf on the diagonal) or an
+    # infinite base; the check below rejects it
+    with np.errstate(invalid="ignore", over="ignore"):
+        base = 2.0 - c * rho[..., None, None]
+    b = base[..., off]
+    if not np.all((0.0 < b) & (b < math.inf)):
+        raise KernelDomainError("kernel base not finite and positive for some pair")
     return c, s, base, off
 
 

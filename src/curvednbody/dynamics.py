@@ -10,13 +10,19 @@ with the signed dot product of the surface metric.  The pair part is tangent
 at q_i and the trailing term is the geodesic curvature term, so on the surface
 q_i . a_i + v_i . v_i = 0 holds identically.  Integration is classical RK4
 with an optional per-step projection back onto the surface and tangent
-bundle, plus a drift guard.  `solve_omega` gives the rigid-rotation rate of a
-regular equal-mass polygon in closed form, omega^2 = -f0 / (r (1 - rho)).
+bundle, plus a drift guard.
+
+At rest on the circle of radius r, with rho = kappa r^2, the field at body i
+has radial part -(1 - rho) delta_i / r^2 and tangential part gamma_i / r^2,
+with delta and gamma from `criterion.delta_gamma`: all delta_i equal and all
+gamma_i zero is the rigid-rotation condition.  `solve_omega` takes the rate
+of a regular equal-mass polygon from it in closed form,
+omega^2 = delta_1 / r^3.
 
 One kernel, `_accel`, evaluates the field for the integrator, `acceleration`
-and `solve_omega`.  It works on plain floats and visits each pair once; for
-the handful of bodies in a polygon that costs less than numpy's per-call
-overhead.
+and the independent check in `solve_omega`.  It works on plain floats and
+visits each pair once; for the handful of bodies in a polygon that costs less
+than numpy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criterion import MassVector, PolygonConfig, is_regular
+from .criterion import MassVector, PolygonConfig, delta_gamma, is_regular
 from .errors import (
     ConstraintDriftError,
     InternalConsistencyError,
@@ -412,44 +418,32 @@ def build_polygon_state(
     return BodySystem(c, m, Q, V)
 
 
-def _radial_residual(polygon, m, r, c, omega_dot):
-    """Radial force balance at body 1 for the rigid rotation at omega_dot."""
-    req = RelativeEquilibrium.from_radius(polygon, r, omega_dot, c)
-    sys = build_polygon_state(req, m, c)
-    ax, ay, _ = _accel(*_floats(sys), c.kappa, c.sigma)[0]
-    x, y, _ = sys.positions[0].tolist()
-    kinematic = -r * omega_dot * omega_dot
-    return (ax * (x / r) + ay * (y / r)) - kinematic
-
-
 def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float:
     """Angular rate making the polygon a rigidly rotating solution.
 
     Only regular polygons with equal masses balance this way; anything else
-    raises NoBalanceError, as does a radius with no nonnegative root (the
-    equator for kappa > 0).  Only the -kappa (v . v) q term of the field
-    depends on the rate, and v . v = (r omega)^2, so the radial residual is
-    f0 + r (1 - rho) omega^2, f0 its value at rest: the rate is
-    sqrt(-f0 / (r (1 - rho))), verified against the full acceleration field.
+    raises NoBalanceError, as does a radius on or beyond the equator for
+    kappa > 0, where every rate balances; a radius that is not positive and
+    finite raises ValueError.  At rest the field at body 1 is
+    -(1 - rho) delta_1 / r^2 along the radius; the rate adds
+    -kappa (v . v) q_1 with v . v = (r omega)^2, whose radial part is
+    -rho r omega^2.  Balancing the sum against the kinematic -r omega^2
+    leaves omega^2 = delta_1 / r^3, which the full acceleration field then
+    checks independently.
     """
     m = (masses if isinstance(masses, MassVector) else MassVector(masses)).as_array()
     if not is_regular(polygon):
         raise NoBalanceError("radial balance requires a regular polygon")
     if np.max(np.abs(m - m[0])) > 1e-12 * m[0]:
         raise NoBalanceError("radial balance requires equal masses")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive, got {r!r}")
     rho = c.kappa * r * r
     if c.kappa > 0.0 and rho >= 1.0 - 1e-12:
         # On the equator the radial equation degenerates: every rate balances.
         raise NoBalanceError(f"no unique rotation rate at rho {rho!r} (equator or beyond)")
-    f0 = _radial_residual(polygon, m, r, c, 0.0)
-    if f0 == 0.0:
-        return 0.0
-    if f0 > 0.0:
-        raise NoBalanceError(
-            f"radial force {f0!r} points outward at rest; no nonnegative rate balances it"
-        )
-    # r > 0 (from_radius checked it) and rho < 1, so the slope r (1 - rho) is positive
-    omega = math.sqrt(-f0 / (r * (1.0 - rho)))
+    deltas, _ = delta_gamma(polygon, m, rho)
+    omega = math.sqrt(float(deltas[0]) / r**3)
     req = RelativeEquilibrium.from_radius(polygon, r, omega, c)
     sys = build_polygon_state(req, m, c)
     A = np.array(_accel(*_floats(sys), c.kappa, c.sigma))
@@ -460,7 +454,7 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
     scale = max(1.0, float(np.max(np.abs(kin))))
     if float(np.max(np.abs(A - kin))) > 1e-9 * scale:
         raise NoBalanceError(
-            "radial root does not satisfy the full force balance; "
+            "closed-form rate does not satisfy the full force balance; "
             "no rigid rotation at this radius"
         )
     return omega

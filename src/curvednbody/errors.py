@@ -12,7 +12,7 @@ class NonProjectableError(CurvedNBodyError):
 
 
 class KernelDomainError(CurvedNBodyError):
-    """Kernel evaluated outside its domain (bad chord or nonpositive base)."""
+    """Kernel evaluated outside its domain (bad chord, or a base not finite and positive)."""
 
 
 class CoincidentAngleError(CurvedNBodyError):
@@ -41,10 +41,6 @@ class NoBalanceError(CurvedNBodyError):
 
 class RegularPolygonError(CurvedNBodyError):
     """Certification was asked for a regular polygon, which it excludes."""
-
-
-class AmbiguousGroupingError(CurvedNBodyError):
-    """Float-mode c values fall inside the grouping tolerance band."""
 
 
 class InternalConsistencyError(CurvedNBodyError):

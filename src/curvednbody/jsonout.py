@@ -80,22 +80,13 @@ def dumps(obj) -> str:
 
 
 def csv_text(header: list, rows) -> str:
-    """CSV with '.' decimals, ',' separators, '\\n' endings; header always."""
+    """CSV of float cells with '.' decimals, ',' separators, '\\n' endings.
+
+    The header is always written; a non-finite cell prints as nan.
+    """
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):  # most cells; np.float64 subclasses float
-                cells.append(format_float(cell) if math.isfinite(cell) else "nan")
-            elif isinstance(cell, (bool, np.bool_)):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, np.floating):
-                cells.append(format_float(float(cell)) if math.isfinite(cell) else "nan")
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+        lines.append(",".join([format_float(x) if math.isfinite(x) else "nan" for x in row]))
     return "\n".join(lines) + "\n"
 
 

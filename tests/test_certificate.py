@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from curvednbody import (
-    AmbiguousGroupingError,
     InternalConsistencyError,
+    KernelDomainError,
     MassForm,
     PolygonConfig,
     RegularPolygonError,
@@ -70,6 +70,11 @@ class TestMuDerivative:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             mu_derivative(1.0, 0.5, -1)
+
+    @pytest.mark.parametrize("k", [1.5, math.inf, -math.inf, math.nan])
+    def test_rejects_non_integer_order(self, k):
+        with pytest.raises(ValueError, match="derivative order must be a nonnegative integer"):
+            mu_derivative(1.0, 0.5, k)
 
     def test_matches_central_difference(self, pyrng):
         """4th-order FD of the (k-1)-th closed form reproduces the k-th."""
@@ -163,16 +168,9 @@ class TestBaseGroups:
             gs = [grp.g for grp in system.groups]
             assert all(x < y for x, y in zip(gs, gs[1:]))
 
-    def test_float_mode_merges_equal_chords(self):
+    def test_float_mode_rejected(self):
         cfg = canonicalize(PolygonConfig.from_radians((0.0, 1.0, 2.0)))
-        system = base_groups(cfg, 0.5)
-        # chords at angle differences 1, 1, 2: two groups
-        assert len(system.groups) == 2
-
-    def test_float_mode_ambiguous_band_rejected(self):
-        eps = 6e-10  # shifts c by about 5e-10, inside (1e-12, 1e-9)
-        cfg = canonicalize(PolygonConfig.from_radians((0.0, 1.0, 2.0 + eps)))
-        with pytest.raises(AmbiguousGroupingError):
+        with pytest.raises(ValueError, match="needs exact rational turn angles"):
             base_groups(cfg, 0.5)
 
     def test_rejects_non_canonical(self):
@@ -390,6 +388,20 @@ class TestMassFeasibility:
         assert res.feasible
         assert min(res.masses) >= 2.0 - 1e-12
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
+    def test_floor_must_be_positive_and_finite(self, floor):
+        with pytest.raises(ValueError, match="mass floor must be positive and finite"):
+            mass_feasibility(turns(0, "1/3", "2/3"), 0.5, floor=floor)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        # regular (feasible) and irregular (infeasible) polygons alike
+        for cfg in (turns(0, "1/3", "2/3"), turns(0, "1/4", "1/2")):
+            with pytest.raises(KernelDomainError):
+                mass_feasibility(cfg, rho)
+        with pytest.raises(KernelDomainError):
+            certify(turns(0, "1/4", "1/2"), rho)
+
     def test_hyperbolic_rho(self):
         assert not mass_feasibility(turns(0, "1/4", "1/2"), -1.0).feasible
         cfg = PolygonConfig.from_turns(tuple(F(k, 5) for k in range(5)))
@@ -461,7 +473,6 @@ class TestRhoFreeFeasibility:
                     certify(poly)
 
             for rho in rhos:
-                certificate._grouped_forms.cache_clear()
                 certificate._exact_system.cache_clear()
                 cold = snapshot(rho)
                 for other in rhos:

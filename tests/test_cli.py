@@ -1,7 +1,10 @@
 """Command-line interface: config parsing, exit codes, output determinism."""
 
+import ast
+import importlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -10,11 +13,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curvednbody
 from curvednbody import cli, criterion_check, rho_grid
-from curvednbody.jsonout import format_float
+from curvednbody.jsonout import csv_text, format_float
 
 
 def run_cli(argv):
@@ -499,6 +503,29 @@ class TestImports:
             [0, False],  # certify, through the exact mass search
             [1, False],  # feasibility: no positive masses
         ]
+
+
+class TestBenchmarkNames:
+    def test_benchmark_names_are_public(self):
+        # perfbench/run.py stops before measuring when a name it calls has
+        # left its module's __all__; catch that here, not in a benchmark run
+        run_py = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+        public = next(
+            ast.literal_eval(node.value)
+            for node in ast.parse(run_py.read_text()).body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "PUBLIC" for t in node.targets)
+        )
+        assert public
+        for modname, names in public.items():
+            exported = importlib.import_module(modname).__all__
+            assert [n for n in names if n not in exported] == [], modname
+
+
+class TestCsvText:
+    def test_float_cells(self):
+        rows = [[0.5, np.float64(0.1)], [math.nan, -math.inf]]
+        assert csv_text(["a", "b"], rows) == "a,b\n0.5,0.10000000000000001\nnan,nan\n"
 
 
 class TestConsoleScript:

@@ -131,6 +131,9 @@ class TestKernels:
             mu(-1.0, 0.5)
         with pytest.raises(KernelDomainError):
             mu(2.0, 1.0)  # base 2 - 2*1 = 0
+        for rho in (math.nan, math.inf, -math.inf):  # base NaN, -inf, inf
+            with pytest.raises(KernelDomainError):
+                mu(1.0, rho)
 
     def test_nu_values(self):
         assert nu(2.0, 0.0, 0.3) == 0.0
@@ -210,6 +213,11 @@ class TestDeltaGamma:
         tri = turns(0, "1/3", "1/2")
         with pytest.raises(KernelDomainError):
             delta_gamma(tri, (1.0, 1.0, 1.0), np.array([0.5, 1.5]))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(KernelDomainError):
+                delta_gamma(tri, (1.0, 1.0, 1.0), bad)
+            with pytest.raises(KernelDomainError):
+                delta_gamma(tri, (1.0, 1.0, 1.0), np.array([0.5, bad]))
         with pytest.raises(ValueError):
             delta_gamma(tri, (1.0, 1.0, 1.0), np.full((2, 2), 0.5))
 

@@ -1,7 +1,10 @@
 """Constraint-preserving integration and relative-equilibrium solving."""
 
 import math
+import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -12,10 +15,12 @@ from curvednbody import (
     Curvature,
     IntegratorConfig,
     NoBalanceError,
+    PolygonConfig,
     RelativeEquilibrium,
     SingularConfigurationError,
     acceleration,
     build_polygon_state,
+    delta_gamma,
     diagnostics,
     integrate,
     pair_acceleration,
@@ -23,7 +28,6 @@ from curvednbody import (
     step,
     surface_residual,
 )
-from curvednbody.dynamics import _radial_residual
 
 SPHERE = Curvature(1.0)
 HYPER = Curvature(-1.0)
@@ -371,11 +375,49 @@ class TestSolveOmega:
         with pytest.raises(ValueError, match="masses must be finite and positive"):
             solve_omega(regular_polygon(3), (value,) * 3, 0.5, SPHERE)
 
+    @pytest.mark.parametrize("r", [-0.5, 0.0, math.nan, math.inf])
+    def test_invalid_radius_rejected(self, r):
+        # checked before the kernel sees rho = kappa r^2
+        for c in (SPHERE, HYPER):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                solve_omega(regular_polygon(3), (1.0,) * 3, r, c)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_near_equator_matches_mpmath(self, n):
+        # rho = 1 - 1.1e-12, just inside the equator guard.  The reference
+        # balances the radial force of the equations of motion in 50 digits:
+        # f0 + r (1 - rho) omega^2 = 0, f0 the radial pair force on body 1 at
+        # rest.  In doubles f0 has lost about 12 digits to cancellation; the
+        # rate must still be good to 1e-14, a few rounding errors of
+        # sqrt(delta_1 / r^3).
+        poly = regular_polygon(n)
+        r = math.sqrt(1.0 - 1.1e-12)
+        with mpmath.workdps(50):
+            rm = mpmath.mpf(r)
+            z = mpmath.sqrt(1 - rm * rm)
+            q = [(rm * mpmath.cos(a), rm * mpmath.sin(a), z) for a in map(mpmath.mpf, poly.radians)]
+            f0 = mpmath.mpf(0)
+            for qj in q[1:]:
+                w = sum(x * y for x, y in zip(q[0], qj))
+                radial = (qj[0] * q[0][0] + qj[1] * q[0][1]) / rm - w * rm
+                f0 += radial / (1 - w * w) ** 1.5
+            ref = float(mpmath.sqrt(-f0 / (rm * (1 - rm * rm))))
+        assert solve_omega(poly, (1.0,) * n, r, SPHERE) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("kappa", [1.0, -1.0, 2.0, -3.0])
     def test_closed_form_matches_bracketed_root(self, kappa):
         # the root-finding the closed form replaced: double a bracket on the
-        # radial residual until it changes sign, then brentq inside it
+        # radial residual of the public field until it changes sign, then
+        # brentq inside it
         c = Curvature(kappa)
+
+        def radial_residual(poly, masses, r, w):
+            req = RelativeEquilibrium.from_radius(poly, r, w, c)
+            system = build_polygon_state(req, masses, c)
+            ax, ay, _ = acceleration(system)[0]
+            x, y, _ = system.positions[0]
+            return (ax * x + ay * y) / r + r * w * w
+
         if kappa > 0.0:
             radii = [t / math.sqrt(kappa) for t in (0.05, 0.45, 0.8, 0.999)]
         else:
@@ -385,13 +427,51 @@ class TestSolveOmega:
             masses = np.full(n, 1.5)
             for r in radii:
                 w = solve_omega(poly, masses, r, c)
-                f = lambda x: _radial_residual(poly, masses, r, c, x)
+                f = lambda x: radial_residual(poly, masses, r, x)
                 hi = 1.0
                 while f(hi) <= 0.0:
                     hi *= 2.0
                 ref = brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
                 assert w == pytest.approx(ref, rel=1e-12), (n, r)
                 assert_full_balance(poly, masses, r, w, c)
+
+
+class TestCriterionAtRest:
+    def test_field_at_rest_is_delta_gamma(self):
+        # A polygon at rest on its circle: w = kappa q_i . q_j = 1 - rho c, so
+        # the pair field at body i has radial part -(1 - rho) delta_i / r^2 and
+        # tangential part gamma_i / r^2.  The tolerances come from the worst
+        # conditioning drawn: denominators <= 1000 put the closest chord at
+        # c >= 1 - cos(2 pi / 1000) = 2.0e-5, and 0.05 <= |rho|, 1 - rho.
+        # Then 1 - w^2 (in acceleration) and c (in delta_gamma) carry
+        # relative errors near u (1/|rho| + 1/(1 - rho)) / c = 1.2e-10,
+        # u = 2^-53, and the closest pair's tangential term is larger than
+        # its radial one by s/c, up to about 320, which gives 3.7e-8.  Over
+        # 20000 cases the errors reached 1.5e-10 and 5.1e-8; the bounds below
+        # leave a factor of about 10.
+        rng = random.Random(2011)
+        for _ in range(500):
+            n = rng.randint(3, 12)
+            q = rng.randint(n + 1, 1000)
+            poly = PolygonConfig.from_turns(Fraction(p, q) for p in sorted(rng.sample(range(q), n)))
+            masses = [rng.uniform(0.1, 10.0) for _ in range(n)]
+            c = Curvature(rng.choice([1.0, -1.0, 2.0, -3.0, 0.5]))
+            rho = rng.uniform(0.05, 0.95) if c.kappa > 0 else -rng.uniform(0.05, 10.0)
+            r = math.sqrt(rho / c.kappa)
+            rho = c.kappa * r * r
+            req = RelativeEquilibrium.from_radius(poly, r, 0.0, c)
+            acc = acceleration(build_polygon_state(req, masses, c))
+            theta = np.array(poly.radians)
+            radial = acc[:, 0] * np.cos(theta) + acc[:, 1] * np.sin(theta)
+            tangential = acc[:, 1] * np.cos(theta) - acc[:, 0] * np.sin(theta)
+            deltas, gammas = delta_gamma(poly, masses, rho)
+            scale = (1.0 - rho) * deltas / r**2
+            assert np.all(np.abs(radial + scale) <= 1e-9 * scale), (poly.turns, c.kappa, rho)
+            assert np.all(np.abs(tangential - gammas / r**2) <= 5e-7 * scale), (
+                poly.turns,
+                c.kappa,
+                rho,
+            )
 
 
 class TestDiagnostics:
