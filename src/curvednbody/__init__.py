@@ -46,7 +46,6 @@ from .criterion import (
     random_irregular_polygon,
     random_scalene_triangle,
     rho_grid,
-    turn_class,
     validate_rho_for_kappa,
 )
 from .dynamics import (
@@ -110,7 +109,6 @@ __all__ = [
     "canonicalize",
     "cyclic_gaps",
     "is_regular",
-    "turn_class",
     "rho_grid",
     "random_irregular_polygon",
     "random_scalene_triangle",

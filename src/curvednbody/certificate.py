@@ -379,8 +379,8 @@ def _positive_kernel_point(rows, n: int) -> list[int] | None:
 
 
 @functools.lru_cache(maxsize=_MEMO_POLYGONS)
-def _exact_system(cfg: PolygonConfig) -> tuple[tuple[float, ...], tuple[Fraction, ...] | None]:
-    """Chords of the polygon's classes, increasing, and its masses or None.
+def _exact_system(cfg: PolygonConfig) -> tuple[float, tuple[Fraction, ...] | None]:
+    """The polygon's largest class chord, and its masses or None.
 
     Rho scales each class row only by a positive amplitude a(c, rho), so the
     feasible set, and with it the verdict, is the same for every rho.  The
@@ -397,16 +397,8 @@ def _exact_system(cfg: PolygonConfig) -> tuple[tuple[float, ...], tuple[Fraction
             raise InternalConsistencyError(f"point {point} does not solve the class rows")
         masses = tuple(Fraction(x, min(point)) for x in point)
     res, full = _turn_residues(cfg)
-    classes = sorted({min((a - b) % full, (b - a) % full) for a, b in itertools.combinations(res, 2)})
-    return tuple(1.0 - math.cos(2.0 * math.pi * k / full) for k in classes), masses
-
-
-def _require_increasing_bases(chords, bases) -> None:
-    for c0, g0, c1, g1 in zip(chords, bases, chords[1:], bases[1:]):
-        if not g0 < g1:
-            raise InternalConsistencyError(
-                f"base map not strictly increasing across groups; g({c0}) = {g0} vs g({c1}) = {g1}"
-            )
+    widest = max(min((a - b) % full, (b - a) % full) for a, b in itertools.combinations(res, 2))
+    return 1.0 - math.cos(2.0 * math.pi * widest / full), masses
 
 
 def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
@@ -434,7 +426,12 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
                 gamma_form=gamma_form.scaled(a),
             )
         )
-    _require_increasing_bases([grp.c for grp in groups], [grp.g for grp in groups])
+    for g0, g1 in zip(groups, groups[1:]):
+        if not g0.g < g1.g:
+            raise InternalConsistencyError(
+                f"base map not strictly increasing across groups; "
+                f"g({g0.c}) = {g0.g} vs g({g1.c}) = {g1.g}"
+            )
     return CoefficientSystem(n=cfg.n, rho=rho_v, groups=tuple(groups))
 
 
@@ -779,23 +776,24 @@ def mass_feasibility(cfg: PolygonConfig, rho, floor: float = 1e-9) -> Feasibilit
     of every difference delta_i - delta_1 and gamma_i - gamma_1; the system is
     homogeneous, so the verdict is independent of the floor and of rho, and
     is found once per polygon with min(m) = 1.  At the given rho every class
-    must lie in the kernel domain with strictly increasing bases g.  Witness
-    masses are reported in canonical vertex order; they solve the rows
-    exactly, so the residual is 0.
+    must lie in the kernel domain; 2 - c*rho is monotone in c, so checking
+    the largest chord checks them all.  Witness masses are reported in
+    canonical vertex order; they solve the rows exactly, so the residual
+    is 0.
     """
     if not 0.0 < floor < math.inf:
         raise ValueError(f"mass floor must be positive and finite, got {floor!r}")
     _require_exact(cfg)
     rho_v = _rho_value(rho)
-    chords, masses = _exact_system(canonicalize(cfg))
-    _require_increasing_bases(chords, [c / _check_kernel_domain(c, rho_v) for c in chords])
+    widest, masses = _exact_system(canonicalize(cfg))
+    _check_kernel_domain(widest, rho_v)
     if masses is None:
         return FeasibilityResult(False, None, math.inf, rho_v, floor)
     scale = max(floor, 1.0)
     return FeasibilityResult(True, tuple(float(m) * scale for m in masses), 0.0, rho_v, floor)
 
 
-def certify(cfg: PolygonConfig, rho=None, floor: float = 1e-9) -> Certificate:
+def certify(cfg: PolygonConfig, rho=None) -> Certificate:
     """Produce the full nonexistence certificate for an irregular polygon.
 
     Canonicalizes, locates the witness index, runs the case analysis, and
@@ -809,7 +807,7 @@ def certify(cfg: PolygonConfig, rho=None, floor: float = 1e-9) -> Certificate:
     j = find_contradiction_j(canon)  # raises RegularPolygonError for a regular polygon
     cert = classify_case(canon, j)
     rho_v = 0.5 if rho is None else _rho_value(rho)
-    feas = mass_feasibility(canon, rho_v, floor)
+    feas = mass_feasibility(canon, rho_v)
     if feas.feasible:
         raise DisagreementError(
             f"case analysis found witness {cert.case_tag} at j={j} but the mass "

@@ -413,13 +413,6 @@ def _place_on_circle(radians, r: float, z: float) -> np.ndarray:
     )
 
 
-def _pair_c_matrix(state: BodySystem) -> np.ndarray:
-    c = state.curvature
-    metric = np.array([1.0, 1.0, float(c.sigma)])
-    w = c.kappa * (state.positions @ (state.positions * metric).T)
-    return 1.0 - w
-
-
 def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
     masses = _resolve("masses", None, cfg.masses)
     rho = _resolve("rho", None, cfg.rho)
@@ -454,38 +447,36 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
             raise ConfigError("velocities", str(exc)) from None
 
     traj = integrate(state, icfg)
+    n = state.n
+    P = traj.positions
 
-    c0 = _pair_c_matrix(traj.states[0])
-    off = ~np.eye(state.n, dtype=bool)
     max_c_drift = 0.0
-    if state.n > 1:
-        for s in traj.states[1:]:
-            drift = float(np.max(np.abs(_pair_c_matrix(s) - c0)[off]))
-            max_c_drift = max(max_c_drift, drift)
+    if n > 1:
+        metric = np.array([1.0, 1.0, float(c.sigma)])
+        C = 1.0 - c.kappa * (P @ (P * metric).transpose(0, 2, 1))  # (T, n, n) pair c
+        max_c_drift = float(np.max(np.abs(C - C[0])[:, ~np.eye(n, dtype=bool)]))
 
     if out_path is not None:
-        header = ["t"]
-        for i in range(1, state.n + 1):
-            header += [f"x{i}", f"y{i}", f"z{i}", f"vx{i}", f"vy{i}", f"vz{i}"]
-        rows = []
-        for t, s in zip(traj.times, traj.states):
-            row = [t]
-            for i in range(state.n):
-                row += list(s.positions[i]) + list(s.velocities[i])
-            rows.append(row)
-        write_text_atomic(out_path, csv_text(header, rows))
+        # per sample: t, then x, y, z, vx, vy, vz of each body in turn
+        fields = ("x", "y", "z", "vx", "vy", "vz")
+        header = ["t"] + [f"{a}{i}" for i in range(1, n + 1) for a in fields]
+        table = np.column_stack(
+            (traj.times, np.concatenate((P, traj.velocities), axis=2).reshape(len(P), 6 * n))
+        )
+        write_text_atomic(out_path, csv_text(header, (row.tolist() for row in table)))
 
+    D = traj.diagnostic_rows
     _emit(
         {
             "command": "simulate",
-            "n": state.n,
+            "n": n,
             "dt": icfg.dt,
             "t_end": icfg.t_end,
             "steps": len(traj.times) - 1,
             "omega_dot": omega_dot,
-            "max_surface_residual": max(d.max_surface_residual for d in traj.diagnostics),
-            "max_tangency_residual": max(d.max_tangency_residual for d in traj.diagnostics),
-            "min_pair_denominator": min(d.min_pair_denominator for d in traj.diagnostics),
+            "max_surface_residual": D[:, 0].max(),
+            "max_tangency_residual": D[:, 1].max(),
+            "min_pair_denominator": D[:, 2].min(),
             "max_c_drift": max_c_drift,
             "out": out_path,
         }

@@ -40,7 +40,6 @@ __all__ = [
     "canonicalize",
     "is_regular",
     "cyclic_gaps",
-    "turn_class",
     "validate_rho_for_kappa",
     "rho_grid",
     "random_irregular_polygon",
@@ -332,16 +331,6 @@ def is_regular(cfg: PolygonConfig, tol: float = 1e-9) -> bool:
         return all(g == target for g in gaps)
     target = TWO_PI / cfg.n
     return all(abs(float(g) - target) <= tol for g in gaps)
-
-
-def turn_class(delta: Fraction) -> Fraction:
-    """Canonical representative of +/-delta mod 1; determines c exactly.
-
-    Two turn separations share a chord value c = 1 - cos(2*pi*delta) exactly
-    when their classes agree, so grouping by this key needs no tolerance.
-    """
-    d = delta % 1
-    return min(d, 1 - d)
 
 
 def rho_grid(kappa: float, count: int) -> tuple[float, ...]:

@@ -27,8 +27,9 @@ than numpy's per-call overhead.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -155,8 +156,12 @@ class BodySystem:
         c = self.curvature
         rows = q.tolist()
         surf, tang = _residuals(rows, v.tolist(), c.kappa, c.sigma)
-        if max(surf) > STATE_TOL:
-            raise ValueError(f"surface residual {max(surf)!r} exceeds {STATE_TOL}")
+        # kappa q.q - 1 cancels terms of size |kappa| |q|^2, which is 1 on the
+        # sphere but grows as r^2 out along the hyperboloid
+        for res, (x, y, z) in zip(surf, rows):
+            scale = abs(c.kappa) * (x * x + y * y + z * z)
+            if res > STATE_TOL * scale:
+                raise ValueError(f"surface residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
         if max(tang) > STATE_TOL:
             raise ValueError(f"tangency residual {max(tang)!r} exceeds {STATE_TOL}")
         if min(map(abs, _denominators(rows, c.kappa, c.sigma)), default=1.0) < SINGULAR_TOL:
@@ -171,13 +176,14 @@ class BodySystem:
 
     @classmethod
     def _trusted(cls, curvature, masses, Q, V) -> "BodySystem":
-        # integrator-internal, from float rows: the drift guard has already
-        # bounded the residuals this constructor would recheck
+        # integrator-internal: the drift guard has already bounded the
+        # residuals this constructor would recheck.  Float rows become new
+        # arrays; a trajectory's read-only row views are kept, not copied.
         obj = object.__new__(cls)
         object.__setattr__(obj, "curvature", curvature)
         object.__setattr__(obj, "masses", masses)
         for name, rows in (("positions", Q), ("velocities", V)):
-            arr = np.array(rows)
+            arr = np.asarray(rows)
             arr.setflags(write=False)
             object.__setattr__(obj, name, arr)
         return obj
@@ -212,13 +218,31 @@ class DiagnosticsReport:
     min_pair_denominator: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled states, one per step, including the initial sample."""
+    """Read-only arrays with one row per sample, the initial one included.
 
-    times: tuple[float, ...]
-    states: tuple[BodySystem, ...] = field(repr=False)
-    diagnostics: tuple[DiagnosticsReport, ...] = field(repr=False)
+    diagnostic_rows holds the fields of DiagnosticsReport in order; `states`
+    and `diagnostics` present the rows as objects, built on first access.
+    """
+
+    curvature: Curvature
+    masses: np.ndarray = field(repr=False)
+    times: np.ndarray = field(repr=False)
+    positions: np.ndarray = field(repr=False)
+    velocities: np.ndarray = field(repr=False)
+    diagnostic_rows: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def states(self) -> tuple[BodySystem, ...]:
+        c, m = self.curvature, self.masses
+        return tuple(
+            BodySystem._trusted(c, m, q, v) for q, v in zip(self.positions, self.velocities)
+        )
+
+    @functools.cached_property
+    def diagnostics(self) -> tuple[DiagnosticsReport, ...]:
+        return tuple(DiagnosticsReport(*row) for row in self.diagnostic_rows.tolist())
 
 
 def pair_acceleration(q_i, q_j, m_j: float, c: Curvature):
@@ -268,7 +292,8 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
     """One RK4 step plus projection on float rows.
 
     Returns the new positions and velocities as (x, y, z) tuples and their
-    diagnostics.  Errors carry the given time.
+    diagnostics as (surface, tangency, closest pair denominator).  Errors
+    carry the given time.
     """
     kappa, sigma = c.kappa, c.sigma
     h = 0.5 * dt
@@ -310,7 +335,7 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
         raise SingularConfigurationError(
             "body pair at or beyond the singularity threshold", time=time
         )
-    return Qn, Vn, DiagnosticsReport(max(surf), max(tang), dmin)
+    return Qn, Vn, (max(surf), max(tang), dmin)
 
 
 def _project(Q, V, kappa, sigma):
@@ -339,18 +364,14 @@ def step(sys: BodySystem, cfg: IntegratorConfig) -> BodySystem:
     return BodySystem._trusted(sys.curvature, sys.masses, Q, V)
 
 
-def integrate(sys: BodySystem, cfg: IntegratorConfig, observer=None) -> Trajectory:
+def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
     """Step from 0 to exactly t_end, sampling every state.
 
     Full steps of size dt, plus one shorter final step when t_end is not a
-    step multiple.  The observer, when given, is called as
-    observer(t, system, diagnostics) after every step; the trajectory
-    additionally holds the initial sample.  Errors abort with the failing
-    time attached.
+    step multiple.  The trajectory holds the initial sample and one per
+    step.  Errors abort with the failing time attached.
     """
-    times = [0.0]
-    states = [sys]
-    diags = [diagnostics(sys)]
+    sizes = []
     if cfg.t_end > 0.0:
         if cfg.dt == 0.0:
             raise ValueError("dt must be positive to reach a positive t_end")
@@ -359,20 +380,22 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig, observer=None) -> Trajecto
         sizes = [cfg.dt] * nfull
         if remainder > 1e-9 * cfg.dt:
             sizes.append(remainder)
-        c, masses = sys.curvature, sys.masses
-        Q, V, m = _floats(sys)
-        last = len(sizes) - 1
-        for k, size in enumerate(sizes):
-            # every non-final step has size dt, so its time is exact
-            t = cfg.t_end if k == last else (k + 1) * cfg.dt
-            Q, V, diag = _advance(Q, V, m, c, size, cfg, time=t)
-            current = BodySystem._trusted(c, masses, Q, V)
-            times.append(t)
-            states.append(current)
-            diags.append(diag)
-            if observer is not None:
-                observer(t, current, diag)
-    return Trajectory(tuple(times), tuple(states), tuple(diags))
+    c = sys.curvature
+    last = len(sizes)
+    times = np.zeros(last + 1)
+    P = np.empty((last + 1, sys.n, 3))
+    W = np.empty_like(P)
+    D = np.empty((last + 1, 3))
+    Q, V, m = _floats(sys)
+    P[0], W[0], D[0] = Q, V, astuple(diagnostics(sys))
+    for k, size in enumerate(sizes, 1):
+        # every non-final step has size dt, so its time is exact
+        t = cfg.t_end if k == last else k * cfg.dt
+        Q, V, D[k] = _advance(Q, V, m, c, size, cfg, time=t)
+        times[k], P[k], W[k] = t, Q, V
+    for arr in (times, P, W, D):
+        arr.setflags(write=False)
+    return Trajectory(c, sys.masses, times, P, W, D)
 
 
 @dataclass(frozen=True)

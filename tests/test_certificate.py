@@ -413,6 +413,34 @@ class TestMassFeasibility:
             cfg = random_irregular_polygon(rng, 3 + rng.randrange(4))
             assert not mass_feasibility(cfg, 0.5).feasible
 
+    @pytest.mark.parametrize(
+        "cfg, rho",
+        [
+            # 1 - cos rounds the smallest chord to 0.0
+            (turns(0, F(1, 10**10), F(1, 2) + F(1, 1000)), 0.5),
+            # two chords near 2 round to bases that tie
+            (turns(0, "1/4", F(1, 2) + F(1, 1000), F(3, 4) + F(1, 1000) + F(1, 10**14)), -1.0),
+        ],
+    )
+    def test_verdict_ignores_chord_rounding(self, cfg, rho):
+        # the exact verdict reads no float chord, so valid polygons whose
+        # chords round badly still get one
+        assert not mass_feasibility(cfg, rho).feasible
+        assert certify(cfg, rho).feasibility_feasible is False
+
+    def test_square_far_hyperbolic(self):
+        # every base is about 1e-300 here, so the float bases tie
+        square = PolygonConfig.from_turns(tuple(F(k, 4) for k in range(4)))
+        res = mass_feasibility(square, -1e300)
+        assert res.feasible and res.masses == (1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("rho", [1.5, math.nan])
+    def test_square_outside_kernel_domain(self, rho):
+        # the widest chord (c = 2) decides the domain for every class
+        square = PolygonConfig.from_turns(tuple(F(k, 4) for k in range(4)))
+        with pytest.raises(KernelDomainError):
+            mass_feasibility(square, rho)
+
 
 def reference_feasible(cfg, rho):
     """Per-rho LP verdict on the rho-scaled grouped rows, solved here."""

@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, exit codes, output determinism."""
 
 import ast
+import hashlib
 import importlib
 import io
 import json
@@ -317,6 +318,44 @@ class TestSimulate:
         assert parsed["max_c_drift"] < 1e-9
         assert parsed["out"] is None
 
+    # sha256 of stdout and CSV from the per-step state implementation that
+    # the array-backed trajectory replaced; the two must agree byte for byte
+    PINNED = {
+        "solved_rotation": (
+            {
+                "kappa": 1.0,
+                "angles": ["0/1", "1/3", "2/3"],
+                "masses": [1.0, 1.0, 1.0],
+                "rho": 0.36,
+                "integrator": {"dt": 0.001, "t_end": 0.02},
+            },
+            "9361a850b99bf6c467b7295c7f836c43eeb33cd32aa5e2e6c9636fbbb56e1bea",
+            "6cd6e005651bd719eadbbc8e654155a6b2318d38a23c78a4991864d93633191d",
+        ),
+        "explicit_hyperbolic": (
+            {
+                "kappa": -1.0,
+                "angles": [0.0, 2.0, 4.0],
+                "masses": [1.0, 2.0, 1.5],
+                "rho": -0.3,
+                "velocities": [[0.0, 0.3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                "integrator": {"dt": 0.002, "t_end": 0.1},
+            },
+            "19c2c0f74b107abea9f2a27081afac2ae5a885e2cc5138723d0a7f2ff1d66d3a",
+            "9ca88df43652f839b92fb298c9a9142b94e03dfcd8dad25c89c718f1965677ca",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_output_pinned(self, tmp_path, monkeypatch, case):
+        doc, stdout_sha, csv_sha = self.PINNED[case]
+        monkeypatch.chdir(tmp_path)  # a relative --out keeps stdout path-free
+        write_config(tmp_path, doc)
+        code, out, _ = run_cli(["simulate", "--config", "cfg.json", "--out", "traj.csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest() == csv_sha
+
     def test_missing_dt_rejected(self, tmp_path):
         doc = dict(GEODESIC)
         del doc["integrator"]
@@ -433,14 +472,12 @@ class TestSweep:
         assert doc["points"] == 3
         assert len(out_csv.read_text().splitlines()) == 4
 
-    def test_thread_pool_deterministic(self, tmp_path, monkeypatch):
+    def test_rerun_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, TRIANGLE_EXACT)
         argv = ["sweep", "--config", cfg, "--rho-grid", "12"]
-        monkeypatch.delenv("CURVED_NBODY_THREADS", raising=False)
-        _, serial, _ = run_cli(argv)
-        monkeypatch.setenv("CURVED_NBODY_THREADS", "4")
-        _, pooled, _ = run_cli(argv)
-        assert serial == pooled
+        _, first, _ = run_cli(argv)
+        _, second, _ = run_cli(argv)
+        assert first == second
 
 
 def package_env():

@@ -25,7 +25,6 @@ from curvednbody import (
     random_irregular_polygon,
     random_scalene_triangle,
     rho_grid,
-    turn_class,
     validate_rho_for_kappa,
 )
 
@@ -316,13 +315,6 @@ def test_is_regular():
     assert not is_regular(PolygonConfig.from_radians((0.0, math.pi / 2, math.pi)))
     assert is_regular(turns(0, "1/4", "1/2", "3/4"))
     assert not is_regular(turns(0, "1/4", "1/2", "5/8"))
-
-
-def test_turn_class_folds_reflection():
-    assert turn_class(F(3, 4)) == F(1, 4)
-    assert turn_class(F(1, 4)) == F(1, 4)
-    assert turn_class(F(1, 2)) == F(1, 2)
-    assert turn_class(F(9, 8)) == F(1, 8)
 
 
 class TestRhoGrid:

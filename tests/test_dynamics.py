@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -81,6 +82,26 @@ class TestBodySystem:
     def test_single_body_hyperbolic(self):
         system = make_system(HYPER, [[0, 0, 1]], [[0.3, 0.4, 0]], [2.0])
         assert system.n == 1
+
+
+    def test_far_hyperbolic_branch_accepted(self):
+        # kappa q.q - 1 cancels terms of size r^2 out here, so an absolute
+        # surface tolerance would reject states solve_omega itself builds
+        poly = PolygonConfig.from_turns((Fraction(0), Fraction(1, 3), Fraction(2, 3)))
+        for r in (1000.0, 1e4):
+            w = solve_omega(poly, (1.0,) * 3, r, HYPER)
+            req = RelativeEquilibrium.from_radius(poly, r, w, HYPER)
+            system = build_polygon_state(req, (1.0,) * 3, HYPER)
+            traj = integrate(system, IntegratorConfig(dt=1e-3, t_end=5e-3))
+            assert len(traj.times) == 6
+
+    def test_far_hyperbolic_off_surface_rejected(self):
+        r = 1000.0
+        z = math.sqrt(1.0 + r * r) * (1.0 + 1e-8)
+        with pytest.raises(ValueError, match="surface residual"):
+            make_system(HYPER, [[r, 0, z]], [[0, 0, 0]], [1.0])
+        with pytest.raises(ValueError, match="surface residual"):
+            make_system(HYPER, [[0, 0, 1.0 + 1e-9]], [[0, 0, 0]], [1.0])
 
 
 class TestPairAcceleration:
@@ -210,13 +231,6 @@ class TestStep:
 
 
 class TestIntegrate:
-    def test_observer_sees_every_step(self):
-        system = make_system(SPHERE, [[1, 0, 0]], [[0, 0.1, 0]], [1.0])
-        cfg = IntegratorConfig(dt=0.25, t_end=1.0)
-        seen = []
-        integrate(system, cfg, observer=lambda t, s, d: seen.append(t))
-        np.testing.assert_allclose(seen, [0.25, 0.5, 0.75, 1.0], atol=1e-15)
-
     def test_trajectory_includes_initial_state(self):
         system = make_system(SPHERE, [[1, 0, 0]], [[0, 0.1, 0]], [1.0])
         traj = integrate(system, IntegratorConfig(dt=0.5, t_end=1.0))
@@ -492,3 +506,76 @@ class TestDiagnostics:
         traj = integrate(system, IntegratorConfig(dt=1e-3, t_end=10.0))
         assert max(d.max_surface_residual for d in traj.diagnostics) < 1e-10
         assert max(d.max_tangency_residual for d in traj.diagnostics) < 1e-10
+
+
+def rotating_triangle(steps):
+    poly = PolygonConfig.from_turns(tuple(Fraction(k, 3) for k in range(3)))
+    r = 0.6
+    w = solve_omega(poly, (1.0,) * 3, r, SPHERE)
+    req = RelativeEquilibrium.from_radius(poly, r, w, SPHERE)
+    return build_polygon_state(req, (1.0,) * 3, SPHERE), IntegratorConfig(dt=1e-3, t_end=steps * 1e-3)
+
+
+class TestTrajectoryArrays:
+    def test_shapes_and_read_only(self):
+        system, cfg = rotating_triangle(20)
+        traj = integrate(system, cfg)
+        assert traj.times.shape == (21,)
+        assert traj.positions.shape == traj.velocities.shape == (21, 3, 3)
+        assert traj.diagnostic_rows.shape == (21, 3)
+        for arr in (traj.times, traj.positions, traj.velocities, traj.diagnostic_rows):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert traj.times[-1] == cfg.t_end
+
+    def test_views_match_rows(self):
+        system, cfg = rotating_triangle(20)
+        traj = integrate(system, cfg)
+        assert len(traj.states) == len(traj.diagnostics) == 21
+        np.testing.assert_array_equal(traj.states[0].positions, system.positions)
+        np.testing.assert_array_equal(traj.states[0].velocities, system.velocities)
+        first = diagnostics(system)
+        assert tuple(traj.diagnostic_rows[0]) == (
+            first.max_surface_residual,
+            first.max_tangency_residual,
+            first.min_pair_denominator,
+        )
+        for k, (state, diag) in enumerate(zip(traj.states, traj.diagnostics)):
+            assert state.curvature == SPHERE
+            np.testing.assert_array_equal(state.masses, system.masses)
+            np.testing.assert_array_equal(state.positions, traj.positions[k])
+            np.testing.assert_array_equal(state.velocities, traj.velocities[k])
+            # row views of the trajectory, not copies
+            assert np.shares_memory(state.positions, traj.positions)
+            assert not state.positions.flags.writeable
+            assert tuple(traj.diagnostic_rows[k]) == (
+                diag.max_surface_residual,
+                diag.max_tangency_residual,
+                diag.min_pair_denominator,
+            )
+        # built once and kept
+        assert traj.states is traj.states
+        assert traj.diagnostics is traj.diagnostics
+
+    def test_views_step_like_step(self):
+        system, cfg = rotating_triangle(3)
+        traj = integrate(system, cfg)
+        after = step(system, IntegratorConfig(dt=1e-3, t_end=1e-3))
+        np.testing.assert_array_equal(traj.states[1].positions, after.positions)
+        np.testing.assert_array_equal(traj.states[1].velocities, after.velocities)
+
+    def test_retained_memory_per_sample(self):
+        # 1000 RK4 steps of a rotating triangle: the arrays hold 176 bytes a
+        # sample (t, 2 x 9 coordinates, 3 diagnostics); a per-step state
+        # object would hold several times that
+        system, cfg = rotating_triangle(1000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = integrate(system, cfg)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 1001
+        assert held / len(traj.times) / 1024.0 <= 0.25
