@@ -38,7 +38,6 @@ from .criterion import (
     PolygonConfig,
     _check_kernel_domain,
     _rho_value,
-    _turn_residues,
     canonicalize,
     cyclic_gaps,
     is_regular,
@@ -194,13 +193,9 @@ class CoefficientSystem:
         return np.array(rows, dtype=float), tuple(labels)
 
 
-def _require_exact(cfg: PolygonConfig):
-    if not cfg.is_exact:
-        raise ValueError("this operation needs exact rational turn angles")
-
-
 def _require_canonical(cfg: PolygonConfig):
-    if cfg != canonicalize(cfg):
+    # reading the residues also rejects float angles
+    if cfg.residues != cfg.canonical_residues:
         raise ValueError("polygon must be in canonical rotation (minimal first gap)")
 
 
@@ -215,7 +210,7 @@ def _difference_terms(cfg: PolygonConfig):
     min(d, 1 - d) of the separation d mod 1, which determines c exactly.
     """
     rad = cfg.radians
-    res, full = _turn_residues(cfg)
+    res, full = cfg.residues
     out = []  # (j, i, turn class, delta terms, gamma terms or None)
     pairs = [(2, 1, {2: 1.0, 1: -1.0}, {1: 1.0, 2: 1.0})]
     for j in range(3, cfg.n + 1):
@@ -263,7 +258,7 @@ def _grouped_forms(cfg: PolygonConfig):
     return tuple(groups)
 
 
-def _class_forms(cfg: PolygonConfig):
+def _class_forms(res: tuple[int, ...], full: int):
     """Integer chord-class coefficients of the n - 1 differences.
 
     For i = 2..n, delta_i - delta_1 sums +m_j over the pairs (j, i) and -m_j
@@ -273,11 +268,10 @@ def _class_forms(cfg: PolygonConfig):
     positive for d < 1/2; a half-turn pair has s = 0 and drops from gamma.
     Each class coefficient must vanish on its own, which leaves a delta and a
     gamma row, entries in {-2..2}, per (i, class).  Only the turn residues
-    are read.  Yields (i, k, delta row, gamma row) in increasing i, then k,
-    with k a residue modulo the full turn of _turn_residues.
+    res modulo full are read.  Yields (i, k, delta row, gamma row) in
+    increasing i, then k, with k a residue modulo full.
     """
-    res, full = _turn_residues(cfg)
-    n = cfg.n
+    n = len(res)
     for i in range(1, n):
         forms: dict[int, tuple[list[int], list[int]]] = {}
         for target, sign in ((i, 1), (0, -1)):
@@ -379,24 +373,24 @@ def _positive_kernel_point(rows, n: int) -> list[int] | None:
 
 
 @functools.lru_cache(maxsize=_MEMO_POLYGONS)
-def _exact_system(cfg: PolygonConfig) -> tuple[float, tuple[Fraction, ...] | None]:
+def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, tuple[Fraction, ...] | None]:
     """The polygon's largest class chord, and its masses or None.
 
-    Rho scales each class row only by a positive amplitude a(c, rho), so the
-    feasible set, and with it the verdict, is the same for every rho.  The
-    masses are exact, with the smallest equal to 1.
+    The polygon is given by its canonical residues, which every rotation
+    shares.  Rho scales each class row only by a positive amplitude
+    a(c, rho), so the feasible set, and with it the verdict, is the same for
+    every rho.  The masses are exact, with the smallest equal to 1.
     """
 
     def rows():
-        return (row for *_, delta, gamma in _class_forms(cfg) for row in (delta, gamma))
+        return (row for *_, delta, gamma in _class_forms(res, full) for row in (delta, gamma))
 
-    point = _positive_kernel_point(rows(), cfg.n)
+    point = _positive_kernel_point(rows(), len(res))
     masses = None
     if point is not None:
         if any(sum(a * x for a, x in zip(row, point)) for row in rows()):
             raise InternalConsistencyError(f"point {point} does not solve the class rows")
         masses = tuple(Fraction(x, min(point)) for x in point)
-    res, full = _turn_residues(cfg)
     widest = max(min((a - b) % full, (b - a) % full) for a, b in itertools.combinations(res, 2))
     return 1.0 - math.cos(2.0 * math.pi * widest / full), masses
 
@@ -409,7 +403,6 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
     a(c, rho) as a positive common factor, and the bases g must increase
     strictly with c.
     """
-    _require_exact(cfg)
     _require_canonical(cfg)
     rho_v = _rho_value(rho)
     groups = []
@@ -437,7 +430,7 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
 
 def _vertex_lookup(cfg: PolygonConfig) -> tuple[tuple[int, ...], int, dict[int, int]]:
     """Turn residues, their modulus, and the 1-based vertex at each residue."""
-    res, full = _turn_residues(cfg)
+    res, full = cfg.residues
     return res, full, {r: k + 1 for k, r in enumerate(res)}
 
 
@@ -448,7 +441,6 @@ def pairing_possibility1(cfg: PolygonConfig, j: int) -> int | None:
     (vertex 1 when j = n); finding any other vertex means the caller passed
     a non-canonical configuration.
     """
-    _require_exact(cfg)
     n = cfg.n
     if not 2 <= j <= n:
         raise ValueError(f"vertex index {j} outside 2..{n}")
@@ -472,7 +464,6 @@ def pairing_u(cfg: PolygonConfig, j: int) -> int | None:
     may equal j itself (then the (j,2) term shares the group of (j,1)).
     Its chord satisfies c_u2 = c_j1 with s_u2 = -s_j1.
     """
-    _require_exact(cfg)
     if not 3 <= j <= cfg.n:
         raise ValueError(f"vertex index {j} outside 3..{cfg.n}")
     r, full, vertex_at = _vertex_lookup(cfg)
@@ -488,7 +479,6 @@ def pairing_v(cfg: PolygonConfig, j: int) -> int | None:
     At most one such vertex exists; its chord satisfies c_v1 = c_j1 with
     s_v1 = -s_j1.
     """
-    _require_exact(cfg)
     if not 3 <= j <= cfg.n:
         raise ValueError(f"vertex index {j} outside 3..{cfg.n}")
     r, full, vertex_at = _vertex_lookup(cfg)
@@ -510,7 +500,6 @@ def find_contradiction_j(cfg: PolygonConfig) -> int:
     gap while gap 2 differed, the rotation starting at vertex 3 would be
     lexicographically smaller.
     """
-    _require_exact(cfg)
     _require_canonical(cfg)
     if is_regular(cfg):
         raise RegularPolygonError("regular polygons admit the orbit family; nothing to certify")
@@ -544,7 +533,6 @@ class Certificate:
     v: int | None
     failing_equation: str  # "delta" | "gamma" | "disjunction"
     witness_forms: tuple[WitnessForm, ...]
-    narrative: str
     feasibility_rho: float | None = None
     feasibility_feasible: bool | None = None
 
@@ -581,90 +569,90 @@ class Certificate:
             "narrative": self.narrative,
         }
 
-
-def _narrative(cert: Certificate) -> str:
-    canon = cert.canonical
-    a = canon.turns
-    gaps = cyclic_gaps(canon)
-    j = cert.special_j
-    lines = []
-    lines.append(
-        "Nonexistence certificate for the polygon with canonical turn angles ("
-        + ", ".join(str(x) for x in a)
-        + ")."
-    )
-    lines.append(
-        f"Canonical rotation makes the first gap minimal: gap(1,2) = {a[1] - a[0]}."
-    )
-    succ = j + 1 if j < canon.n else 1
-    lines.append(
-        f"Witness index j = {j}: gap({j},{succ}) = {gaps[j - 1]} differs from the first gap, "
-        "so no vertex u satisfies alpha_u = alpha_j + (alpha_2 - alpha_1) (mod 1) and no "
-        "(u,2) term of that kind can share the base of the (j,1) term."
-    )
-    lines.append("Pairing search in exact turn arithmetic:")
-    lines.append(
-        "  u with alpha_j + alpha_u = alpha_1 + alpha_2 (mod 1): "
-        + (f"u = {cert.u}" if cert.u is not None else "none")
-    )
-    lines.append(
-        "  v with alpha_j + alpha_v = 2*alpha_1 (mod 1), v != j: "
-        + (f"v = {cert.v}" if cert.v is not None else "none")
-    )
-    lines.append(
-        "Uniqueness facts used: (I) such a v is unique and has s_v1 = -s_j1; "
-        "(II) such a u is unique and has s_u2 = -s_j1; (III) equal c implies equal a."
-    )
-    if cert.case_tag == "case1":
+    @property
+    def narrative(self) -> str:
+        """The argument in prose, rendered from the other fields."""
+        canon = self.canonical
+        a = canon.turns
+        gaps = cyclic_gaps(canon)
+        j = self.special_j
+        lines = []
         lines.append(
-            "Case 1: the (j,1) term stands alone in its base group, so the grouped "
-            f"coefficient of g_j1^k in the delta-difference equation is {cert.witness_forms[0].pattern}."
-        )
-    elif cert.case_tag == "case2u":
-        lines.append(
-            "Case 2 (u present): the (j,1) and (u,2) terms share a base; their delta "
-            "coefficients m_j - m_u may cancel, but in the gamma-difference equation the "
-            f"grouped coefficient is {cert.witness_forms[0].pattern}."
+            "Nonexistence certificate for the polygon with canonical turn angles ("
+            + ", ".join(str(x) for x in a)
+            + ")."
         )
         lines.append(
-            "s_j1 = 0 would put alpha_j - alpha_1 = 1/2 turn and restore the successor "
-            "pairing, contradicting the choice of j; the exact check confirms s_j1 != 0."
+            f"Canonical rotation makes the first gap minimal: gap(1,2) = {a[1] - a[0]}."
         )
-    elif cert.case_tag == "case2v":
+        succ = j + 1 if j < canon.n else 1
         lines.append(
-            "Case 2 (v present): the (j,1) and (v,1) terms share a base; their gamma "
-            "coefficients m_j - m_v may cancel, but in the delta-difference equation the "
-            f"grouped coefficient is {cert.witness_forms[0].pattern}."
+            f"Witness index j = {j}: gap({j},{succ}) = {gaps[j - 1]} differs from the first gap, "
+            "so no vertex u satisfies alpha_u = alpha_j + (alpha_2 - alpha_1) (mod 1) and no "
+            "(u,2) term of that kind can share the base of the (j,1) term."
         )
-    else:
+        lines.append("Pairing search in exact turn arithmetic:")
         lines.append(
-            "Case 3 (u and v present): the group carries delta coefficient "
-            f"{cert.witness_forms[0].pattern} and gamma coefficient {cert.witness_forms[1].pattern}; "
-            "their mass patterns add to 2*m_j > 0, so at least one is nonzero."
+            "  u with alpha_j + alpha_u = alpha_1 + alpha_2 (mod 1): "
+            + (f"u = {self.u}" if self.u is not None else "none")
         )
-    lines.append(
-        "Every rho-derivative of the differences delta_1 - delta_2 and gamma_1 - gamma_2 "
-        "must vanish for a shape-preserving orbit of non-constant size, and terms with "
-        "distinct positive bases g are linearly independent, so each grouped coefficient "
-        "must vanish on its own.  The amplitude a_j1 is positive and the witness form "
-        "cannot vanish for positive masses: no admissible masses exist."
-    )
-    lines.append(
-        "Convention note: the delta difference carries (m_2 - m_1) on the merged (2,1) "
-        "term and the gamma-difference sum runs over j = 3..n; derivatives preserve both."
-    )
-    if cert.feasibility_rho is not None:
-        verdict = "feasible" if cert.feasibility_feasible else "infeasible"
         lines.append(
-            f"Independent cross-check: linear mass-feasibility at rho = {cert.feasibility_rho:g} "
-            f"-> {verdict}."
+            "  v with alpha_j + alpha_v = 2*alpha_1 (mod 1), v != j: "
+            + (f"v = {self.v}" if self.v is not None else "none")
         )
-    return "\n".join(lines)
+        lines.append(
+            "Uniqueness facts used: (I) such a v is unique and has s_v1 = -s_j1; "
+            "(II) such a u is unique and has s_u2 = -s_j1; (III) equal c implies equal a."
+        )
+        if self.case_tag == "case1":
+            lines.append(
+                "Case 1: the (j,1) term stands alone in its base group, so the grouped "
+                f"coefficient of g_j1^k in the delta-difference equation is {self.witness_forms[0].pattern}."
+            )
+        elif self.case_tag == "case2u":
+            lines.append(
+                "Case 2 (u present): the (j,1) and (u,2) terms share a base; their delta "
+                "coefficients m_j - m_u may cancel, but in the gamma-difference equation the "
+                f"grouped coefficient is {self.witness_forms[0].pattern}."
+            )
+            lines.append(
+                "s_j1 = 0 would put alpha_j - alpha_1 = 1/2 turn and restore the successor "
+                "pairing, contradicting the choice of j; the exact check confirms s_j1 != 0."
+            )
+        elif self.case_tag == "case2v":
+            lines.append(
+                "Case 2 (v present): the (j,1) and (v,1) terms share a base; their gamma "
+                "coefficients m_j - m_v may cancel, but in the delta-difference equation the "
+                f"grouped coefficient is {self.witness_forms[0].pattern}."
+            )
+        else:
+            lines.append(
+                "Case 3 (u and v present): the group carries delta coefficient "
+                f"{self.witness_forms[0].pattern} and gamma coefficient {self.witness_forms[1].pattern}; "
+                "their mass patterns add to 2*m_j > 0, so at least one is nonzero."
+            )
+        lines.append(
+            "Every rho-derivative of the differences delta_1 - delta_2 and gamma_1 - gamma_2 "
+            "must vanish for a shape-preserving orbit of non-constant size, and terms with "
+            "distinct positive bases g are linearly independent, so each grouped coefficient "
+            "must vanish on its own.  The amplitude a_j1 is positive and the witness form "
+            "cannot vanish for positive masses: no admissible masses exist."
+        )
+        lines.append(
+            "Convention note: the delta difference carries (m_2 - m_1) on the merged (2,1) "
+            "term and the gamma-difference sum runs over j = 3..n; derivatives preserve both."
+        )
+        if self.feasibility_rho is not None:
+            verdict = "feasible" if self.feasibility_feasible else "infeasible"
+            lines.append(
+                f"Independent cross-check: linear mass-feasibility at rho = {self.feasibility_rho:g} "
+                f"-> {verdict}."
+            )
+        return "\n".join(lines)
 
 
 def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
     """Derive the witness coefficient form(s) for the contradiction index j."""
-    _require_exact(cfg)
     _require_canonical(cfg)
     n = cfg.n
     if not 3 <= j <= n:
@@ -735,7 +723,7 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
         failing = "gamma"
     else:
         failing = "disjunction"
-    cert = Certificate(
+    return Certificate(
         polygon=cfg,
         canonical=cfg,
         special_j=j,
@@ -744,9 +732,7 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
         v=v,
         failing_equation=failing,
         witness_forms=forms,
-        narrative="",
     )
-    return replace(cert, narrative=_narrative(cert))
 
 
 @dataclass(frozen=True)
@@ -783,9 +769,8 @@ def mass_feasibility(cfg: PolygonConfig, rho, floor: float = 1e-9) -> Feasibilit
     """
     if not 0.0 < floor < math.inf:
         raise ValueError(f"mass floor must be positive and finite, got {floor!r}")
-    _require_exact(cfg)
     rho_v = _rho_value(rho)
-    widest, masses = _exact_system(canonicalize(cfg))
+    widest, masses = _exact_system(*cfg.canonical_residues)
     _check_kernel_domain(widest, rho_v)
     if masses is None:
         return FeasibilityResult(False, None, math.inf, rho_v, floor)
@@ -802,9 +787,9 @@ def certify(cfg: PolygonConfig, rho=None) -> Certificate:
     branch).  The two routes disagreeing is an internal error, never a
     result.
     """
-    _require_exact(cfg)
     canon = canonicalize(cfg)
-    j = find_contradiction_j(canon)  # raises RegularPolygonError for a regular polygon
+    # raises ValueError for float angles, RegularPolygonError for a regular polygon
+    j = find_contradiction_j(canon)
     cert = classify_case(canon, j)
     rho_v = 0.5 if rho is None else _rho_value(rho)
     feas = mass_feasibility(canon, rho_v)
@@ -813,10 +798,4 @@ def certify(cfg: PolygonConfig, rho=None) -> Certificate:
             f"case analysis found witness {cert.case_tag} at j={j} but the mass "
             f"search returned feasible masses {feas.masses} at rho={rho_v}"
         )
-    cert = replace(
-        cert,
-        polygon=cfg,
-        feasibility_rho=rho_v,
-        feasibility_feasible=False,
-    )
-    return replace(cert, narrative=_narrative(cert))
+    return replace(cert, polygon=cfg, feasibility_rho=rho_v, feasibility_feasible=False)

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,6 +149,9 @@ def _parse_angles(raw) -> tuple[str, tuple]:
     if exact:
         turns = []
         for i, a in enumerate(raw):
+            # Fraction() would also parse "1e-10000000", a ten-million-digit integer
+            if not re.fullmatch(r"[0-9]+(/[0-9]+)?", a):
+                raise ConfigError("angles", f"entry {i}: {a!r} is not a \"p/q\" string")
             try:
                 f = Fraction(a)
             except (ValueError, ZeroDivisionError):

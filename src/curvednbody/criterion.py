@@ -17,6 +17,7 @@ used for simulation interop.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -108,6 +109,26 @@ class PolygonConfig:
         if self.is_exact:
             return tuple(TWO_PI * float(a) for a in self.angles)
         return self.angles
+
+    @functools.cached_property
+    def residues(self) -> tuple[tuple[int, ...], int]:
+        """Exact turns as integer residues r_k = alpha_k * L modulo L.
+
+        L is the lcm of the angle denominators, so turn arithmetic becomes
+        exact integer arithmetic, and no factor of L divides every residue.
+        """
+        if not self.is_exact:
+            raise ValueError("this operation needs exact rational turn angles")
+        full = math.lcm(*(a.denominator for a in self.angles))
+        return tuple(a.numerator * (full // a.denominator) for a in self.angles), full
+
+    @functools.cached_property
+    def canonical_residues(self) -> tuple[tuple[int, ...], int]:
+        """Residues of the canonical polygon, gcd-reduced: equal for every rotation."""
+        res, full = self.residues
+        best = _min_rotation(res, full)
+        g = math.gcd(full, *best)
+        return tuple(r // g for r in best), full // g
 
 
 @dataclass(frozen=True)
@@ -284,15 +305,11 @@ def criterion_check(cfg: PolygonConfig, masses, rho, tol: float = 1e-10) -> Crit
     )
 
 
-def _turn_residues(cfg: PolygonConfig) -> tuple[tuple[int, ...], int]:
-    """Exact turns as integer residues r_k = alpha_k * L modulo L.
-
-    L is the lcm of the angle denominators, so sums, differences and
-    comparisons of turns become exact integer arithmetic.
-    """
-    turns = cfg.turns
-    full = math.lcm(*(a.denominator for a in turns))
-    return tuple(a.numerator * (full // a.denominator) for a in turns), full
+def _min_rotation(values, full):
+    """The rotation of values modulo full that canonicalize describes."""
+    candidates = [tuple(sorted((v - start) % full for v in values)) for start in values]
+    min_first_gap = min(t[1] for t in candidates)
+    return min(t for t in candidates if t[1] == min_first_gap)
 
 
 def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
@@ -302,18 +319,17 @@ def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
     smallest angle tuple wins.  That tie-break matters: it is what guarantees
     the certificate search below always finds its witness index among
     j = 3..n for an irregular polygon.  Exact angles are compared as integer
-    residues modulo their common denominator.
+    residues modulo their common denominator.  A polygon already in canonical
+    rotation is returned as it is.
     """
     if cfg.is_exact:
-        values, full = _turn_residues(cfg)
-    else:
-        values, full = cfg.angles, TWO_PI
-    candidates = [tuple(sorted((v - start) % full for v in values)) for start in values]
-    min_first_gap = min(t[1] for t in candidates)
-    best = min(t for t in candidates if t[1] == min_first_gap)
-    if cfg.is_exact:
-        best = tuple(Fraction(r, full) for r in best)
-    return PolygonConfig(best, cfg.representation)
+        res, full = cfg.canonical_residues
+        if res == cfg.residues[0]:
+            return cfg
+        return PolygonConfig(tuple(Fraction(r, full) for r in res), "exact")
+    # (v - start) mod 2*pi can round up to 2*pi itself
+    best = tuple(min(a, math.nextafter(TWO_PI, 0)) for a in _min_rotation(cfg.angles, TWO_PI))
+    return cfg if best == cfg.angles else PolygonConfig(best, "float")
 
 
 def cyclic_gaps(cfg: PolygonConfig) -> tuple:

@@ -5,6 +5,7 @@ whose grouped mass form cannot vanish with positive masses, and the
 independent exact mass search must agree.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -639,10 +640,10 @@ class TestExactSolver:
 
 def class_differences(cfg, masses, rho):
     """delta_i - delta_1 and gamma_i - gamma_1, i = 2..n, rebuilt from the class rows."""
-    _, full = certificate._turn_residues(cfg)
+    res, full = cfg.residues
     dd = np.zeros(cfg.n - 1)
     gg = np.zeros(cfg.n - 1)
-    for i, k, delta, gamma in certificate._class_forms(cfg):
+    for i, k, delta, gamma in certificate._class_forms(res, full):
         c = 1.0 - math.cos(2.0 * math.pi * k / full)
         t = math.sin(2.0 * math.pi * k / full) / c  # |s/c| of the class
         dd[i - 2] += mu(c, rho) * np.dot(delta, masses)
@@ -675,7 +676,7 @@ class TestClassRows:
         for n in range(3, 13):
             regular = PolygonConfig.from_turns(tuple(F(k, n) for k in range(n)))
             for cfg in [regular] + [canonicalize(random_irregular_polygon(rng, n, 10**4)) for _ in range(5)]:
-                rows = [row for *_, d, g in certificate._class_forms(cfg) for row in (d, g)]
+                rows = [row for *_, d, g in certificate._class_forms(*cfg.residues) for row in (d, g)]
                 assert np.linalg.matrix_rank(np.array(rows, dtype=float)) == n - is_regular(cfg)
 
 
@@ -715,6 +716,84 @@ class TestIndependentRoutes:
         monkeypatch.setattr(certificate, "_difference_terms", unavailable)
         monkeypatch.setattr(certificate, "_grouped_forms", unavailable)
         assert snapshot() == expected
+
+
+def certificate_outputs_digest():
+    """sha256 of certificates and feasibility reports over a fixed polygon set."""
+    rng = random.Random(97)
+    polygons = [turns(*t) for t in CASE_FIXTURES]
+    polygons.append(PolygonConfig.from_turns(tuple(F(k, 7) for k in range(7))))
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        polygons.append(random_irregular_polygon(rng, n, rng.choice((2 * n + 2, 60, 10**4))))
+    digest = hashlib.sha256()
+    for poly in polygons:
+        if not is_regular(poly):
+            digest.update(dumps(certify(poly).to_json_dict()).encode())
+        for rho in (0.25, 0.5, 0.75, -1.0):
+            digest.update(dumps(mass_feasibility(poly, rho).to_json_dict()).encode())
+    return digest.hexdigest()
+
+
+class TestCanonicalizeOnce:
+    """The certificate path reads each polygon's turn residues, built once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        init = PolygonConfig.__post_init__
+
+        def counting(cfg):
+            count[0] += 1
+            init(cfg)
+
+        monkeypatch.setattr(PolygonConfig, "__post_init__", counting)
+        return count
+
+    def test_polygons_built_per_call(self, builds):
+        canonical = turns(0, "1/8", "3/8", "3/4")
+        rotated = turns("1/8", "1/4", "1/2", "7/8")
+        assert canonicalize(rotated) == canonical
+        builds[0] = 0
+        certify(canonical)
+        assert builds[0] == 0
+        certify(rotated)
+        assert builds[0] == 1
+        builds[0] = 0
+        for poly in (canonical, rotated):
+            mass_feasibility(poly, 0.5)
+        assert builds[0] == 0
+
+    def test_rotations_share_one_exact_solve(self):
+        # (1/8, 3/8, 7/8) rotates to (0, 2, 4)/8, which reduces to (0, 1, 2)/4
+        certificate._exact_system.cache_clear()
+        mass_feasibility(turns("1/8", "3/8", "7/8"), 0.5)
+        mass_feasibility(turns(0, "1/4", "1/2"), 0.5)
+        certify(turns("1/8", "3/8", "7/8"))
+        assert certificate._exact_system.cache_info().misses == 1
+
+    def test_float_polygons_rejected(self):
+        irregular = canonicalize(PolygonConfig.from_radians((0.0, 1.0, 2.0)))
+        regular = PolygonConfig.from_radians((0.0, 2.0 * math.pi / 3, 4.0 * math.pi / 3))
+        for cfg in (irregular, regular):
+            for call in (
+                lambda: cfg.residues,
+                lambda: base_groups(cfg, 0.5),
+                lambda: find_contradiction_j(cfg),
+                lambda: classify_case(cfg, 3),
+                lambda: pairing_possibility1(cfg, 3),
+                lambda: pairing_u(cfg, 3),
+                lambda: pairing_v(cfg, 3),
+                lambda: mass_feasibility(cfg, 0.5),
+                lambda: certify(cfg),
+            ):
+                with pytest.raises(ValueError, match="needs exact rational turn angles"):
+                    call()
+
+    def test_outputs_pinned(self):
+        # any change to a certificate or feasibility report byte changes this
+        assert certificate_outputs_digest() == (
+            "5c091093299c851dd0e99500de893b56f8edc62186757e6c2d9d5f86e0bde497")
 
 
 @st.composite

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import curvednbody
-from curvednbody import cli, criterion_check, rho_grid
+from curvednbody import ConfigError, cli, criterion_check, rho_grid
 from curvednbody.jsonout import csv_text, format_float
 
 
@@ -83,6 +83,17 @@ class TestValidate:
         code, _, err = run_cli(["validate", "--config", cfg])
         assert code == 2
         assert "angles" in err
+
+    @pytest.mark.parametrize("angles", [
+        ["0", "1e-1000000", "1/2"],  # an exponent would make Fraction build a huge integer
+        ["0", "0.25", "1/2"],
+        ["0", " 1/4", "1/2"],
+    ])
+    def test_angle_strings_must_be_p_over_q(self, tmp_path, angles):
+        path = write_config(tmp_path, {"kappa": 1.0, "angles": angles})
+        with pytest.raises(ConfigError) as info:
+            cli.load_config(path)
+        assert info.value.field == "angles"
 
     def test_zero_curvature_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(SQUARE_EXACT, kappa=0.0))

@@ -285,6 +285,31 @@ class TestCanonicalize:
         reg = turns(0, "1/4", "1/2", "3/4")
         assert canonicalize(reg).turns == reg.turns
 
+    def test_canonical_input_returned_as_is(self):
+        for cfg in (turns(0, "1/8", "3/8", "3/4"),
+                    PolygonConfig.from_radians((0.0, 1.0, 3.0))):
+            assert canonicalize(cfg) is cfg
+        rotated = turns("1/8", "1/4", "1/2", "7/8")
+        out = canonicalize(rotated)
+        assert out is not rotated and out == turns(0, "1/8", "3/8", "3/4")
+
+    def test_float_wrap_below_full_turn(self):
+        # (1.0 - 1.0000000000000004) mod 2*pi rounds up to 2*pi itself
+        cfg = PolygonConfig.from_radians((1.0, 1.0000000000000004, 1.0000000000000007))
+        out = canonicalize(cfg)
+        assert out.angles[-1] < TWO_PI
+        assert canonicalize(out) is out
+
+    def test_residues(self):
+        assert turns("1/6", "1/4", "1/2").residues == ((2, 3, 6), 12)
+        # the rotation (0, 2, 4)/8 reduces to the residues of (0, 1/4, 1/2)
+        assert turns("1/8", "3/8", "7/8").canonical_residues == ((0, 1, 2), 4)
+        assert turns(0, "1/4", "1/2").canonical_residues == ((0, 1, 2), 4)
+        cfg = PolygonConfig.from_radians((0.0, 1.0, 2.0))
+        for attr in ("residues", "canonical_residues"):
+            with pytest.raises(ValueError, match="needs exact rational turn angles"):
+                getattr(cfg, attr)
+
     def test_matches_rotation_reference(self):
         # Reference: sort every rotation (a - start) mod full, keep the
         # minimal first gap, break ties lexicographically.
