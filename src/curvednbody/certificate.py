@@ -39,7 +39,6 @@ from .criterion import (
     _check_kernel_domain,
     _rho_value,
     canonicalize,
-    cyclic_gaps,
     is_regular,
     mu,
 )
@@ -574,8 +573,10 @@ class Certificate:
         """The argument in prose, rendered from the other fields."""
         canon = self.canonical
         a = canon.turns
-        gaps = cyclic_gaps(canon)
         j = self.special_j
+        succ = j + 1 if j < canon.n else 1
+        res, full = canon.residues
+        gap_j = Fraction((res[succ - 1] - res[j - 1]) % full, full)
         lines = []
         lines.append(
             "Nonexistence certificate for the polygon with canonical turn angles ("
@@ -585,9 +586,8 @@ class Certificate:
         lines.append(
             f"Canonical rotation makes the first gap minimal: gap(1,2) = {a[1] - a[0]}."
         )
-        succ = j + 1 if j < canon.n else 1
         lines.append(
-            f"Witness index j = {j}: gap({j},{succ}) = {gaps[j - 1]} differs from the first gap, "
+            f"Witness index j = {j}: gap({j},{succ}) = {gap_j} differs from the first gap, "
             "so no vertex u satisfies alpha_u = alpha_j + (alpha_2 - alpha_1) (mod 1) and no "
             "(u,2) term of that kind can share the base of the (j,1) term."
         )
@@ -666,14 +666,15 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
         # first gap then pins j = n with the successor pairing holding, which
         # contradicts the choice of j.
         raise InternalConsistencyError("v = 2 cannot occur at a witness index")
-    d_j1 = (cfg.turns[j - 1] - cfg.turns[0]) % 1
+    res, full = cfg.residues
+    half_turn_j1 = 2 * ((res[j - 1] - res[0]) % full) == full
     rad = cfg.radians
     c_j1 = 1.0 - math.cos(rad[j - 1] - rad[0])
     s_j1 = math.sin(rad[j - 1] - rad[0])
     t = s_j1 / c_j1
 
     def s_nonzero_required():
-        if d_j1 == Fraction(1, 2):
+        if half_turn_j1:
             raise InternalConsistencyError(
                 f"s_j1 = 0 at witness j={j} although a u pairing exists"
             )

@@ -68,23 +68,31 @@ class PolygonConfig:
         if len(self.angles) < 3:
             raise ValueError(f"polygon needs at least 3 angles, got {len(self.angles)}")
         if self.representation == "exact":
-            vals = tuple(Fraction(a) for a in self.angles)
+            vals = tuple(a if type(a) is Fraction else Fraction(a) for a in self.angles)
             for a in vals:
-                if not (0 <= a < 1):
+                if not 0 <= a.numerator < a.denominator:
                     raise ValueError(f"turn angle {a} outside [0, 1)")
+            full = math.lcm(*(a.denominator for a in vals))
+            res = tuple(a.numerator * (full // a.denominator) for a in vals)
+            object.__setattr__(self, "_residues", (res, full))
+            order = res
         else:
             vals = tuple(float(a) for a in self.angles)
             for a in vals:
                 if not math.isfinite(a) or not (0.0 <= a < TWO_PI):
                     raise ValueError(f"radian angle {a!r} outside [0, 2*pi)")
-        for lo, hi in zip(vals, vals[1:]):
-            if not lo < hi:
-                raise ValueError(f"angles must be strictly increasing, got {lo} >= {hi}")
+            object.__setattr__(self, "_residues", None)
+            order = vals
+        for k in range(len(vals) - 1):
+            if not order[k] < order[k + 1]:
+                raise ValueError(
+                    f"angles must be strictly increasing, got {vals[k]} >= {vals[k + 1]}"
+                )
         object.__setattr__(self, "angles", vals)
 
     @classmethod
     def from_turns(cls, turns) -> "PolygonConfig":
-        return cls(tuple(Fraction(t) for t in turns), "exact")
+        return cls(tuple(turns), "exact")
 
     @classmethod
     def from_radians(cls, radians) -> "PolygonConfig":
@@ -110,17 +118,17 @@ class PolygonConfig:
             return tuple(TWO_PI * float(a) for a in self.angles)
         return self.angles
 
-    @functools.cached_property
+    @property
     def residues(self) -> tuple[tuple[int, ...], int]:
         """Exact turns as integer residues r_k = alpha_k * L modulo L.
 
         L is the lcm of the angle denominators, so turn arithmetic becomes
         exact integer arithmetic, and no factor of L divides every residue.
+        The residues are computed once, when the polygon is built.
         """
-        if not self.is_exact:
+        if self._residues is None:
             raise ValueError("this operation needs exact rational turn angles")
-        full = math.lcm(*(a.denominator for a in self.angles))
-        return tuple(a.numerator * (full // a.denominator) for a in self.angles), full
+        return self._residues
 
     @functools.cached_property
     def canonical_residues(self) -> tuple[tuple[int, ...], int]:
@@ -326,7 +334,11 @@ def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
         res, full = cfg.canonical_residues
         if res == cfg.residues[0]:
             return cfg
-        return PolygonConfig(tuple(Fraction(r, full) for r in res), "exact")
+        canon = PolygonConfig(tuple(Fraction(r, full) for r in res), "exact")
+        # its residues are the gcd-reduced canonical ones, and a canonical
+        # rotation is its own minimal rotation
+        object.__setattr__(canon, "canonical_residues", (res, full))
+        return canon
     # (v - start) mod 2*pi can round up to 2*pi itself
     best = tuple(min(a, math.nextafter(TWO_PI, 0)) for a in _min_rotation(cfg.angles, TWO_PI))
     return cfg if best == cfg.angles else PolygonConfig(best, "float")
@@ -340,11 +352,16 @@ def cyclic_gaps(cfg: PolygonConfig) -> tuple:
 
 
 def is_regular(cfg: PolygonConfig, tol: float = 1e-9) -> bool:
-    """All cyclic gaps equal (exactly in exact mode, within tol in float mode)."""
-    gaps = cyclic_gaps(cfg)
+    """All cyclic gaps equal (exactly in exact mode, within tol in float mode).
+
+    Exact polygons compare residues: every gap is L/n iff n divides L and
+    r_k - r_0 = k * L/n.
+    """
     if cfg.is_exact:
-        target = Fraction(1, cfg.n)
-        return all(g == target for g in gaps)
+        res, full = cfg.residues
+        step, rem = divmod(full, cfg.n)
+        return rem == 0 and all(r - res[0] == k * step for k, r in enumerate(res))
+    gaps = cyclic_gaps(cfg)
     target = TWO_PI / cfg.n
     return all(abs(float(g) - target) <= tol for g in gaps)
 

@@ -3,17 +3,21 @@
 Reports must be byte-identical across runs with the same inputs, so JSON is
 rendered by hand: keys sorted, floats printed with 17 significant digits
 (enough to round-trip IEEE doubles), non-finite values mapped to null, and
-exact rationals rendered as "p/q" strings.  CSV follows the same float rule
-with '.' decimals, ',' separators, and '\\n' line endings.
+exact rationals rendered as "p/q" strings.  Strings and keys are quoted by
+json's C encoder ``encode_basestring_ascii``, as ``json.dumps`` quotes them:
+'"' and '\\' are backslash-escaped, control characters use the short escapes
+or \\u00XX, and every non-ASCII character becomes \\uXXXX (a surrogate pair
+beyond the Basic Multilingual Plane).  CSV follows the same float rule with
+'.' decimals, ',' separators, and '\\n' line endings.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -26,55 +30,76 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _render(obj, indent: int, out: list) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
+def _render(obj, pad: str, out: list) -> None:
+    # dispatch on the exact types a report is mostly made of first; None,
+    # bools, Fractions, ints, numpy scalars and arrays and subclasses take the
+    # isinstance chain below
+    t = type(obj)
+    if t is str:
+        out.append(_quote(obj))
+    elif t is float:
+        out.append(format_float(obj))
+    elif t is dict:
+        _render_dict(obj, pad, out)
+    elif t is list or t is tuple:
+        _render_list(obj, pad, out)
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, Fraction):
-        out.append(json.dumps(str(obj)))
+        out.append(_quote(str(obj)))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, dict):
-        keys = list(obj.keys())
-        if any(not isinstance(k, str) for k in keys):
-            raise TypeError("JSON object keys must be strings")
-        if not keys:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for pos, k in enumerate(sorted(keys)):
-            out.append(inner)
-            out.append(json.dumps(k))
-            out.append(": ")
-            _render(obj[k], indent + 1, out)
-            out.append(",\n" if pos < len(keys) - 1 else "\n")
-        out.append(pad + "}")
+        _render_dict(obj, pad, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for pos, item in enumerate(items):
-            out.append(inner)
-            _render(item, indent + 1, out)
-            out.append(",\n" if pos < len(items) - 1 else "\n")
-        out.append(pad + "]")
+        _render_list(list(obj), pad, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render_dict(obj: dict, pad: str, out: list) -> None:
+    for k in obj:
+        if not isinstance(k, str):
+            raise TypeError("JSON object keys must be strings")
+    if not obj:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    first = len(out)
+    for k in sorted(obj):
+        out.append(sep)
+        out.append(_quote(k))
+        out.append(": ")
+        _render(obj[k], inner, out)
+    out[first] = "{\n" + inner  # the first item opens the object instead of a comma
+    out.append("\n" + pad + "}")
+
+
+def _render_list(items, pad: str, out: list) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    first = len(out)
+    for item in items:
+        out.append(sep)
+        _render(item, inner, out)
+    out[first] = "[\n" + inner  # likewise for the array
+    out.append("\n" + pad + "]")
 
 
 def dumps(obj) -> str:
     """Canonical JSON text with a trailing newline."""
     out: list = []
-    _render(obj, 0, out)
+    _render(obj, "", out)
     out.append("\n")
     return "".join(out)
 

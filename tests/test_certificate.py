@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,6 +28,7 @@ from curvednbody import (
     canonicalize,
     certify,
     classify_case,
+    cyclic_gaps,
     decompose,
     delta_gamma,
     find_contradiction_j,
@@ -274,6 +276,14 @@ class TestClassifyCase:
         cert = classify_case(cfg, 3)
         assert cert.case_tag == "case1"
         assert cert.failing_equation == "delta"
+
+    def test_half_turn_guard_reads_the_residues(self, monkeypatch):
+        # no real u pairing meets s_j1 = 0; forge one to reach the guard
+        monkeypatch.setattr(certificate, "pairing_u", lambda cfg, j: j)
+        with pytest.raises(InternalConsistencyError, match="s_j1 = 0 at witness j=3"):
+            classify_case(turns(0, "1/8", "1/2"), 3)
+        # alpha_4 - alpha_1 = 3/8 of a turn: not a half turn, so no guard
+        assert classify_case(turns(0, "1/8", "1/4", "3/8"), 4).case_tag == "case2u"
 
     def test_case2u_fixture(self):
         cfg = turns(0, "1/8", "3/8", "3/4")
@@ -562,6 +572,23 @@ class TestCertify:
         assert "j = 3" in text
         assert "positive masses" in text
         assert "infeasible" in text
+
+    @pytest.mark.parametrize(
+        "angles, j, succ, gap",
+        [
+            (("1/3", "7/12", "3/4", "11/12"), 3, 4, "5/12"),
+            (("1/11", "4/11", "6/11"), 3, 1, "3/11"),
+            (("0", "1/6", "2/3", "5/6"), 4, 1, "1/2"),
+            (("1/3", "4/9", "5/9", "2/3", "7/9", "8/9"), 6, 1, "4/9"),
+        ],
+    )
+    def test_narrative_witness_gap(self, angles, j, succ, gap):
+        # j < n prints gap(j, j+1); j = n prints the wrap gap back to vertex 1
+        cert = certify(turns(*angles))
+        assert (cert.special_j, cert.canonical.n == j) == (j, succ == 1)
+        found = re.findall(r"gap\((\d+),(\d+)\) = (\S+) differs", cert.narrative)
+        assert found == [(str(j), str(succ), gap)]
+        assert gap == str(cyclic_gaps(cert.canonical)[j - 1])
 
     def test_batch_agreement_with_feasibility(self):
         rng = random.Random(29)

@@ -11,7 +11,9 @@ import random
 import re
 import subprocess
 import sys
+from collections import OrderedDict, namedtuple
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 
 import curvednbody
 from curvednbody import ConfigError, cli, criterion_check, rho_grid
-from curvednbody.jsonout import csv_text, format_float
+from curvednbody.jsonout import csv_text, dumps, format_float
 
 
 def run_cli(argv):
@@ -574,6 +576,114 @@ class TestCsvText:
     def test_float_cells(self):
         rows = [[0.5, np.float64(0.1)], [math.nan, -math.inf]]
         assert csv_text(["a", "b"], rows) == "a,b\n0.5,0.10000000000000001\nnan,nan\n"
+
+
+class TestDumps:
+    """Exact bytes of every branch of the JSON renderer."""
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (None, "null"),
+            (True, "true"),
+            (False, "false"),
+            (np.bool_(True), "true"),
+            (np.bool_(False), "false"),
+            (0, "0"),
+            (-12, "-12"),
+            (np.int64(-7), "-7"),
+            (-0.0, "-0"),
+            (0.1, "0.10000000000000001"),
+            (1e-300, "1e-300"),
+            (1.0 / 3.0, "0.33333333333333331"),
+            (math.nan, "null"),
+            (math.inf, "null"),
+            (-math.inf, "null"),
+            (np.float64(0.1), "0.10000000000000001"),
+            (np.float64(math.inf), "null"),
+            (Fraction(3, 7), '"3/7"'),
+            (Fraction(2), '"2"'),
+            (Fraction(-1, 2), '"-1/2"'),
+        ],
+    )
+    def test_scalars(self, value, text):
+        assert dumps(value) == text + "\n"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            ("", '""'),
+            ('say "hi"', '"say \\"hi\\""'),
+            ("back\\slash", '"back\\\\slash"'),
+            ("a\nb\tc\r\x01\x1f\x7f", '"a\\nb\\tc\\r\\u0001\\u001f\\u007f"'),
+            ("\b\f", '"\\b\\f"'),
+            ("caf\u00e9 \u03c1", '"caf\\u00e9 \\u03c1"'),
+            ("\U0001d70c", '"\\ud835\\udf0c"'),
+        ],
+    )
+    def test_strings(self, value, text):
+        assert dumps(value) == text + "\n"
+
+    def test_empty_containers(self):
+        for value, text in (({}, "{}"), ([], "[]"), ((), "[]"), (np.array([]), "[]")):
+            assert dumps(value) == text + "\n"
+
+    def test_nested(self):
+        doc = {"b": [1, {"c": (), "d": None}], "a": {}, "e": ("x", [2.5])}
+        assert dumps(doc) == (
+            "{\n"
+            '  "a": {},\n'
+            '  "b": [\n'
+            "    1,\n"
+            "    {\n"
+            '      "c": [],\n'
+            '      "d": null\n'
+            "    }\n"
+            "  ],\n"
+            '  "e": [\n'
+            '    "x",\n'
+            "    [\n"
+            "      2.5\n"
+            "    ]\n"
+            "  ]\n"
+            "}\n"
+        )
+
+    def test_arrays(self):
+        assert dumps(np.array([1.5, 0.1])) == "[\n  1.5,\n  0.10000000000000001\n]\n"
+        assert dumps(np.array([[1, 2], [3, 4]])) == (
+            "[\n  [\n    1,\n    2\n  ],\n  [\n    3,\n    4\n  ]\n]\n"
+        )
+        assert dumps({"m": np.array([True, False])}) == (
+            '{\n  "m": [\n    true,\n    false\n  ]\n}\n'
+        )
+
+    def test_keys_sorted_and_quoted(self):
+        doc = {"b": 1, "a": 2, "B": 3, "aa": 4, "\u00e9": 5, 'q"': 6}
+        assert dumps(doc) == (
+            '{\n  "B": 3,\n  "a": 2,\n  "aa": 4,\n  "b": 1,\n  "q\\"": 6,\n  "\\u00e9": 5\n}\n'
+        )
+
+    def test_subclasses_render_as_their_base(self):
+        class Label(str):
+            pass
+
+        Pair = namedtuple("Pair", "x y")
+        doc = OrderedDict([("z", Label("s\u00e9")), (Label("y"), Pair(1, 0.5))])
+        assert dumps(doc) == (
+            '{\n  "y": [\n    1,\n    0.5\n  ],\n  "z": "s\\u00e9"\n}\n'
+        )
+
+    def test_rejects_non_string_keys(self):
+        for doc in ({1: "a"}, {"a": {None: 1}}, {"a": 1, 2: "b"}):
+            with pytest.raises(TypeError, match="^JSON object keys must be strings$"):
+                dumps(doc)
+
+    def test_rejects_unsupported_types(self):
+        with pytest.raises(TypeError, match="^cannot serialize set$"):
+            dumps({1, 2})
+        with pytest.raises(TypeError, match="^cannot serialize set$"):
+            dumps({"a": [set()]})
 
 
 class TestConsoleScript:

@@ -342,6 +342,93 @@ def test_is_regular():
     assert not is_regular(turns(0, "1/4", "1/2", "5/8"))
 
 
+def gap_regular(cfg):
+    """Reference: every cyclic gap is exactly 1/n."""
+    return all(g == F(1, cfg.n) for g in cyclic_gaps(cfg))
+
+
+def rotated(cfg, offset):
+    return PolygonConfig.from_turns(sorted((a + offset) % 1 for a in cfg.turns))
+
+
+class TestResidues:
+    """Integer turn residues against their Fraction definitions."""
+
+    @staticmethod
+    def polygons():
+        rng = random.Random(59)
+        polys = [
+            turns("1/8", "3/8", "7/8"),
+            turns(0, "1/4", "1/2"),
+            turns("1/6", "1/2", "5/6"),
+            turns("1/10", "3/10", "7/10", "9/10"),
+        ]
+        for n in range(3, 10):
+            for q in (2 * n + 2, 60, 10**4):
+                polys.append(random_irregular_polygon(rng, n, q))
+            polys.append(PolygonConfig.from_turns(F(k, n) for k in range(n)))
+        return polys + [rotated(p, F(rng.randrange(1, 97), 97)) for p in polys]
+
+    def test_residues_are_the_lcm_formula(self):
+        for p in self.polygons():
+            full = math.lcm(*(a.denominator for a in p.turns))
+            assert p.residues == (tuple(int(a * full) for a in p.turns), full)
+
+    def test_canonical_polygon_carries_its_residues(self):
+        for p in self.polygons():
+            can = canonicalize(p)
+            fresh = PolygonConfig(can.angles, "exact")
+            assert can.canonical_residues == can.residues == fresh.canonical_residues
+            assert fresh.residues == can.residues
+
+    def test_is_regular_matches_gap_definition(self):
+        polys = [
+            # regular with an offset, so L is a multiple of n but not n
+            PolygonConfig.from_turns(F(1, 7) + F(k, 3) for k in range(3)),
+            PolygonConfig.from_turns(F(1, 10) + F(k, 4) for k in range(4)),
+            PolygonConfig.from_turns(F(5, 72) + F(k, 6) for k in range(6)),
+            # irregular although n divides L
+            turns(0, "1/6", "1/2"),
+            turns(0, "1/3", "1/2"),
+            turns(0, "1/8", "1/2", "3/4"),
+            turns(0, "1/4", "1/2", "5/8"),
+            turns("1/12", "5/12", "2/3"),
+            turns(0, "1/9", "1/3"),
+        ]
+        polys += self.polygons()
+        polys += [rotated(p, F(k, 11)) for p in polys for k in (1, 5)]
+        assert sum(gap_regular(p) for p in polys) >= 10
+        for p in polys:
+            assert is_regular(p) == gap_regular(p), p.turns
+
+    @pytest.mark.parametrize(
+        "angles, message",
+        [
+            ((F(-1, 3), F(0), F(1, 2)), "turn angle -1/3 outside [0, 1)"),
+            ((0, F(1, 2), 1), "turn angle 1 outside [0, 1)"),
+            ((0, "1/2", "3/2"), "turn angle 3/2 outside [0, 1)"),
+            ((0, "1/4", "1/4"), "angles must be strictly increasing, got 1/4 >= 1/4"),
+            ((0, "1/2", "1/4"), "angles must be strictly increasing, got 1/2 >= 1/4"),
+            ((0, "1/2", 0.25), "angles must be strictly increasing, got 1/2 >= 1/4"),
+            ((0.5, "1/3", 0), "angles must be strictly increasing, got 1/2 >= 1/3"),
+            ((0, 0.5, 1.25), "turn angle 5/4 outside [0, 1)"),
+        ],
+    )
+    def test_validation_messages(self, angles, message):
+        for build in (lambda: PolygonConfig(angles, "exact"),
+                      lambda: PolygonConfig.from_turns(angles)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_mixed_exact_inputs(self):
+        cfg = PolygonConfig((0, "1/4", 0.5, F(3, 4)), "exact")
+        assert cfg.turns == (F(0), F(1, 4), F(1, 2), F(3, 4))
+        assert all(type(a) is F for a in cfg.turns)
+        assert cfg.residues == ((0, 1, 2, 3), 4)
+        assert PolygonConfig.from_turns(iter(["1/5", "2/5", "4/5"])).residues == ((1, 2, 4), 5)
+
+
 class TestRhoGrid:
     def test_positive_branch_interior(self):
         g = rho_grid(1.0, 20)
