@@ -15,7 +15,6 @@ from .certificate import (
     Certificate,
     CoefficientSystem,
     FeasibilityResult,
-    GroupTerm,
     MassForm,
     WitnessForm,
     base_groups,
@@ -117,7 +116,6 @@ __all__ = [
     "mu_derivative",
     "decompose",
     "MassForm",
-    "GroupTerm",
     "BaseGroup",
     "CoefficientSystem",
     "base_groups",

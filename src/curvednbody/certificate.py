@@ -6,18 +6,23 @@ derivative is a linear combination of exponential-like terms a_ji * g_ji^k
 with base g_ji = c_ji / (2 - c_ji rho); bases with distinct c are distinct,
 so each group of equal-c terms must cancel on its own.  For an irregular
 polygon in canonical rotation there is a vertex index j whose group cannot
-cancel with positive masses, and this module mechanizes that argument:
+cancel with positive masses, and this module mechanizes that argument along
+three routes that share only the canonical rotation and its turn residues:
 
-  * base_groups groups the terms of the two differences by their exact turn
-    class and scales each group's linear form over the masses by its
-    amplitude at one rho,
-  * find_contradiction_j locates the witness index,
-  * classify_case derives the non-vanishing coefficient form(s),
+  * the grouping (_difference_groups) sorts the 2n - 3 terms of the two
+    differences by exact chord class into integer delta and gamma rows;
+    base_groups scales them by their amplitude at one rho,
+  * the case analysis: find_contradiction_j locates the witness index and
+    classify_case derives the non-vanishing coefficient form(s) from the
+    pairing identities,
   * mass_feasibility independently decides whether positive masses exist:
     it builds one integer row per chord class for every difference
     delta_i - delta_1 and gamma_i - gamma_1 straight from the turn residues,
-    and solves {A m = 0, m >= 1} exactly,
-  * certify requires the two routes to agree.
+    and solves {A m = 0, m >= 1} exactly.
+
+certify requires all three to agree: each witness form must be the group of
+the (j,1) term (the witness check), and the feasibility search must find no
+masses.
 
 Angle arithmetic on the certification path is exact (rational fractions of a
 turn, held as integer residues modulo their common denominator), so group
@@ -50,7 +55,6 @@ from .errors import (
 
 __all__ = [
     "MassForm",
-    "GroupTerm",
     "BaseGroup",
     "CoefficientSystem",
     "WitnessForm",
@@ -73,6 +77,11 @@ __all__ = [
 # polygon revisited only after many others is solved again, which costs time
 # and never changes a result.
 _MEMO_POLYGONS = 32
+
+# The mass floor that feasibility reports name.  The system is homogeneous,
+# so the verdict never depends on it, and the witness masses, whose smallest
+# is 1, already clear it.
+_MASS_FLOOR = 1e-9
 
 
 def mu_derivative(c: float, rho, k: int) -> float:
@@ -138,25 +147,12 @@ class MassForm:
     def value(self, masses) -> float:
         return float(np.dot(self.coeffs, np.asarray(masses, dtype=float)))
 
-    def scaled(self, factor: float) -> "MassForm":
-        return MassForm(tuple(factor * x for x in self.coeffs))
-
     @staticmethod
     def from_terms(n: int, terms: dict[int, float]) -> "MassForm":
         coeffs = [0.0] * n
         for idx, coeff in terms.items():
             coeffs[idx - 1] += coeff
         return MassForm(tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class GroupTerm:
-    """One ordered-pair term of a difference equation, before group scaling."""
-
-    j: int
-    i: int
-    equation: str  # "delta" | "gamma"
-    form: MassForm
 
 
 @dataclass(frozen=True)
@@ -167,9 +163,9 @@ class BaseGroup:
     c: float
     a: float
     g: float
-    members: tuple[GroupTerm, ...]
-    delta_form: MassForm  # sum of member delta forms, scaled by a
-    gamma_form: MassForm
+    members: tuple[tuple[int, int], ...]  # the (j, i) pairs of the group's terms
+    delta_form: MassForm  # integer delta row, scaled by a
+    gamma_form: MassForm  # gamma sign row, scaled by a * |s/c|
 
 
 @dataclass(frozen=True)
@@ -198,63 +194,36 @@ def _require_canonical(cfg: PolygonConfig):
         raise ValueError("polygon must be in canonical rotation (minimal first gap)")
 
 
-def _difference_terms(cfg: PolygonConfig):
-    """Ordered-pair terms of the two difference equations.
+def _difference_groups(res: tuple[int, ...], full: int):
+    """The paper's grouping of delta_1 - delta_2 and gamma_1 - gamma_2.
 
-    The delta difference 0 = delta_1 - delta_2 carries (m_2 - m_1) on the
-    merged (2,1) term and +/- m_j on (j,1), (j,2) for j = 3..n; the gamma
-    difference carries (m_1 + m_2) s_21/c_21 on (2,1) and +/- m_j s_ji/c_ji
-    elsewhere.  Gamma terms of half-turn pairs have s = 0, vanish identically
-    and are omitted.  Each term carries its turn class, the Fraction
-    min(d, 1 - d) of the separation d mod 1, which determines c exactly.
+    The delta difference carries (m_2 - m_1) on the merged (2,1) term and
+    +/- m_j on (j,1), (j,2) for j = 3..n; the gamma difference carries
+    (m_1 + m_2) s_21/c_21 on (2,1) and +/- m_j s_ji/c_ji elsewhere.  Terms
+    whose separations d = alpha_j - alpha_i (mod 1) share the class
+    k = min(d, 1 - d) share c, and their s/c differ only in sign, positive
+    for d < 1/2; a half-turn term has s = 0 and drops from gamma.  Only the
+    turn residues res modulo full are read.  Returns {k: (members, delta
+    row, gamma row)} with k a residue modulo full, members the (j, i) pairs
+    of the class, and integer rows over the masses; the gamma row leaves
+    out the common factor |s/c| of its class.
     """
-    rad = cfg.radians
-    res, full = cfg.residues
-    out = []  # (j, i, turn class, delta terms, gamma terms or None)
-    pairs = [(2, 1, {2: 1.0, 1: -1.0}, {1: 1.0, 2: 1.0})]
-    for j in range(3, cfg.n + 1):
-        pairs.append((j, 1, {j: 1.0}, {j: 1.0}))
-        pairs.append((j, 2, {j: -1.0}, {j: -1.0}))
-    for j, i, dterms, gterms in pairs:
-        d_res = (res[j - 1] - res[i - 1]) % full
-        gamma = None
-        if 2 * d_res != full:
-            d = rad[j - 1] - rad[i - 1]
-            t = math.sin(d) / (1.0 - math.cos(d))
-            gamma = {idx: coeff * t for idx, coeff in gterms.items()}
-        out.append((j, i, Fraction(min(d_res, full - d_res), full), dterms, gamma))
-    return out
-
-
-def _grouped_forms(cfg: PolygonConfig):
-    """Group the difference-equation terms by turn class, in increasing c.
-
-    The rational turn class decides c equality with no tolerance.  Returns
-    (key, c, members, delta_form, gamma_form) per group, with forms not yet
-    scaled by the amplitude: nothing here depends on rho.
-    """
-    terms = _difference_terms(cfg)
-    n = cfg.n
-    grouped: dict[Fraction, list[int]] = {}
-    for idx, (_, _, klass, _, _) in enumerate(terms):
-        grouped.setdefault(klass, []).append(idx)
-    groups = []
-    for key in sorted(grouped):
-        c_rep = 1.0 - math.cos(2.0 * math.pi * float(key))
-        members = []
-        delta_total = MassForm((0.0,) * n)
-        gamma_total = MassForm((0.0,) * n)
-        for idx in grouped[key]:
-            j, i, _, dterms, gterms = terms[idx]
-            dform = MassForm.from_terms(n, dterms)
-            members.append(GroupTerm(j, i, "delta", dform))
-            delta_total = MassForm(tuple(x + y for x, y in zip(delta_total.coeffs, dform.coeffs)))
-            if gterms is not None:
-                gform = MassForm.from_terms(n, gterms)
-                members.append(GroupTerm(j, i, "gamma", gform))
-                gamma_total = MassForm(tuple(x + y for x, y in zip(gamma_total.coeffs, gform.coeffs)))
-        groups.append((key, c_rep, tuple(members), delta_total, gamma_total))
-    return tuple(groups)
+    n = len(res)
+    # (j, i, delta terms, gamma terms before the sign of s), as (vertex, coefficient)
+    terms = [(2, 1, ((2, 1), (1, -1)), ((1, 1), (2, 1)))]
+    for j in range(3, n + 1):
+        terms += [(j, 1, ((j, 1),), ((j, 1),)), (j, 2, ((j, -1),), ((j, -1),))]
+    groups: dict[int, tuple[list[tuple[int, int]], list[int], list[int]]] = {}
+    for j, i, delta, gamma in terms:
+        d = (res[j - 1] - res[i - 1]) % full
+        members, drow, grow = groups.setdefault(min(d, full - d), ([], [0] * n, [0] * n))
+        members.append((j, i))
+        sign = (2 * d < full) - (2 * d > full)  # sign of s; 0 at a half turn
+        for idx, x in delta:
+            drow[idx - 1] += x
+        for idx, x in gamma:
+            grow[idx - 1] += sign * x
+    return groups
 
 
 def _class_forms(res: tuple[int, ...], full: int):
@@ -397,25 +366,30 @@ def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, tuple[Fractio
 def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
     """Group the difference-equation terms by chord value at the given rho.
 
-    Needs exact turn angles.  The groups are those of _grouped_forms, which
-    do not depend on rho; here each group's forms carry the shared amplitude
-    a(c, rho) as a positive common factor, and the bases g must increase
-    strictly with c.
+    Needs exact turn angles.  The groups are those of _difference_groups,
+    which do not depend on rho, in increasing c; here each group's rows carry
+    the shared amplitude a(c, rho) as a positive common factor, the gamma row
+    also the class's |s/c|, and the bases g must increase strictly with c.
     """
     _require_canonical(cfg)
     rho_v = _rho_value(rho)
+    res, full = cfg.residues
     groups = []
-    for key, c, members, delta_form, gamma_form in _grouped_forms(cfg):
+    for k, (members, delta, gamma) in sorted(_difference_groups(res, full).items()):
+        key = Fraction(k, full)
+        angle = 2.0 * math.pi * float(key)
+        c = 1.0 - math.cos(angle)
         a, g = decompose(c, rho_v)
+        t = a * math.sin(angle) / c
         groups.append(
             BaseGroup(
                 key=key,
                 c=c,
                 a=a,
                 g=g,
-                members=members,
-                delta_form=delta_form.scaled(a),
-                gamma_form=gamma_form.scaled(a),
+                members=tuple(members),
+                delta_form=MassForm(tuple(a * x for x in delta)),
+                gamma_form=MassForm(tuple(t * x for x in gamma)),
             )
         )
     for g0, g1 in zip(groups, groups[1:]):
@@ -756,42 +730,64 @@ class FeasibilityResult:
         }
 
 
-def mass_feasibility(cfg: PolygonConfig, rho, floor: float = 1e-9) -> FeasibilityResult:
+def mass_feasibility(cfg: PolygonConfig, rho) -> FeasibilityResult:
     """Search for positive masses killing every chord-class coefficient.
 
-    Decides {A m = 0, m_i >= floor} exactly, with A the integer class rows
+    Decides {A m = 0, m_i > 0} exactly, with A the integer class rows
     of every difference delta_i - delta_1 and gamma_i - gamma_1; the system is
-    homogeneous, so the verdict is independent of the floor and of rho, and
+    homogeneous, so the verdict is independent of any floor and of rho, and
     is found once per polygon with min(m) = 1.  At the given rho every class
     must lie in the kernel domain; 2 - c*rho is monotone in c, so checking
     the largest chord checks them all.  Witness masses are reported in
     canonical vertex order; they solve the rows exactly, so the residual
     is 0.
     """
-    if not 0.0 < floor < math.inf:
-        raise ValueError(f"mass floor must be positive and finite, got {floor!r}")
     rho_v = _rho_value(rho)
     widest, masses = _exact_system(*cfg.canonical_residues)
     _check_kernel_domain(widest, rho_v)
     if masses is None:
-        return FeasibilityResult(False, None, math.inf, rho_v, floor)
-    scale = max(floor, 1.0)
-    return FeasibilityResult(True, tuple(float(m) * scale for m in masses), 0.0, rho_v, floor)
+        return FeasibilityResult(False, None, math.inf, rho_v, _MASS_FLOOR)
+    return FeasibilityResult(True, tuple(float(m) for m in masses), 0.0, rho_v, _MASS_FLOOR)
+
+
+def _check_witness(cert: Certificate):
+    """Require each witness form to be the group of the (j,1) term.
+
+    The grouping reads only the turn residues, never the pairings, so a
+    pairing fault that changes the case changes the witness form and fails
+    here.  A delta form must equal the group's integer delta row; a gamma
+    form must equal its sign row times one factor, the witness coefficient
+    at j over the row's entry there (+/-1 or +/-2), which carries s_j1/c_j1.
+    """
+    res, full = cert.canonical.residues
+    j = cert.special_j
+    d = (res[j - 1] - res[0]) % full
+    _, delta, gamma = _difference_groups(res, full)[min(d, full - d)]
+    for wf in cert.witness_forms:
+        row, t = delta, 1.0
+        if wf.equation == "gamma":
+            row, t = gamma, (wf.form.coeffs[j - 1] / gamma[j - 1] if gamma[j - 1] else 0.0)
+        if not t or wf.form.coeffs != tuple(t * x for x in row):
+            raise InternalConsistencyError(
+                f"{cert.case_tag} {wf.equation} witness form {wf.form.coeffs} at j={j} "
+                f"is not the group of the ({j},1) term, row {tuple(row)}"
+            )
 
 
 def certify(cfg: PolygonConfig, rho=None) -> Certificate:
     """Produce the full nonexistence certificate for an irregular polygon.
 
-    Canonicalizes, locates the witness index, runs the case analysis, and
-    cross-checks against the independent feasibility search at a fixed
-    interior rho (default 1/2; pass a negative rho for the hyperbolic
-    branch).  The two routes disagreeing is an internal error, never a
-    result.
+    Canonicalizes, locates the witness index, runs the case analysis,
+    checks its witness forms against the paper's grouping, and cross-checks
+    against the independent feasibility search at a fixed interior rho
+    (default 1/2; pass a negative rho for the hyperbolic branch).  Any of
+    the three routes disagreeing is an internal error, never a result.
     """
     canon = canonicalize(cfg)
     # raises ValueError for float angles, RegularPolygonError for a regular polygon
     j = find_contradiction_j(canon)
     cert = classify_case(canon, j)
+    _check_witness(cert)
     rho_v = 0.5 if rho is None else _rho_value(rho)
     feas = mass_feasibility(canon, rho_v)
     if feas.feasible:

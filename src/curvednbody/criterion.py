@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# Float polygons count as regular when every gap is within this of 2*pi/n.
+_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -351,8 +353,8 @@ def cyclic_gaps(cfg: PolygonConfig) -> tuple:
     return tuple(a[i + 1] - a[i] for i in range(len(a) - 1)) + (full - a[-1] + a[0],)
 
 
-def is_regular(cfg: PolygonConfig, tol: float = 1e-9) -> bool:
-    """All cyclic gaps equal (exactly in exact mode, within tol in float mode).
+def is_regular(cfg: PolygonConfig) -> bool:
+    """All cyclic gaps equal (exactly in exact mode, within _GAP_TOL in float mode).
 
     Exact polygons compare residues: every gap is L/n iff n divides L and
     r_k - r_0 = k * L/n.
@@ -363,7 +365,7 @@ def is_regular(cfg: PolygonConfig, tol: float = 1e-9) -> bool:
         return rem == 0 and all(r - res[0] == k * step for k, r in enumerate(res))
     gaps = cyclic_gaps(cfg)
     target = TWO_PI / cfg.n
-    return all(abs(float(g) - target) <= tol for g in gaps)
+    return all(abs(float(g) - target) <= _GAP_TOL for g in gaps)
 
 
 def rho_grid(kappa: float, count: int) -> tuple[float, ...]:

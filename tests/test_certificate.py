@@ -10,6 +10,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -160,8 +161,7 @@ class TestBaseGroups:
         system = base_groups(turns(0, "1/5", "1/2"), 0.25)
         assert len(system.groups) == 3
         for grp in system.groups:
-            pairs = {(term.j, term.i) for term in grp.members}
-            assert len(pairs) == 1
+            assert len(set(grp.members)) == 1
 
     def test_group_bases_strictly_increasing(self, pyrng):
         rng = random.Random(5)
@@ -370,7 +370,7 @@ class TestMassForm:
     def test_value_and_scaling(self):
         form = MassForm((1.0, -2.0))
         assert form.value((3.0, 1.0)) == 1.0
-        assert form.scaled(2.0).coeffs == (2.0, -4.0)
+        assert form.value((6.0, 2.0)) == 2.0
 
     def test_from_terms_accumulates_repeats(self):
         form = MassForm.from_terms(3, {2: 1.0})
@@ -392,17 +392,7 @@ class TestMassFeasibility:
         res = mass_feasibility(turns(0, "1/4", "1/2"), 0.5)
         assert not res.feasible
         assert res.masses is None
-
-    def test_floor_scales_witness(self):
-        cfg = PolygonConfig.from_turns(tuple(F(k, 4) for k in range(4)))
-        res = mass_feasibility(cfg, 0.5, floor=2.0)
-        assert res.feasible
-        assert min(res.masses) >= 2.0 - 1e-12
-
-    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
-    def test_floor_must_be_positive_and_finite(self, floor):
-        with pytest.raises(ValueError, match="mass floor must be positive and finite"):
-            mass_feasibility(turns(0, "1/3", "2/3"), 0.5, floor=floor)
+        assert res.to_json_dict()["floor"] == 1e-9
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
     def test_non_finite_rho_rejected(self, rho):
@@ -678,12 +668,20 @@ def class_differences(cfg, masses, rho):
     return dd, gg
 
 
+def group_differences(cfg, masses, rho):
+    """delta_1 - delta_2 and gamma_1 - gamma_2 rebuilt from base_groups (mu = a/c)."""
+    groups = base_groups(cfg, rho).groups
+    return (sum(grp.delta_form.value(masses) / grp.c for grp in groups),
+            sum(grp.gamma_form.value(masses) / grp.c for grp in groups))
+
+
 class TestClassRows:
     """The exact route's rows, built from turn residues alone."""
 
     def test_rows_reproduce_delta_gamma(self):
-        # at any masses and rho, summing the class rows at their kernels gives
-        # back every difference that delta_gamma computes directly
+        # at any masses and rho, summing the class rows (or the paper's groups)
+        # at their kernels gives back every difference that delta_gamma
+        # computes directly
         rng = random.Random(71)
         polygons = [turns(0, "1/8", "1/2", "5/8"), turns(0, "1/5", "2/5", "3/5"),
                     turns(0, "1/6", "1/3", "1/2", "2/3")]
@@ -697,6 +695,9 @@ class TestClassRows:
                 scale = np.max(np.abs(deltas)) + np.max(np.abs(gammas))
                 np.testing.assert_allclose(dd, deltas[1:] - deltas[0], rtol=0, atol=1e-12 * scale)
                 np.testing.assert_allclose(gg, gammas[1:] - gammas[0], rtol=0, atol=1e-12 * scale)
+                d12, g12 = group_differences(cfg, masses, rho)
+                assert abs(d12 - (deltas[0] - deltas[1])) <= 1e-12 * scale
+                assert abs(g12 - (gammas[0] - gammas[1])) <= 1e-12 * scale
 
     def test_rank_is_n_exactly_when_irregular(self):
         rng = random.Random(73)
@@ -718,31 +719,94 @@ CASE_FIXTURES = [
 ]
 
 
+PAIRINGS = ("pairing_possibility1", "pairing_u", "pairing_v")
+
+
 class TestIndependentRoutes:
-    def test_feasibility_reads_no_case_analysis_forms(self, monkeypatch):
-        polygons = [PolygonConfig.from_turns(tuple(F(k, 7) for k in range(7)))]
-        polygons += [turns(*t) for t in CASE_FIXTURES]
-        assert {classify_case(p, find_contradiction_j(p)).case_tag for p in polygons[1:]} == {
+    """The grouping, the case analysis and the feasibility search read none of each other."""
+
+    POLYGONS = [PolygonConfig.from_turns(tuple(F(k, 7) for k in range(7)))]
+    POLYGONS += [turns(*t) for t in CASE_FIXTURES]
+
+    @staticmethod
+    def unavailable(monkeypatch, names):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("another route's code was read")
+
+        for name in names:
+            monkeypatch.setattr(certificate, name, unavailable)
+
+    def test_fixtures_cover_every_case(self):
+        assert {classify_case(p, find_contradiction_j(p)).case_tag for p in self.POLYGONS[1:]} == {
             "case1", "case2u", "case2v", "case3"}
 
+    def test_feasibility_reads_no_case_analysis_forms(self, monkeypatch):
         def snapshot():
             certificate._exact_system.cache_clear()
-            out = []
-            for poly in polygons:
-                for rho in (0.25, 0.5, -1.0, -10.0):
-                    out.append(dumps(mass_feasibility(poly, rho).to_json_dict()))
-                if not is_regular(poly):
-                    out.append(dumps(certify(poly, 0.5).to_json_dict()))
-            return out
+            return [dumps(mass_feasibility(poly, rho).to_json_dict())
+                    for poly in self.POLYGONS for rho in (0.25, 0.5, -1.0, -10.0)]
 
         expected = snapshot()
-
-        def unavailable(*args, **kwargs):
-            raise AssertionError("the case analysis's grouped forms were read")
-
-        monkeypatch.setattr(certificate, "_difference_terms", unavailable)
-        monkeypatch.setattr(certificate, "_grouped_forms", unavailable)
+        self.unavailable(monkeypatch, ("_difference_groups",) + PAIRINGS)
         assert snapshot() == expected
+
+    def test_grouping_reads_no_other_route(self, monkeypatch):
+        def snapshot():
+            return [repr(base_groups(poly, rho)) for poly in self.POLYGONS for rho in (0.5, -1.0)]
+
+        expected = snapshot()
+        self.unavailable(monkeypatch, ("_class_forms", "_positive_kernel_point") + PAIRINGS)
+        assert snapshot() == expected
+
+    def test_case_analysis_reads_no_other_route(self, monkeypatch):
+        def snapshot():
+            return [repr(classify_case(poly, find_contradiction_j(poly))) for poly in self.POLYGONS[1:]]
+
+        expected = snapshot()
+        self.unavailable(monkeypatch, ("_class_forms", "_difference_groups"))
+        assert snapshot() == expected
+
+
+class TestWitnessCheck:
+    """certify compares each witness form with the group of the (j,1) term."""
+
+    # (fixture, its case, pairings whose loss changes the witness form)
+    MUTATIONS = [
+        (("0", "1/8", "3/8", "3/4"), "case2u", ("pairing_u",)),
+        (("0", "1/8", "1/4", "3/4"), "case2v", ("pairing_v",)),
+        (("0", "1/6", "1/3", "1/2", "2/3"), "case3", ("pairing_u", "pairing_v")),
+        (("0", "1/5", "2/5", "3/5"), "case3", ("pairing_u", "pairing_v", "pairing_possibility1")),
+        (("0", "1/8", "1/4", "3/8"), "case1", ("pairing_possibility1",)),
+    ]
+
+    @pytest.mark.parametrize("pairing", PAIRINGS)
+    def test_lost_pairing_raises(self, monkeypatch, pairing):
+        fixtures = [(turns(*t), case) for t, case, lost in self.MUTATIONS if pairing in lost]
+        for poly, case in fixtures:
+            cert = certify(poly)
+            assert cert.case_tag == case
+            assert pairing != "pairing_possibility1" or cert.special_j > 3
+        monkeypatch.setattr(certificate, pairing, lambda cfg, j: None)
+        for poly, _ in fixtures:
+            with pytest.raises(InternalConsistencyError, match="is not the group of the"):
+                certify(poly)
+
+    def test_gamma_form_needs_one_common_factor(self, monkeypatch):
+        # the case3 gamma form m5 - m3 + m4, times s_j1/c_j1, with m3 halved
+        classify = certificate.classify_case
+
+        def skewed(cfg, j):
+            cert = classify(cfg, j)
+            dform, gform = cert.witness_forms
+            coeffs = list(gform.form.coeffs)
+            coeffs[2] /= 2.0
+            return replace(cert, witness_forms=(dform, replace(gform, form=MassForm(tuple(coeffs)))))
+
+        poly = turns(0, "1/6", "1/3", "1/2", "2/3")
+        certify(poly)
+        monkeypatch.setattr(certificate, "classify_case", skewed)
+        with pytest.raises(InternalConsistencyError, match="gamma witness form"):
+            certify(poly)
 
 
 def certificate_outputs_digest():
