@@ -10,6 +10,8 @@ independent exact mass-feasibility search that cross-checks the
 certificate, and a batch CLI.
 """
 
+import importlib
+
 from .certificate import (
     BaseGroup,
     Certificate,
@@ -28,39 +30,6 @@ from .certificate import (
     pairing_u,
     pairing_v,
 )
-from .criterion import (
-    CriterionReport,
-    MassVector,
-    PolygonConfig,
-    Rho,
-    canonicalize,
-    chord_c,
-    chord_s,
-    criterion_check,
-    cyclic_gaps,
-    delta_gamma,
-    is_regular,
-    mu,
-    nu,
-    random_irregular_polygon,
-    random_scalene_triangle,
-    rho_grid,
-    validate_rho_for_kappa,
-)
-from .dynamics import (
-    BodySystem,
-    DiagnosticsReport,
-    IntegratorConfig,
-    RelativeEquilibrium,
-    Trajectory,
-    acceleration,
-    build_polygon_state,
-    diagnostics,
-    integrate,
-    pair_acceleration,
-    solve_omega,
-    step,
-)
 from .errors import (
     CoincidentAngleError,
     ConfigError,
@@ -74,14 +43,59 @@ from .errors import (
     RegularPolygonError,
     SingularConfigurationError,
 )
-from .geometry import (
+from .polygon import (
     Curvature,
-    project_point,
-    project_tangent,
-    sigma_inner,
-    surface_residual,
-    vec3,
+    MassVector,
+    PolygonConfig,
+    Rho,
+    canonicalize,
+    chord_c,
+    chord_s,
+    cyclic_gaps,
+    is_regular,
+    mu,
+    nu,
+    random_irregular_polygon,
+    random_scalene_triangle,
+    rho_grid,
+    validate_rho_for_kappa,
 )
+
+# The float layer loads numpy (and dynamics compiles a sizeable module), which
+# dominates a short exact run; its names are imported on first use (PEP 562).
+_FLOAT_NAMES = {
+    "geometry": ("vec3", "sigma_inner", "surface_residual", "project_point", "project_tangent"),
+    "criterion": ("CriterionReport", "delta_gamma", "criterion_check"),
+    "dynamics": (
+        "BodySystem",
+        "DiagnosticsReport",
+        "IntegratorConfig",
+        "RelativeEquilibrium",
+        "Trajectory",
+        "acceleration",
+        "build_polygon_state",
+        "diagnostics",
+        "integrate",
+        "pair_acceleration",
+        "solve_omega",
+        "step",
+    ),
+}
+_FLOAT_MODULE = {name: module for module, names in _FLOAT_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _FLOAT_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_FLOAT_MODULE))
+
 
 __version__ = "1.0.0"
 

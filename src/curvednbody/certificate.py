@@ -37,20 +37,18 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
-from .criterion import (
+from .errors import (
+    DisagreementError,
+    InternalConsistencyError,
+    RegularPolygonError,
+)
+from .polygon import (
     PolygonConfig,
     _check_kernel_domain,
     _rho_value,
     canonicalize,
     is_regular,
     mu,
-)
-from .errors import (
-    DisagreementError,
-    InternalConsistencyError,
-    RegularPolygonError,
 )
 
 __all__ = [
@@ -145,7 +143,7 @@ class MassForm:
         return len(signs) == 1
 
     def value(self, masses) -> float:
-        return float(np.dot(self.coeffs, np.asarray(masses, dtype=float)))
+        return math.fsum(x * float(m) for x, m in zip(self.coeffs, masses, strict=True))
 
     @staticmethod
     def from_terms(n: int, terms: dict[int, float]) -> "MassForm":
@@ -176,8 +174,10 @@ class CoefficientSystem:
     rho: float
     groups: tuple[BaseGroup, ...]
 
-    def equality_rows(self) -> tuple[np.ndarray, tuple[tuple[int, str], ...]]:
+    def equality_rows(self) -> tuple["np.ndarray", tuple[tuple[int, str], ...]]:
         """Nonzero grouped forms as matrix rows, labeled (group index, equation)."""
+        import numpy as np  # the certificate path itself runs without numpy
+
         rows, labels = [], []
         for gi, group in enumerate(self.groups):
             for eq, form in (("delta", group.delta_form), ("gamma", group.gamma_form)):
@@ -194,29 +194,44 @@ def _require_canonical(cfg: PolygonConfig):
         raise ValueError("polygon must be in canonical rotation (minimal first gap)")
 
 
-def _difference_groups(res: tuple[int, ...], full: int):
-    """The paper's grouping of delta_1 - delta_2 and gamma_1 - gamma_2.
+@functools.lru_cache(maxsize=_MEMO_POLYGONS)  # one table per polygon size n
+def _difference_terms(n: int) -> tuple:
+    """The 2n - 3 terms of delta_1 - delta_2 and gamma_1 - gamma_2.
 
-    The delta difference carries (m_2 - m_1) on the merged (2,1) term and
-    +/- m_j on (j,1), (j,2) for j = 3..n; the gamma difference carries
-    (m_1 + m_2) s_21/c_21 on (2,1) and +/- m_j s_ji/c_ji elsewhere.  Terms
-    whose separations d = alpha_j - alpha_i (mod 1) share the class
+    Each is (j, i, delta terms, gamma terms before the sign of s), each term
+    list made of (vertex, coefficient) pairs: the delta difference carries
+    (m_2 - m_1) on the merged (2,1) term and +/- m_j on (j,1), (j,2) for
+    j = 3..n; the gamma difference carries (m_1 + m_2) s_21/c_21 on (2,1)
+    and +/- m_j s_ji/c_ji elsewhere.
+    """
+    terms = [(2, 1, ((2, 1), (1, -1)), ((1, 1), (2, 1)))]
+    for j in range(3, n + 1):
+        terms += [(j, 1, ((j, 1),), ((j, 1),)), (j, 2, ((j, -1),), ((j, -1),))]
+    return tuple(terms)
+
+
+def _difference_groups(res: tuple[int, ...], full: int, only: int | None = None):
+    """The paper's grouping of the _difference_terms by chord class.
+
+    Terms whose separations d = alpha_j - alpha_i (mod 1) share the class
     k = min(d, 1 - d) share c, and their s/c differ only in sign, positive
     for d < 1/2; a half-turn term has s = 0 and drops from gamma.  Only the
     turn residues res modulo full are read.  Returns {k: (members, delta
     row, gamma row)} with k a residue modulo full, members the (j, i) pairs
     of the class, and integer rows over the masses; the gamma row leaves
-    out the common factor |s/c| of its class.
+    out the common factor |s/c| of its class.  With only given, the other
+    classes are skipped.
     """
     n = len(res)
-    # (j, i, delta terms, gamma terms before the sign of s), as (vertex, coefficient)
-    terms = [(2, 1, ((2, 1), (1, -1)), ((1, 1), (2, 1)))]
-    for j in range(3, n + 1):
-        terms += [(j, 1, ((j, 1),), ((j, 1),)), (j, 2, ((j, -1),), ((j, -1),))]
     groups: dict[int, tuple[list[tuple[int, int]], list[int], list[int]]] = {}
-    for j, i, delta, gamma in terms:
+    for j, i, delta, gamma in _difference_terms(n):
         d = (res[j - 1] - res[i - 1]) % full
-        members, drow, grow = groups.setdefault(min(d, full - d), ([], [0] * n, [0] * n))
+        k = d if 2 * d <= full else full - d
+        if only is not None and k != only:
+            continue
+        if k not in groups:
+            groups[k] = ([], [0] * n, [0] * n)
+        members, drow, grow = groups[k]
         members.append((j, i))
         sign = (2 * d < full) - (2 * d > full)  # sign of s; 0 at a half turn
         for idx, x in delta:
@@ -762,7 +777,8 @@ def _check_witness(cert: Certificate):
     res, full = cert.canonical.residues
     j = cert.special_j
     d = (res[j - 1] - res[0]) % full
-    _, delta, gamma = _difference_groups(res, full)[min(d, full - d)]
+    k = min(d, full - d)
+    _, delta, gamma = _difference_groups(res, full, only=k)[k]
     for wf in cert.witness_forms:
         row, t = delta, 1.0
         if wf.equation == "gamma":

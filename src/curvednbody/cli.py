@@ -7,6 +7,9 @@ stdout as canonical JSON, CSV goes to --out when given, and every output
 file is written to a temp sibling and renamed so failures never leave a
 partial file.
 
+validate, certify and feasibility are exact or scalar and run without numpy;
+criterion, simulate and sweep import the array modules when they start.
+
 Exit codes: 0 success / satisfied / feasible / certificate, 1 criterion not
 satisfied or masses infeasible, 2 configuration or domain errors, 3 certify
 called on a regular polygon, 4 drift-guard abort during simulation.
@@ -23,40 +26,27 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .certificate import certify, mass_feasibility
-from .criterion import (
-    TWO_PI,
-    MassVector,
-    PolygonConfig,
-    Rho,
-    _spreads,
-    canonicalize,
-    chord_c,
-    criterion_check,
-    cyclic_gaps,
-    delta_gamma,
-    is_regular,
-    rho_grid,
-    validate_rho_for_kappa,
-)
-from .dynamics import (
-    BodySystem,
-    IntegratorConfig,
-    RelativeEquilibrium,
-    build_polygon_state,
-    integrate,
-    solve_omega,
-)
 from .errors import (
     ConfigError,
     ConstraintDriftError,
     CurvedNBodyError,
     RegularPolygonError,
 )
-from .geometry import Curvature
 from .jsonout import csv_text, dumps, write_text_atomic
+from .polygon import (
+    TWO_PI,
+    Curvature,
+    MassVector,
+    PolygonConfig,
+    Rho,
+    canonicalize,
+    chord_c,
+    cyclic_gaps,
+    is_regular,
+    rho_grid,
+    validate_rho_for_kappa,
+)
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -341,7 +331,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             "gaps": gaps,
             "pair_c": pair_c,
             "is_regular": regular,
-            "masses": None if cfg.masses is None else cfg.masses.as_array(),
+            "masses": None if cfg.masses is None else list(cfg.masses.masses),
             "rho": cfg.rho,
             "tol": cfg.tol,
             "seed": cfg.seed,
@@ -351,6 +341,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_criterion(cfg: RunConfig, rho_flag, tol_flag) -> int:
+    from .criterion import criterion_check
+
     polygon = _require_polygon(cfg)
     masses = _resolve("masses", None, cfg.masses)
     rho = _resolve("rho", _parse_rho(rho_flag, cfg.curvature.kappa), cfg.rho)
@@ -410,14 +402,18 @@ def cmd_feasibility(cfg: RunConfig, rho_flag) -> int:
     return EXIT_OK if result.feasible else EXIT_UNSATISFIED
 
 
-def _place_on_circle(radians, r: float, z: float) -> np.ndarray:
-    theta = np.asarray(radians, dtype=float)
-    return np.column_stack(
-        (r * np.cos(theta), r * np.sin(theta), np.full(theta.shape, z))
+def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
+    import numpy as np
+
+    from .dynamics import (
+        BodySystem,
+        IntegratorConfig,
+        RelativeEquilibrium,
+        build_polygon_state,
+        integrate,
+        solve_omega,
     )
 
-
-def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
     masses = _resolve("masses", None, cfg.masses)
     rho = _resolve("rho", None, cfg.rho)
     dt = _resolve("integrator.dt", dt_flag, cfg.dt)
@@ -443,10 +439,11 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
         state = build_polygon_state(rigid, masses, c)
     else:
         z = math.sqrt(c.sigma / c.kappa - c.sigma * r * r)
-        positions = _place_on_circle(cfg.radians, r, z)
+        theta = np.array(cfg.radians)
+        positions = np.column_stack((r * np.cos(theta), r * np.sin(theta), np.full(theta.shape, z)))
         velocities = np.array(cfg.velocities, dtype=float)
         try:
-            state = BodySystem(c, masses.as_array(), positions, velocities)
+            state = BodySystem(c, np.array(masses.masses), positions, velocities)
         except ValueError as exc:
             raise ConfigError("velocities", str(exc)) from None
 
@@ -489,6 +486,10 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, grid_count: int, out_path) -> int:
+    import numpy as np
+
+    from .criterion import _spreads, delta_gamma
+
     polygon = _require_polygon(cfg)
     masses = _resolve("masses", None, cfg.masses)
     if grid_count < 1:

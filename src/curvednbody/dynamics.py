@@ -33,7 +33,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .criterion import MassVector, PolygonConfig, delta_gamma, is_regular
+from .criterion import delta_gamma
 from .errors import (
     ConstraintDriftError,
     InternalConsistencyError,
@@ -41,7 +41,8 @@ from .errors import (
     NonProjectableError,
     SingularConfigurationError,
 )
-from .geometry import Curvature, sigma_inner
+from .geometry import sigma_inner
+from .polygon import Curvature, MassVector, PolygonConfig, is_regular
 
 __all__ = [
     "BodySystem",
@@ -433,7 +434,7 @@ def build_polygon_state(
         raise ValueError(
             f"height {req.z!r} inconsistent with radius {req.r!r} at kappa {c.kappa!r}"
         )
-    m = masses.as_array() if isinstance(masses, MassVector) else np.asarray(masses, dtype=float)
+    m = np.asarray(masses.masses if isinstance(masses, MassVector) else masses, dtype=float)
     theta = np.array(req.polygon.radians) + omega0
     r, w = req.r, req.omega_dot
     Q = np.column_stack((r * np.cos(theta), r * np.sin(theta), np.full(theta.shape, req.z)))
@@ -454,7 +455,7 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
     leaves omega^2 = delta_1 / r^3, which the full acceleration field then
     checks independently.
     """
-    m = (masses if isinstance(masses, MassVector) else MassVector(masses)).as_array()
+    m = np.array((masses if isinstance(masses, MassVector) else MassVector(masses)).masses)
     if not is_regular(polygon):
         raise NoBalanceError("radial balance requires a regular polygon")
     if np.max(np.abs(m - m[0])) > 1e-12 * m[0]:

@@ -2,21 +2,19 @@
 
 For kappa > 0 the surface is the sphere of radius 1/sqrt(kappa) and sigma = +1;
 for kappa < 0 it is the upper sheet of a hyperboloid and sigma = -1.  The flat
-case kappa = 0 is rejected at construction.  All operations work in binary64 on
-ambient 3-vectors; batched variants accept arrays of shape (..., 3).
+case kappa = 0 is rejected when the `Curvature` is built.  All operations work
+in binary64 on ambient 3-vectors; batched variants accept arrays of shape
+(..., 3).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonProjectableError
+from .polygon import Curvature
 
 __all__ = [
-    "Curvature",
     "Vec3",
     "vec3",
     "sigma_inner",
@@ -33,24 +31,6 @@ Vec3 = np.ndarray
 def vec3(x: float, y: float, z: float) -> Vec3:
     """Build an ambient 3-vector."""
     return np.array([x, y, z], dtype=float)
-
-
-@dataclass(frozen=True)
-class Curvature:
-    """Nonzero curvature of the surface; carries the metric sign with it."""
-
-    kappa: float
-
-    def __post_init__(self):
-        k = self.kappa
-        if not isinstance(k, (int, float)) or not math.isfinite(k) or k == 0.0:
-            raise ValueError(f"curvature must be a finite nonzero real, got {k!r}")
-        object.__setattr__(self, "kappa", float(k))
-
-    @property
-    def sigma(self) -> int:
-        """Metric sign of the z-axis: +1 for kappa > 0, -1 for kappa < 0."""
-        return 1 if self.kappa > 0 else -1
 
 
 def sigma_inner(a: np.ndarray, b: np.ndarray, sigma: int) -> np.ndarray | float:

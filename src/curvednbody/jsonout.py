@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-
-import numpy as np
 
 __all__ = ["format_float", "dumps", "write_text_atomic", "csv_text"]
 
@@ -31,9 +30,8 @@ def format_float(x: float) -> str:
 
 
 def _render(obj, pad: str, out: list) -> None:
-    # dispatch on the exact types a report is mostly made of first; None,
-    # bools, Fractions, ints, numpy scalars and arrays and subclasses take the
-    # isinstance chain below
+    # dispatch on the exact types a report is made of first; subclasses and
+    # numpy values take the isinstance chain in _render_other
     t = type(obj)
     if t is str:
         out.append(_quote(obj))
@@ -43,21 +41,40 @@ def _render(obj, pad: str, out: list) -> None:
         _render_dict(obj, pad, out)
     elif t is list or t is tuple:
         _render_list(obj, pad, out)
+    elif t is int:
+        out.append(str(obj))
+    elif t is bool:
+        out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
+    elif t is Fraction:
+        out.append(_quote(str(obj)))
+    else:
+        _render_other(obj, pad, out)
+
+
+def _render_other(obj, pad: str, out: list) -> None:
+    # a numpy value can only exist once numpy is loaded, so the exact path
+    # never imports it here
+    np = sys.modules.get("numpy")
+    if np is None:
+        bools, ints, floats, arrays = bool, int, float, (list, tuple)
+    else:
+        bools, ints, floats = (bool, np.bool_), (int, np.integer), (float, np.floating)
+        arrays = (list, tuple, np.ndarray)
+    if isinstance(obj, bools):
         out.append("true" if obj else "false")
     elif isinstance(obj, Fraction):
         out.append(_quote(str(obj)))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, ints):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, floats):
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
         out.append(_quote(obj))
     elif isinstance(obj, dict):
         _render_dict(obj, pad, out)
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, arrays):
         _render_list(list(obj), pad, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

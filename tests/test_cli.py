@@ -501,10 +501,43 @@ def package_env():
     return env
 
 
+def fresh_python(script, *args):
+    """stdout of a fresh interpreter running script, which must exit cleanly."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def fresh_main(runs, modules):
+    """Run the subcommands in one fresh interpreter after `import curvednbody`.
+
+    Returns [exit code, then whether each of modules is loaded] after the
+    import (exit code None) and after each run.
+    """
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import curvednbody\n"
+        "from curvednbody.cli import main\n"
+        "modules = json.loads(sys.argv[2])\n"
+        "seen = [[None] + [m in sys.modules for m in modules]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    seen.append([code] + [m in sys.modules for m in modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    return json.loads(fresh_python(script, json.dumps(runs), json.dumps(modules)))
+
+
 class TestImports:
-    def test_no_subcommand_loads_scipy(self, tmp_path):
-        # the runtime needs numpy alone: a fresh interpreter must not load
-        # scipy for the import or for any of the six subcommands
+    @staticmethod
+    def subcommands(tmp_path):
         polygon = write_config(tmp_path, TRIANGLE_EXACT)
         rotation = write_config(
             tmp_path,
@@ -517,34 +550,21 @@ class TestImports:
             },
             name="rotation.json",
         )
-        runs = [
-            ["validate", "--config", polygon],
-            ["criterion", "--config", polygon],
-            ["sweep", "--config", polygon, "--rho-grid", "5"],
-            ["simulate", "--config", rotation, "--out", str(tmp_path / "traj.csv")],
-            ["certify", "--config", polygon],
-            ["feasibility", "--config", polygon],
-        ]
-        script = (
-            "import contextlib, io, json, sys\n"
-            "import curvednbody\n"
-            "from curvednbody.cli import main\n"
-            "seen = [[None, 'scipy' in sys.modules]]\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        code = main(argv)\n"
-            "    seen.append([code, 'scipy' in sys.modules])\n"
-            "print(json.dumps(seen))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(runs)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=package_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [
+        return {
+            "validate": ["validate", "--config", polygon],
+            "criterion": ["criterion", "--config", polygon],
+            "sweep": ["sweep", "--config", polygon, "--rho-grid", "5"],
+            "simulate": ["simulate", "--config", rotation, "--out", str(tmp_path / "traj.csv")],
+            "certify": ["certify", "--config", polygon],
+            "feasibility": ["feasibility", "--config", polygon],
+        }
+
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        # the runtime needs numpy alone: a fresh interpreter must not load
+        # scipy for the import or for any of the six subcommands
+        argv = self.subcommands(tmp_path)
+        runs = [argv[k] for k in ("validate", "criterion", "sweep", "simulate", "certify", "feasibility")]
+        assert fresh_main(runs, ["scipy"]) == [
             [None, False],
             [0, False],  # validate
             [1, False],  # criterion: the triangle is irregular
@@ -553,6 +573,61 @@ class TestImports:
             [0, False],  # certify, through the exact mass search
             [1, False],  # feasibility: no positive masses
         ]
+
+    def test_exact_subcommands_load_no_numpy(self, tmp_path):
+        # the package import and the three exact subcommands leave numpy and
+        # the dynamics module unloaded; the float subcommands after them
+        # load what they need and keep their exit codes
+        argv = self.subcommands(tmp_path)
+        runs = [argv[k] for k in ("validate", "certify", "feasibility", "criterion", "sweep", "simulate")]
+        assert fresh_main(runs, ["numpy", "curvednbody.dynamics"]) == [
+            [None, False, False],
+            [0, False, False],  # validate
+            [0, False, False],  # certify
+            [1, False, False],  # feasibility
+            [1, True, False],  # criterion
+            [0, True, False],  # sweep
+            [0, True, True],  # simulate
+        ]
+
+
+class TestLazyNames:
+    """The package root resolves its float names on first use (PEP 562)."""
+
+    def test_every_public_name_is_its_defining_object(self):
+        script = (
+            "import importlib, json\n"
+            "import curvednbody as pkg\n"
+            "listed = set(dir(pkg))\n"
+            "wrong = []\n"
+            "for name in pkg.__all__[1:]:\n"
+            "    obj = getattr(pkg, name)\n"
+            "    home = obj.__module__\n"
+            "    if not home.startswith('curvednbody.') or "
+            "getattr(importlib.import_module(home), name) is not obj:\n"
+            "        wrong.append(name)\n"
+            "try:\n"
+            "    pkg.no_such_name\n"
+            "    unknown = None\n"
+            "except AttributeError as exc:\n"
+            "    unknown = str(exc)\n"
+            "print(json.dumps([pkg.__all__[0], sorted(set(pkg.__all__) - listed), wrong, unknown]))\n"
+        )
+        first, unlisted, wrong, unknown = json.loads(fresh_python(script))
+        assert first == "__version__"
+        assert unlisted == []
+        assert wrong == []
+        assert unknown == "module 'curvednbody' has no attribute 'no_such_name'"
+
+    def test_star_import(self):
+        script = (
+            "import json\n"
+            "from curvednbody import *\n"
+            "import curvednbody\n"
+            "print(json.dumps([n for n in curvednbody.__all__ if n not in globals()]))\n"
+        )
+        assert json.loads(fresh_python(script)) == []
+        assert len(set(curvednbody.__all__)) == len(curvednbody.__all__)
 
 
 class TestBenchmarkNames:
@@ -673,6 +748,23 @@ class TestDumps:
         assert dumps(doc) == (
             '{\n  "y": [\n    1,\n    0.5\n  ],\n  "z": "s\\u00e9"\n}\n'
         )
+
+    def test_subclasses_without_numpy(self):
+        # the isinstance chain must not need numpy when no numpy value exists
+        script = (
+            "import enum, json, sys\n"
+            "from collections import OrderedDict, namedtuple\n"
+            "from curvednbody.jsonout import dumps\n"
+            "Level = enum.IntEnum('Level', 'LOW HIGH')\n"
+            "Real = type('Real', (float,), {})\n"
+            "Pair = namedtuple('Pair', 'x y')\n"
+            "doc = OrderedDict([('a', Level.HIGH), ('b', Real(0.1)), ('c', Pair(True, None))])\n"
+            "print(json.dumps([dumps(doc), 'numpy' in sys.modules]))\n"
+        )
+        assert json.loads(fresh_python(script)) == [
+            '{\n  "a": 2,\n  "b": 0.10000000000000001,\n  "c": [\n    true,\n    null\n  ]\n}\n',
+            False,
+        ]
 
     def test_rejects_non_string_keys(self):
         for doc in ({1: "a"}, {"a": {None: 1}}, {"a": 1, 2: "b"}):

@@ -64,7 +64,7 @@ class TestPolygonConfig:
 
 
 def test_mass_vector_positive():
-    assert MassVector((1.0, 2.0)).as_array().tolist() == [1.0, 2.0]
+    assert MassVector((1.0, 2.0)).masses == (1.0, 2.0)
     for bad in ((1.0, 0.0), (1.0, -3.0), (1.0, math.nan)):
         with pytest.raises(ValueError):
             MassVector(bad)
