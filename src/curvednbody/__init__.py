@@ -12,24 +12,6 @@ certificate, and a batch CLI.
 
 import importlib
 
-from .certificate import (
-    BaseGroup,
-    Certificate,
-    CoefficientSystem,
-    FeasibilityResult,
-    MassForm,
-    WitnessForm,
-    base_groups,
-    certify,
-    classify_case,
-    decompose,
-    find_contradiction_j,
-    mass_feasibility,
-    mu_derivative,
-    pairing_possibility1,
-    pairing_u,
-    pairing_v,
-)
 from .errors import (
     CoincidentAngleError,
     ConfigError,
@@ -61,9 +43,16 @@ from .polygon import (
     validate_rho_for_kappa,
 )
 
-# The float layer loads numpy (and dynamics compiles a sizeable module), which
-# dominates a short exact run; its names are imported on first use (PEP 562).
-_FLOAT_NAMES = {
+# Each subcommand loads only what it runs, so the names of these modules are
+# imported on first use (PEP 562): certificate and dynamics are large to
+# compile, and geometry and dynamics load numpy.
+_LAZY_NAMES = {
+    "certificate": (
+        "BaseGroup", "Certificate", "CoefficientSystem", "FeasibilityResult", "MassForm",
+        "WitnessForm", "base_groups", "certify", "classify_case", "decompose",
+        "find_contradiction_j", "mass_feasibility", "mu_derivative", "pairing_possibility1",
+        "pairing_u", "pairing_v",
+    ),
     "geometry": ("vec3", "sigma_inner", "surface_residual", "project_point", "project_tangent"),
     "criterion": ("CriterionReport", "delta_gamma", "criterion_check"),
     "dynamics": (
@@ -81,11 +70,11 @@ _FLOAT_NAMES = {
         "step",
     ),
 }
-_FLOAT_MODULE = {name: module for module, names in _FLOAT_NAMES.items() for name in names}
+_LAZY_MODULE = {name: module for module, names in _LAZY_NAMES.items() for name in names}
 
 
 def __getattr__(name: str):
-    module = _FLOAT_MODULE.get(name)
+    module = _LAZY_MODULE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
@@ -94,7 +83,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_FLOAT_MODULE))
+    return sorted(set(globals()) | set(_LAZY_MODULE))
 
 
 __version__ = "1.0.0"

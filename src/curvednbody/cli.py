@@ -7,8 +7,9 @@ stdout as canonical JSON, CSV goes to --out when given, and every output
 file is written to a temp sibling and renamed so failures never leave a
 partial file.
 
-validate, certify and feasibility are exact or scalar and run without numpy;
-criterion, simulate and sweep import the array modules when they start.
+Each subcommand imports only what it runs: certify and feasibility load the
+certificate module, simulate loads dynamics and numpy, and criterion and
+sweep run the scalar kernel of `criterion`, which needs neither.
 
 Exit codes: 0 success / satisfied / feasible / certificate, 1 criterion not
 satisfied or masses infeasible, 2 configuration or domain errors, 3 certify
@@ -26,7 +27,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificate import certify, mass_feasibility
 from .errors import (
     ConfigError,
     ConstraintDriftError,
@@ -67,7 +67,6 @@ _KNOWN_KEYS = {
     "velocities",
 }
 _KNOWN_INTEGRATOR_KEYS = {"dt", "t_end", "project_each_step", "max_constraint_drift"}
-_SWEEP_BLOCK = 256  # rho values per delta_gamma call: bounds its (block, n, n) tables
 
 
 def _as_real(value, field: str) -> float:
@@ -365,6 +364,8 @@ def cmd_criterion(cfg: RunConfig, rho_flag, tol_flag) -> int:
 
 
 def cmd_certify(cfg: RunConfig, rho_flag) -> int:
+    from .certificate import certify
+
     polygon = _require_polygon(cfg)
     if cfg.representation != "exact":
         raise ConfigError("angles", "certification requires exact \"p/q\" turn angles")
@@ -391,6 +392,8 @@ def cmd_certify(cfg: RunConfig, rho_flag) -> int:
 
 
 def cmd_feasibility(cfg: RunConfig, rho_flag) -> int:
+    from .certificate import mass_feasibility
+
     polygon = _require_polygon(cfg)
     if cfg.representation != "exact":
         raise ConfigError("angles", "feasibility search requires exact \"p/q\" turn angles")
@@ -486,21 +489,19 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, grid_count: int, out_path) -> int:
-    import numpy as np
-
-    from .criterion import _spreads, delta_gamma
+    from .criterion import _pair_table, _spread, _sums
 
     polygon = _require_polygon(cfg)
     masses = _resolve("masses", None, cfg.masses)
     if grid_count < 1:
         raise ConfigError("rho-grid", f"must be >= 1, got {grid_count}")
     grid = rho_grid(cfg.curvature.kappa, grid_count)
+    table = _pair_table(polygon)
     d_spreads, g_spreads = [], []
-    for start in range(0, len(grid), _SWEEP_BLOCK):
-        block = np.array(grid[start : start + _SWEEP_BLOCK])
-        d, g = _spreads(*delta_gamma(polygon, masses, block))
-        d_spreads += d.tolist()
-        g_spreads += g.tolist()
+    for rho in grid:
+        deltas, gammas = _sums(table, masses.masses, rho)
+        d_spreads.append(_spread(deltas))
+        g_spreads.append(_spread(gammas))
     text = csv_text(["rho", "delta_spread", "gamma_spread"], zip(grid, d_spreads, g_spreads))
     if out_path is not None:
         write_text_atomic(out_path, text)

@@ -2,10 +2,12 @@
 
 For a polygon on the circle of scaled radius rho (see `polygon` for the pair
 quantities c, s and the kernels mu, nu), the motion criterion asks that
-delta_i = sum_j m_j mu_ji agree across i and that gamma_i = sum_j m_j nu_ji
-agree across i (they then vanish by antisymmetry).  These are the array
-kernels: they evaluate every pair at once with numpy, for one rho or a whole
-grid.
+delta_i = sum_j m_j mu_ji and gamma_i = sum_j m_j nu_ji agree across i (the
+gammas then vanish by antisymmetry).  Like `dynamics._accel`, the kernel runs
+on plain floats without numpy: a rho-free table holds c, c^(1/2), c^(3/2) and
+s per unordered pair, and one pass over it computes (2 - c rho)^(3/2) once
+per pair for both bodies (mu is symmetric, nu antisymmetric).  A rho sweep
+builds the table once and runs the pass at each point.
 """
 
 from __future__ import annotations
@@ -13,61 +15,58 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CoincidentAngleError, KernelDomainError
-from .polygon import MassVector, PolygonConfig, Rho
+from .polygon import MassVector, PolygonConfig, _rho_value
 
 __all__ = ["CriterionReport", "delta_gamma", "criterion_check"]
 
 
-def _pair_tables(cfg: PolygonConfig, rho: np.ndarray):
-    """Pairwise c and s tables (rho-free), the base 2 - c*rho per rho, and the mask."""
-    a = np.array(cfg.radians, dtype=float)
-    d = a[:, None] - a[None, :]  # d[j, i] = alpha_j - alpha_i
-    c = 1.0 - np.cos(d)
-    s = np.sin(d)
-    off = ~np.eye(cfg.n, dtype=bool)
-    if np.any(c[off] == 0.0):
-        raise CoincidentAngleError("two polygon angles coincide modulo a full turn")
-    # a non-finite or huge rho gives NaN (0 * inf on the diagonal) or an
-    # infinite base; the check below rejects it
-    with np.errstate(invalid="ignore", over="ignore"):
-        base = 2.0 - c * rho[..., None, None]
-    b = base[..., off]
-    if not np.all((0.0 < b) & (b < math.inf)):
-        raise KernelDomainError("kernel base not finite and positive for some pair")
-    return c, s, base, off
+def _pair_table(cfg: PolygonConfig) -> list[tuple]:
+    """(i, j, c, c^(1/2), c^(3/2), s) for each pair i < j, s = sin(alpha_j - alpha_i)."""
+    a = cfg.radians
+    table = []
+    for i in range(len(a) - 1):
+        for j in range(i + 1, len(a)):
+            d = a[j] - a[i]
+            c = 1.0 - math.cos(d)
+            if c == 0.0:
+                raise CoincidentAngleError("two polygon angles coincide modulo a full turn")
+            table.append((i, j, c, math.sqrt(c), c**1.5, math.sin(d)))
+    return table
 
 
-def delta_gamma(cfg: PolygonConfig, masses, rho) -> tuple[np.ndarray, np.ndarray]:
-    """Per-body sums delta_i = sum_j m_j mu_ji and gamma_i = sum_j m_j nu_ji.
-
-    A scalar rho gives two (n,) arrays; a 1-D array of rho gives two
-    (len(rho), n) arrays whose rows equal the scalar results.
-    """
-    m = np.asarray(masses.masses if isinstance(masses, MassVector) else masses, dtype=float)
-    if m.shape != (cfg.n,):
-        raise ValueError(f"expected {cfg.n} masses, got shape {m.shape}")
-    r = np.asarray(rho.value if isinstance(rho, Rho) else rho, dtype=float)
-    if r.ndim > 1:
-        raise ValueError(f"rho must be a scalar or a 1-D array, got shape {r.shape}")
-    c, s, base, off = _pair_tables(cfg, r)
-    cs = np.where(off, c, 1.0)  # diagonal placeholder, masked out below
-    bs = np.where(off, base, 1.0)
-    mu_t = np.where(off, 1.0 / (np.sqrt(cs) * bs**1.5), 0.0)
-    nu_t = np.where(off, s / (cs**1.5 * bs**1.5), 0.0)
-    deltas = m @ mu_t  # delta_i = sum_j m_j mu[j, i]
-    gammas = m @ nu_t
+def _sums(table, m, rho: float) -> tuple[list[float], list[float]]:
+    """delta and gamma of every body at one rho, from a pair table."""
+    deltas = [0.0] * len(m)
+    gammas = [0.0] * len(m)
+    for i, j, c, root_c, c_15, s in table:
+        base = 2.0 - c * rho
+        # a NaN or infinite rho makes the base NaN or infinite, never in range
+        if not 0.0 < base < math.inf:
+            raise KernelDomainError("kernel base not finite and positive for some pair")
+        b_15 = base**1.5
+        mu_ij = 1.0 / (root_c * b_15)
+        nu_ji = s / (c_15 * b_15)  # nu_ij = -nu_ji
+        deltas[i] += m[j] * mu_ij
+        deltas[j] += m[i] * mu_ij
+        gammas[i] += m[j] * nu_ji
+        gammas[j] -= m[i] * nu_ji
     return deltas, gammas
 
 
-def _spreads(deltas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest |delta_i - delta_1| and |gamma_i - gamma_1| over the last axis."""
-    return (
-        np.max(np.abs(deltas - deltas[..., :1]), axis=-1),
-        np.max(np.abs(gammas - gammas[..., :1]), axis=-1),
-    )
+def delta_gamma(cfg: PolygonConfig, masses, rho) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-body sums delta_i = sum_j m_j mu_ji and gamma_i = sum_j m_j nu_ji at one rho."""
+    m = masses.masses if isinstance(masses, MassVector) else tuple(float(x) for x in masses)
+    if len(m) != cfg.n:
+        raise ValueError(f"expected {cfg.n} masses, got {len(m)}")
+    deltas, gammas = _sums(_pair_table(cfg), m, _rho_value(rho))
+    return tuple(deltas), tuple(gammas)
+
+
+def _spread(values) -> float:
+    """Largest |v_i - v_1|; NaN when any difference is, so it never passes a threshold."""
+    diffs = [abs(v - values[0]) for v in values]
+    return math.nan if math.isnan(sum(diffs)) else max(diffs)
 
 
 @dataclass(frozen=True)
@@ -83,13 +82,15 @@ class CriterionReport:
 
 
 def criterion_check(cfg: PolygonConfig, masses, rho, tol: float = 1e-10) -> CriterionReport:
-    """Evaluate the balance criterion with spread tolerance tol * (1 + |delta_1|)."""
+    """Evaluate the balance criterion with spread tolerance tol * (1 + |delta_1|), tol > 0."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     deltas, gammas = delta_gamma(cfg, masses, rho)
-    d_spread, g_spread = (float(x) for x in _spreads(deltas, gammas))
-    threshold = tol * (1.0 + abs(float(deltas[0])))
+    d_spread, g_spread = _spread(deltas), _spread(gammas)
+    threshold = tol * (1.0 + abs(deltas[0]))
     return CriterionReport(
-        deltas=tuple(float(x) for x in deltas),
-        gammas=tuple(float(x) for x in gammas),
+        deltas=deltas,
+        gammas=gammas,
         max_delta_spread=d_spread,
         max_gamma_spread=g_spread,
         threshold=threshold,

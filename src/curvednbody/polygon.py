@@ -12,9 +12,8 @@ rho = kappa * r^2, define for each ordered pair
 Angles carry one of two representations: exact rational fractions of a turn,
 used by the certification machinery, or float radians, used for simulation
 interop.  Everything here is plain Python (integers, Fractions and floats),
-so the exact path (validation, certificates and the feasibility search)
-runs without loading numpy; the array kernels live in `criterion`,
-`geometry` and `dynamics`.
+as are the certificate and the criterion kernels built on it; only the
+simulation layer, `geometry` and `dynamics`, loads numpy.
 """
 
 from __future__ import annotations

@@ -690,7 +690,7 @@ class TestClassRows:
         for cfg in polygons:
             for rho in (0.5, -10.0, 0.9):
                 masses = np.array([rng.uniform(0.5, 2.0) for _ in range(cfg.n)])
-                deltas, gammas = delta_gamma(cfg, masses, rho)
+                deltas, gammas = (np.asarray(v) for v in delta_gamma(cfg, masses, rho))
                 dd, gg = class_differences(cfg, masses, rho)
                 scale = np.max(np.abs(deltas)) + np.max(np.abs(gammas))
                 np.testing.assert_allclose(dd, deltas[1:] - deltas[0], rtol=0, atol=1e-12 * scale)
@@ -923,7 +923,7 @@ def sampled_rho_feasible(cfg, rhos):
     blocks = []
     for part in (0, 1):  # delta, gamma
         # values[j, k, i]: delta_i (or gamma_i) at rhos[k] for unit mass on body j
-        values = np.stack([delta_gamma(cfg, e, np.asarray(rhos))[part] for e in units])
+        values = np.array([[delta_gamma(cfg, e, r)[part] for r in rhos] for e in units])
         diffs = values[:, :, 1:] - values[:, :, :1]
         blocks.append(diffs.reshape(cfg.n, -1).T)
     rows = np.vstack(blocks)

@@ -420,7 +420,7 @@ def sweep_polygons():
 
 class TestSweep:
     @pytest.mark.parametrize("kappa", [1.0, -1.0])
-    @pytest.mark.parametrize("points", [1, 12, 600])  # 600 spans three kernel blocks
+    @pytest.mark.parametrize("points", [1, 12, 600])
     def test_cells_equal_criterion_check(self, tmp_path, kappa, points):
         rng = random.Random(points)
         for k, angles in enumerate(sweep_polygons()):
@@ -575,9 +575,9 @@ class TestImports:
         ]
 
     def test_exact_subcommands_load_no_numpy(self, tmp_path):
-        # the package import and the three exact subcommands leave numpy and
-        # the dynamics module unloaded; the float subcommands after them
-        # load what they need and keep their exit codes
+        # the package import and every subcommand but simulate leave numpy
+        # and the dynamics module unloaded; simulate loads both and keeps
+        # its exit code
         argv = self.subcommands(tmp_path)
         runs = [argv[k] for k in ("validate", "certify", "feasibility", "criterion", "sweep", "simulate")]
         assert fresh_main(runs, ["numpy", "curvednbody.dynamics"]) == [
@@ -585,14 +585,30 @@ class TestImports:
             [0, False, False],  # validate
             [0, False, False],  # certify
             [1, False, False],  # feasibility
-            [1, True, False],  # criterion
-            [0, True, False],  # sweep
+            [1, False, False],  # criterion
+            [0, False, False],  # sweep
             [0, True, True],  # simulate
         ]
 
+    def test_only_certify_and_feasibility_load_certificate(self, tmp_path):
+        # the package import, validate, criterion, sweep and simulate leave
+        # the certificate module unloaded; certify loads it
+        argv = self.subcommands(tmp_path)
+        runs = [argv[k] for k in ("validate", "criterion", "sweep", "simulate", "certify")]
+        assert fresh_main(runs, ["curvednbody.certificate", "numpy"]) == [
+            [None, False, False],
+            [0, False, False],  # validate
+            [1, False, False],  # criterion
+            [0, False, False],  # sweep
+            [0, False, True],  # simulate
+            [0, True, True],  # certify
+        ]
+        runs = [argv["feasibility"]]
+        assert fresh_main(runs, ["curvednbody.certificate"]) == [[None, False], [1, True]]
+
 
 class TestLazyNames:
-    """The package root resolves its float names on first use (PEP 562)."""
+    """The package root resolves its lazy names on first use (PEP 562)."""
 
     def test_every_public_name_is_its_defining_object(self):
         script = (

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +28,7 @@ from curvednbody import (
     rho_grid,
     validate_rho_for_kappa,
 )
+from curvednbody import criterion
 
 TWO_PI = 2.0 * math.pi
 
@@ -195,30 +197,39 @@ class TestDeltaGamma:
             assert np.all(np.asarray(d) > 0.0)
 
     def test_rho_array_rows_equal_scalar_calls(self):
+        # a sweep builds the pair table once and runs the kernel at each rho;
+        # every row must equal a fresh scalar call
         rng = random.Random(31)
         polygons = [random_irregular_polygon(rng, n, 10_000) for n in range(3, 13)]
         polygons.append(PolygonConfig.from_radians((0.0, 0.9, 2.5, 4.1, 5.0)))
         for cfg in polygons:
             m = MassVector(tuple(rng.uniform(0.5, 2.0) for _ in range(cfg.n)))
+            table = criterion._pair_table(cfg)
             for kappa in (1.0, -1.0):
-                rhos = np.array(rho_grid(kappa, 600))
-                deltas, gammas = delta_gamma(cfg, m, rhos)
+                rhos = rho_grid(kappa, 600)
+                sweep = [criterion._sums(table, m.masses, r) for r in rhos]
+                deltas = np.array([d for d, _ in sweep])
+                gammas = np.array([g for _, g in sweep])
                 assert deltas.shape == gammas.shape == (600, cfg.n)
-                rows = [delta_gamma(cfg, m, float(r)) for r in rhos]
+                rows = [delta_gamma(cfg, m, r) for r in rhos]
                 np.testing.assert_array_equal(deltas, np.stack([d for d, _ in rows]))
                 np.testing.assert_array_equal(gammas, np.stack([g for _, g in rows]))
 
     def test_rho_array_domain_checked(self):
         tri = turns(0, "1/3", "1/2")
         with pytest.raises(KernelDomainError):
-            delta_gamma(tri, (1.0, 1.0, 1.0), np.array([0.5, 1.5]))
+            for rho in (0.5, 1.5):
+                delta_gamma(tri, (1.0, 1.0, 1.0), rho)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(KernelDomainError):
                 delta_gamma(tri, (1.0, 1.0, 1.0), bad)
             with pytest.raises(KernelDomainError):
-                delta_gamma(tri, (1.0, 1.0, 1.0), np.array([0.5, bad]))
-        with pytest.raises(ValueError):
-            delta_gamma(tri, (1.0, 1.0, 1.0), np.full((2, 2), 0.5))
+                for rho in (0.5, bad):
+                    delta_gamma(tri, (1.0, 1.0, 1.0), rho)
+        # rho is one scalar: an array of them is refused, not broadcast
+        for rhos in (np.array([0.5, 0.25]), np.full((2, 2), 0.5)):
+            with pytest.raises(TypeError):
+                delta_gamma(tri, (1.0, 1.0, 1.0), rhos)
 
 
 class TestCriterionCheck:
@@ -246,6 +257,122 @@ class TestCriterionCheck:
         tri = turns(0, "1/4", "1/2")
         rep = criterion_check(tri, MassVector((1.0,) * 3), 0.5, tol=1e-10)
         assert rep.threshold == pytest.approx(1e-10 * (1.0 + abs(rep.deltas[0])))
+
+    def test_nan_spread_never_satisfied(self):
+        # opposite masses near 1e308 overflow to +inf and -inf in body 3's
+        # delta alone; its NaN must not vanish from the spread
+        cfg = PolygonConfig.from_radians((0.0, 3.0, 3.2, 3.4))
+        rep = criterion_check(cfg, (1.0, 1e308, 1.0, -1e308), 0.5, tol=math.inf)
+        assert [math.isfinite(d) for d in rep.deltas] == [True, True, False, True]
+        assert math.isnan(rep.max_delta_spread)
+        assert not rep.satisfied
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+    def test_tolerance_must_be_positive(self, tol):
+        # a square with equal masses balances; a bad tol must raise, not
+        # report it unsatisfied
+        square = turns(0, "1/4", "1/2", "3/4")
+        with pytest.raises(ValueError, match="tol must be positive"):
+            criterion_check(square, MassVector((1.0,) * 4), 0.5, tol=tol)
+
+
+U = 2.0**-53  # unit roundoff of a float
+
+
+def delta_gamma_oracle(cfg, masses, rho):
+    """delta_i and gamma_i in 50-digit mpmath at the kernel's float inputs.
+
+    Each comes with a first-order bound on the float kernel's rounding error,
+    summed term by term.  Computing c = 1 - cos d leaves an absolute error
+    of about u in c, so a relative error e_c = u (|1 - c| / c + 1); the base
+    2 - c rho inherits it amplified by |c rho| / base; s = sin d inherits
+    the rounding of d = alpha_j - alpha_i, e_s = u (|d| / |s| + 1).  mu is
+    c^(-1/2) base^(-3/2) and nu is s c^(-3/2) base^(-3/2), so their
+    relative errors are e_c / 2 + 3/2 e_b and e_s + 3/2 e_c + 3/2 e_b, plus
+    one u for each of the kernel's roundings after that (sqrt, pow, the
+    products, the division, the mass product) and n - 2 more for summing
+    n - 1 terms in order.
+    """
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(x) for x in cfg.radians]
+        out = []
+        for i in range(cfg.n):
+            delta = gamma = bound_d = bound_g = mpmath.mpf(0)
+            for j in range(cfg.n):
+                if j == i:
+                    continue
+                d = a[j] - a[i]
+                c, s = 1 - mpmath.cos(d), mpmath.sin(d)
+                base = 2 - c * rho
+                mu_term = masses[j] / (mpmath.sqrt(c) * base**1.5)
+                nu_term = mu_term * s / c
+                e_c = (abs(1 - c) / c + 1) * U
+                e_b = abs(c * rho) / base * (e_c + U) + U
+                e_s = (abs(d) / abs(s) + 1) * U
+                delta += mu_term
+                gamma += nu_term
+                bound_d += abs(mu_term) * (e_c / 2 + 1.5 * e_b + (cfg.n + 4) * U)
+                bound_g += abs(nu_term) * (e_s + 1.5 * e_c + 1.5 * e_b + (cfg.n + 5) * U)
+            out.append((delta, gamma, bound_d, bound_g))
+        return out
+
+
+class TestDeltaGammaOracle:
+    """delta_gamma against 50-digit mpmath where its pair terms are ill-conditioned.
+
+    Each place starts from a regular n-gon with every angle jittered by at
+    most a tenth of a gap, so all chords but the planted one are well
+    conditioned (c >= 0.048 for n <= 12).  The float kernel must stay
+    within the first-order bound of `delta_gamma_oracle`.  The largest
+    error-to-bound ratio is 0.61 on these draws (0.64 over 200 polygons
+    per place), and a sine rounded to 13 digits fails every place.
+    The bound relative to delta is about 2.8e-12 near a collision (u / c
+    with c = 2e-5), 4e-13 near the equator (u |c rho| / base with base
+    near 0.002) and a few 1e-15 in the two well-conditioned places.
+    """
+
+    TURN = 2.0 * math.pi
+
+    def jittered(self, rng, n):
+        return [self.TURN * (k + rng.uniform(-0.1, 0.1)) / n for k in range(n)]
+
+    def check(self, rng, angles, rho):
+        cfg = PolygonConfig.from_radians(tuple(sorted(a % self.TURN for a in angles)))
+        masses = [rng.uniform(0.1, 10.0) for _ in range(cfg.n)]
+        deltas, gammas = delta_gamma(cfg, masses, rho)
+        for i, (delta, gamma, bound_d, bound_g) in enumerate(delta_gamma_oracle(cfg, masses, rho)):
+            assert abs(deltas[i] - delta) <= bound_d, (cfg.radians, rho, i)
+            assert abs(gammas[i] - gamma) <= bound_g, (cfg.radians, rho, i)
+
+    @staticmethod
+    def either_branch(rng):
+        return rng.choice([rng.uniform(0.05, 0.95), -rng.uniform(0.05, 10.0)])
+
+    def test_closest_gap_a_thousandth_turn(self):
+        rng = random.Random(1)
+        for _ in range(40):
+            a = self.jittered(rng, rng.randint(3, 11))
+            self.check(rng, a + [a[0] + 1e-3 * self.TURN], self.either_branch(rng))
+
+    def test_near_antipodal_pair(self):
+        # odd n keeps the antipode of a[0] at least 0.3 gaps from any vertex
+        rng = random.Random(2)
+        for _ in range(40):
+            a = self.jittered(rng, 2 * rng.randint(1, 5) + 1)
+            offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -3.0)
+            self.check(rng, a + [a[0] + math.pi + offset], self.either_branch(rng))
+
+    def test_near_equator(self):
+        # rho = 0.999 with a near-antipodal pair: base 2 - c rho near 0.002
+        rng = random.Random(3)
+        for _ in range(40):
+            a = self.jittered(rng, 2 * rng.randint(1, 5) + 1)
+            self.check(rng, a + [a[0] + math.pi + rng.uniform(-1e-3, 1e-3)], 0.999)
+
+    def test_far_hyperbolic_branch(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            self.check(rng, self.jittered(rng, rng.randint(3, 12)), -10.0)
 
 
 class TestCanonicalize:

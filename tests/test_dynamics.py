@@ -478,7 +478,7 @@ class TestCriterionAtRest:
             theta = np.array(poly.radians)
             radial = acc[:, 0] * np.cos(theta) + acc[:, 1] * np.sin(theta)
             tangential = acc[:, 1] * np.cos(theta) - acc[:, 0] * np.sin(theta)
-            deltas, gammas = delta_gamma(poly, masses, rho)
+            deltas, gammas = (np.asarray(v) for v in delta_gamma(poly, masses, rho))
             scale = (1.0 - rho) * deltas / r**2
             assert np.all(np.abs(radial + scale) <= 1e-9 * scale), (poly.turns, c.kappa, rho)
             assert np.all(np.abs(tangential - gammas / r**2) <= 5e-7 * scale), (
