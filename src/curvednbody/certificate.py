@@ -17,8 +17,9 @@ three routes that share only the canonical rotation and its turn residues:
     pairing identities,
   * mass_feasibility independently decides whether positive masses exist:
     it builds one integer row per chord class for every difference
-    delta_i - delta_1 and gamma_i - gamma_1 straight from the turn residues,
-    and solves {A m = 0, m >= 1} exactly.
+    delta_i - delta_1 and gamma_i - gamma_1 straight from the turn residues.
+    These rows admit only equal masses, so {A m = 0, m >= 1} is feasible
+    exactly when every row sums to zero (the argument is in _exact_system).
 
 certify requires all three to agree: each witness form must be the group of
 the (j,1) term (the witness check), and the feasibility search must find no
@@ -70,15 +71,15 @@ __all__ = [
     "certify",
 ]
 
-# Canonical polygons whose exact mass solution is kept.  Callers ask about one
+# Canonical polygons whose exact mass verdict is kept.  Callers ask about one
 # polygon at a few rho in a row (certify, then mass_feasibility per rho); a
 # polygon revisited only after many others is solved again, which costs time
 # and never changes a result.
 _MEMO_POLYGONS = 32
 
 # The mass floor that feasibility reports name.  The system is homogeneous,
-# so the verdict never depends on it, and the witness masses, whose smallest
-# is 1, already clear it.
+# so the verdict never depends on it, and the reported equal masses, all 1,
+# already clear it.
 _MASS_FLOOR = 1e-9
 
 
@@ -270,112 +271,33 @@ def _class_forms(res: tuple[int, ...], full: int):
             yield (i + 1, k) + forms[k]
 
 
-def _eliminate(pivot_row: list[int], row: list[int], col: int) -> list[int]:
-    """row with its entry in col cancelled by pivot_row, divided by its gcd."""
-    a, b = pivot_row[col], row[col]
-    out = [a * y - b * x for x, y in zip(pivot_row, row)]
-    g = math.gcd(*out)
-    return [v // g for v in out] if g > 1 else out
-
-
-def _phase_one(rows: list[list[int]], n: int) -> list[int] | None:
-    """Bland's-rule phase-1 simplex in exact fractions for {rows . m = 0, m >= 1}.
-
-    Returns a solution scaled to integers, or None if there is none.
-
-    With m = 1 + x the system reads rows . x = -rows . 1, x >= 0.  One
-    artificial per row starts a feasible basis; their sum is driven to zero
-    exactly when the system is feasible.  Artificials that leave the basis
-    never re-enter, so the tableau keeps only the x columns and the right
-    side, and reduced costs start at -(column sums).
-    """
-    tab = []
-    for row in rows:
-        sign = -1 if sum(row) > 0 else 1
-        tab.append([Fraction(sign * a) for a in row + [-sum(row)]])
-    basis = [n + r for r in range(len(tab))]  # artificials rank after every x
-    cost = [-sum(t[c] for t in tab) for c in range(n + 1)]
-    while True:
-        enter = next((c for c in range(n) if cost[c] < 0), None)
-        if enter is None:
-            break
-        ratios = [(t[n] / t[enter], basis[r], r) for r, t in enumerate(tab) if t[enter] > 0]
-        _, _, r = min(ratios)
-        pivot = tab[r] = [v / tab[r][enter] for v in tab[r]]
-        for q, t in enumerate(tab):
-            if q != r and t[enter]:
-                tab[q] = [v - t[enter] * p for v, p in zip(t, pivot)]
-        cost = [v - cost[enter] * p for v, p in zip(cost, pivot)]
-        basis[r] = enter
-    if cost[n] != 0:
-        return None
-    m = [Fraction(1)] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            m[b] += tab[r][n]
-    den = math.lcm(*(x.denominator for x in m))
-    return [x.numerator * (den // x.denominator) for x in m]
-
-
-def _positive_kernel_point(rows, n: int) -> list[int] | None:
-    """An integer m with rows . m = 0 and every m_i > 0, or None if none exists.
-
-    Fraction-free elimination keeps a basis of the rows seen so far, each row
-    zero at every other row's pivot column.  Once the rank is n - 1 the
-    kernel is one integer vector: infeasible unless strictly one-signed, and
-    each later row either annihilates it or lifts the rank to n, which
-    leaves only m = 0.  A larger kernel goes to the simplex.
-    """
-    basis: dict[int, list[int]] = {}  # pivot column -> reduced integer row
-    kernel = None
-    for row in rows:
-        if kernel is not None:
-            if sum(a * x for a, x in zip(row, kernel)):
-                return None
-            continue
-        row = list(row)
-        for col, prow in basis.items():
-            if row[col]:
-                row = _eliminate(prow, row, col)
-        pivot = next((col for col, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        for col, prow in basis.items():
-            if prow[pivot]:
-                basis[col] = _eliminate(row, prow, pivot)
-        basis[pivot] = row
-        if len(basis) == n - 1:
-            (free,) = set(range(n)) - basis.keys()
-            scale = math.lcm(*(prow[col] for col, prow in basis.items()))
-            kernel = [scale] * n
-            for col, prow in basis.items():
-                kernel[col] = -prow[free] * (scale // prow[col])
-            if min(kernel) <= 0:
-                return None
-    return kernel if kernel is not None else _phase_one(list(basis.values()), n)
-
-
 @functools.lru_cache(maxsize=_MEMO_POLYGONS)
-def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, tuple[Fraction, ...] | None]:
-    """The polygon's largest class chord, and its masses or None.
+def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, bool]:
+    """The polygon's largest class chord, and whether positive masses exist.
 
     The polygon is given by its canonical residues, which every rotation
     shares.  Rho scales each class row only by a positive amplitude
     a(c, rho), so the feasible set, and with it the verdict, is the same for
-    every rho.  The masses are exact, with the smallest equal to 1.
+    every rho.
+
+    The rows of _class_forms admit only equal masses, so their sums decide
+    {A m = 0, m >= 1} exactly:
+
+      * for i = 2..n, _class_forms adds +1 at m_j to the delta row of the
+        class of (j, i) for every j != i,
+      * and -1 at m_j to the delta row of the class of (j, 1) for every
+        j != 1,
+      * so the delta rows of difference i add up to e_1 - e_i, and every
+        solution of A m = 0 has m_1 = m_2 = ... = m_n.
+
+    Hence the system is feasible exactly when m = (1, ..., 1) solves every
+    row, that is when every row sums to zero.  The rows are read lazily, and
+    the first row with a nonzero sum proves the system infeasible.
     """
-
-    def rows():
-        return (row for *_, delta, gamma in _class_forms(res, full) for row in (delta, gamma))
-
-    point = _positive_kernel_point(rows(), len(res))
-    masses = None
-    if point is not None:
-        if any(sum(a * x for a, x in zip(row, point)) for row in rows()):
-            raise InternalConsistencyError(f"point {point} does not solve the class rows")
-        masses = tuple(Fraction(x, min(point)) for x in point)
+    rows = (row for *_, delta, gamma in _class_forms(res, full) for row in (delta, gamma))
+    feasible = not any(sum(row) for row in rows)
     widest = max(min((a - b) % full, (b - a) % full) for a, b in itertools.combinations(res, 2))
-    return 1.0 - math.cos(2.0 * math.pi * widest / full), masses
+    return 1.0 - math.cos(2.0 * math.pi * widest / full), feasible
 
 
 def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
@@ -727,7 +649,7 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Outcome of the linear search for admissible positive masses."""
+    """Outcome of the exact decision on admissible positive masses."""
 
     feasible: bool
     masses: tuple[float, ...] | None
@@ -746,23 +668,24 @@ class FeasibilityResult:
 
 
 def mass_feasibility(cfg: PolygonConfig, rho) -> FeasibilityResult:
-    """Search for positive masses killing every chord-class coefficient.
+    """Decide whether positive masses kill every chord-class coefficient.
 
-    Decides {A m = 0, m_i > 0} exactly, with A the integer class rows
-    of every difference delta_i - delta_1 and gamma_i - gamma_1; the system is
-    homogeneous, so the verdict is independent of any floor and of rho, and
-    is found once per polygon with min(m) = 1.  At the given rho every class
-    must lie in the kernel domain; 2 - c*rho is monotone in c, so checking
-    the largest chord checks them all.  Witness masses are reported in
-    canonical vertex order; they solve the rows exactly, so the residual
-    is 0.
+    Decides {A m = 0, m_i > 0} exactly, with A the integer class rows of
+    every difference delta_i - delta_1 and gamma_i - gamma_1; these rows
+    admit only equal masses (see _exact_system), so the system is feasible
+    exactly when every row sums to zero.  The verdict is independent of any
+    floor and of rho, and is found once per polygon.  At the given rho every
+    class must lie in the kernel domain; 2 - c*rho is monotone in c, so
+    checking the largest chord checks them all.  A feasible system reports
+    the equal masses (1, ..., 1), which solve the rows exactly, so the
+    residual is 0.
     """
     rho_v = _rho_value(rho)
-    widest, masses = _exact_system(*cfg.canonical_residues)
+    widest, feasible = _exact_system(*cfg.canonical_residues)
     _check_kernel_domain(widest, rho_v)
-    if masses is None:
+    if not feasible:
         return FeasibilityResult(False, None, math.inf, rho_v, _MASS_FLOOR)
-    return FeasibilityResult(True, tuple(float(m) for m in masses), 0.0, rho_v, _MASS_FLOOR)
+    return FeasibilityResult(True, (1.0,) * cfg.n, 0.0, rho_v, _MASS_FLOOR)
 
 
 def _check_witness(cert: Certificate):

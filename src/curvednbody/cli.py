@@ -73,7 +73,10 @@ def _as_real(value, field: str) -> float:
     # bool is an int subclass; a bare true/false is never a number here
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ConfigError(field, "integer too large for a double") from None
     if not math.isfinite(v):
         raise ConfigError(field, f"expected a finite number, got {value!r}")
     return v

@@ -370,28 +370,32 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
 
     Full steps of size dt, plus one shorter final step when t_end is not a
     step multiple.  The trajectory holds the initial sample and one per
-    step.  Errors abort with the failing time attached.
+    step.  A step count whose samples could not be stored raises ValueError
+    before any step.  Errors abort with the failing time attached.
     """
-    sizes = []
+    last, final = 0, cfg.dt
     if cfg.t_end > 0.0:
         if cfg.dt == 0.0:
             raise ValueError("dt must be positive to reach a positive t_end")
-        nfull = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
+        count = cfg.t_end / cfg.dt  # inf when dt is tiny enough
+        # times, positions, velocities and diagnostics: 6n + 4 doubles a sample
+        if (count + 2) * 8 * (6 * sys.n + 4) > np.iinfo(np.intp).max:
+            raise ValueError(f"t_end / dt = {count:g} steps are too many to store")
+        nfull = int(math.floor(count + 1e-9))
         remainder = cfg.t_end - nfull * cfg.dt
-        sizes = [cfg.dt] * nfull
+        last = nfull
         if remainder > 1e-9 * cfg.dt:
-            sizes.append(remainder)
+            last, final = nfull + 1, remainder
     c = sys.curvature
-    last = len(sizes)
     times = np.zeros(last + 1)
     P = np.empty((last + 1, sys.n, 3))
     W = np.empty_like(P)
     D = np.empty((last + 1, 3))
     Q, V, m = _floats(sys)
     P[0], W[0], D[0] = Q, V, astuple(diagnostics(sys))
-    for k, size in enumerate(sizes, 1):
+    for k in range(1, last + 1):
         # every non-final step has size dt, so its time is exact
-        t = cfg.t_end if k == last else k * cfg.dt
+        t, size = (cfg.t_end, final) if k == last else (k * cfg.dt, cfg.dt)
         Q, V, D[k] = _advance(Q, V, m, c, size, cfg, time=t)
         times[k], P[k], W[k] = t, Q, V
     for arr in (times, P, W, D):

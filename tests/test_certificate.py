@@ -6,6 +6,7 @@ independent exact mass search must agree.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -597,62 +598,14 @@ def linprog_feasible(rows, n):
     return res.status == 0
 
 
-def assert_exact_point(rows, point):
-    assert all(isinstance(m, int) and m > 0 for m in point), point
-    for row in rows:
-        assert sum(a * m for a, m in zip(row, point)) == 0, (row, point)
-
-
-class TestExactSolver:
-    """The exact solver on integer systems written out by hand, against HiGHS."""
-
-    # (n, rows, feasible); the comment gives the kernel dimension
-    SYSTEMS = [
-        (3, [[1, -1, 0], [0, 1, -1], [1, 0, 0]], False),  # 0
-        (3, [[1, 1, 1], [1, -1, 0], [0, 1, -1], [2, 0, -2]], False),  # 0, redundant rows
-        (3, [[1, -1, 0], [0, 1, -1]], True),  # 1: all-ones
-        (3, [[2, -1, 0], [0, 3, -1]], True),  # 1: (1, 2, 6)
-        (3, [[1, 1, 0], [0, 1, -1]], False),  # 1: (-1, 1, 1), mixed signs
-        (3, [[1, 0, 0], [0, 1, -1]], False),  # 1: (0, 1, 1), not strictly positive
-        (4, [[-2, 1, 1, 0], [0, 0, 1, -1], [1, -1, 0, 0], [2, -2, 0, 0]], True),  # 1, redundant
-        (4, [[1, 1, -2, 0]], True),  # 3
-        (4, [[1, 1, 0, 0]], False),  # 3
-        (5, [[2, -1, -1, 0, 0], [0, 0, 1, -1, 0]], True),  # 3
-        (5, [[1, -2, 0, 0, 1], [0, 1, 1, -2, 0], [1, 0, -1, 0, -2]], True),  # 2
-        (5, [[1, 2, -1, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, -1]], False),  # 2
-        (5, [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [1, 0, 1, 0, -2], [2, 0, 2, 0, -2]], False),  # 2
-        (6, [[1, -1, 1, -1, 0, 0], [0, 1, -2, 1, 0, 0], [1, 0, 0, 0, -1, -1]], True),  # 3
-        (6, [[1, -2, 1, 0, 0, 0], [0, 1, -2, 1, 0, 0], [0, 0, 1, -2, 1, 0], [1, 0, 0, 0, 0, 0]], False),  # 2
-        (4, [], True),  # 4: no rows at all
-    ]
-
-    @pytest.mark.parametrize("n,rows,feasible", SYSTEMS)
-    def test_hand_written_systems(self, n, rows, feasible):
-        assert linprog_feasible(rows, n) == feasible
-        point = certificate._positive_kernel_point(rows, n)
-        assert (point is not None) == feasible
-        if feasible:
-            assert_exact_point(rows, point)
-
-    def test_exact_kernel_point(self):
-        # in either row order the one kernel direction comes out exactly
-        for rows in ([[2, -1, 0], [0, 3, -1]], [[0, 3, -1], [2, -1, 0]]):
-            point = certificate._positive_kernel_point(rows, 3)
-            assert [F(m, point[0]) for m in point] == [1, 2, 6]
-
-    def test_random_wide_kernels_match_linprog(self):
-        # fewer rows than n - 1 leave a kernel of dimension >= 2: the simplex path
-        rng = random.Random(61)
-        verdicts = set()
-        for _ in range(300):
-            n = rng.randint(3, 7)
-            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n - 2))]
-            point = certificate._positive_kernel_point(rows, n)
-            assert (point is not None) == linprog_feasible(rows, n), rows
-            if point is not None:
-                assert_exact_point(rows, point)
-            verdicts.add(point is not None)
-        assert verdicts == {True, False}
+def canonical_polygons(max_denominator):
+    """Every canonical polygon with turn denominators <= max_denominator, once each."""
+    seen = set()
+    for q in range(3, max_denominator + 1):
+        for n in range(3, q + 1):
+            for rest in itertools.combinations(range(1, q), n - 1):
+                seen.add(turns(0, *(F(p, q) for p in rest)).canonical_residues)
+    return [PolygonConfig.from_turns(tuple(F(r, full) for r in res)) for res, full in sorted(seen)]
 
 
 def class_differences(cfg, masses, rho):
@@ -678,16 +631,19 @@ def group_differences(cfg, masses, rho):
 class TestClassRows:
     """The exact route's rows, built from turn residues alone."""
 
+    @staticmethod
+    def row_polygons(rng):
+        polygons = [turns(0, "1/8", "1/2", "5/8"), turns(0, "1/5", "2/5", "3/5"),
+                    turns(0, "1/6", "1/3", "1/2", "2/3")]
+        return polygons + [canonicalize(random_irregular_polygon(rng, n, d))
+                           for n in range(3, 13) for d in (2 * n + 2, 10**4)]
+
     def test_rows_reproduce_delta_gamma(self):
         # at any masses and rho, summing the class rows (or the paper's groups)
         # at their kernels gives back every difference that delta_gamma
         # computes directly
         rng = random.Random(71)
-        polygons = [turns(0, "1/8", "1/2", "5/8"), turns(0, "1/5", "2/5", "3/5"),
-                    turns(0, "1/6", "1/3", "1/2", "2/3")]
-        polygons += [canonicalize(random_irregular_polygon(rng, n, d))
-                     for n in range(3, 13) for d in (2 * n + 2, 10**4)]
-        for cfg in polygons:
+        for cfg in self.row_polygons(rng):
             for rho in (0.5, -10.0, 0.9):
                 masses = np.array([rng.uniform(0.5, 2.0) for _ in range(cfg.n)])
                 deltas, gammas = (np.asarray(v) for v in delta_gamma(cfg, masses, rho))
@@ -698,6 +654,34 @@ class TestClassRows:
                 d12, g12 = group_differences(cfg, masses, rho)
                 assert abs(d12 - (deltas[0] - deltas[1])) <= 1e-12 * scale
                 assert abs(g12 - (gammas[0] - gammas[1])) <= 1e-12 * scale
+
+    def test_delta_rows_of_each_difference_sum_to_e1_minus_ei(self):
+        # the premise of _exact_system: every solution of the rows has equal masses
+        polygons = self.row_polygons(random.Random(71))
+        # half turns (a pair drops from gamma) and mirror images (two pairs share a class)
+        polygons += [canonicalize(turns(*t)) for t in (
+            (0, "1/6", "1/2"), (0, "1/10", "1/2", "3/5"), (0, "1/4", "1/2", "3/4"),
+            (0, "1/8", "7/8"), (0, "1/12", "5/12", "7/12", "11/12"), (0, "1/9", "1/3", "8/9"))]
+        for cfg in polygons:
+            n = cfg.n
+            sums = {i: [0] * n for i in range(2, n + 1)}
+            for i, _, delta, _ in certificate._class_forms(*cfg.residues):
+                sums[i] = [a + b for a, b in zip(sums[i], delta)]
+            for i, total in sums.items():
+                assert total == [1 if v == 1 else -1 if v == i else 0 for v in range(1, n + 1)], (
+                    cfg.turns, i)
+
+    def test_every_small_canonical_polygon(self):
+        # exhaustive over denominators <= 12: feasible (by the row sums and by
+        # HiGHS) exactly when regular, and rank n - 1 exactly then
+        polygons = canonical_polygons(12)
+        assert len(polygons) == 722
+        for cfg in polygons:
+            regular = is_regular(cfg)
+            rows = [row for *_, d, g in certificate._class_forms(*cfg.residues) for row in (d, g)]
+            assert mass_feasibility(cfg, 0.5).feasible == regular == linprog_feasible(rows, cfg.n), (
+                cfg.turns)
+            assert np.linalg.matrix_rank(np.array(rows, dtype=float)) == cfg.n - regular, cfg.turns
 
     def test_rank_is_n_exactly_when_irregular(self):
         rng = random.Random(73)
@@ -755,7 +739,7 @@ class TestIndependentRoutes:
             return [repr(base_groups(poly, rho)) for poly in self.POLYGONS for rho in (0.5, -1.0)]
 
         expected = snapshot()
-        self.unavailable(monkeypatch, ("_class_forms", "_positive_kernel_point") + PAIRINGS)
+        self.unavailable(monkeypatch, ("_class_forms",) + PAIRINGS)
         assert snapshot() == expected
 
     def test_case_analysis_reads_no_other_route(self, monkeypatch):

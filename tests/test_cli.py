@@ -97,6 +97,31 @@ class TestValidate:
             cli.load_config(path)
         assert info.value.field == "angles"
 
+    @pytest.mark.parametrize("field", [
+        "kappa", "angles", "masses", "rho", "tol", "velocities",
+        "integrator.dt", "integrator.t_end", "integrator.max_constraint_drift",
+    ])
+    def test_integer_too_large_for_a_double_rejected(self, tmp_path, field):
+        doc = {
+            "kappa": 1.0,
+            "angles": [0.0, 2.0, 4.0],
+            "masses": [1.0, 1.0, 1.0],
+            "rho": 0.5,
+            "tol": 1e-10,
+            "velocities": [[0.0, 0.0, 0.0] for _ in range(3)],
+            "integrator": {"dt": 0.001, "t_end": 0.01, "max_constraint_drift": 1e-6},
+        }
+        head, _, key = field.rpartition(".")
+        target = doc[head] if head else doc
+        if isinstance(target[key], list):
+            row = target[key][0] if isinstance(target[key][0], list) else target[key]
+            row[0] = 10**400
+        else:
+            target[key] = 10**400
+        code, out, err = run_cli(["validate", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == f"config error: {field}: integer too large for a double\n"
+
     def test_zero_curvature_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(SQUARE_EXACT, kappa=0.0))
         code, _, err = run_cli(["validate", "--config", cfg])
@@ -376,6 +401,12 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--config", cfg])
         assert code == 2
         assert "dt" in err
+
+    def test_step_count_too_large_to_store(self, tmp_path):
+        doc = dict(GEODESIC, integrator={"dt": 1e-300, "t_end": 1.0})
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == "error: t_end / dt = 1e+300 steps are too many to store\n"
 
     def test_non_tangent_velocities_rejected(self, tmp_path):
         doc = dict(GEODESIC, velocities=[[1.0, 0.0, 0.0]])

@@ -243,6 +243,14 @@ class TestIntegrate:
         traj = integrate(system, IntegratorConfig(dt=1e-3, t_end=2 * math.pi))
         assert traj.times[-1] == 2 * math.pi
 
+    @pytest.mark.parametrize("dt, count", [(1e-300, "1e+300"), (5e-324, "inf")])
+    def test_step_count_too_large_to_store(self, dt, count):
+        # refused before any sample array is allocated
+        system = make_system(SPHERE, [[1, 0, 0]], [[0, 0.1, 0]], [1.0])
+        with pytest.raises(ValueError) as err:
+            integrate(system, IntegratorConfig(dt=dt, t_end=1.0))
+        assert str(err.value) == f"t_end / dt = {count} steps are too many to store"
+
     def test_geodesic_great_circle_closure(self):
         system = make_system(SPHERE, [[1, 0, 0]], [[0, 1, 0]], [1.0])
         cfg = IntegratorConfig(dt=1e-3, t_end=2 * math.pi)
