@@ -12,40 +12,15 @@ certificate, and a batch CLI.
 
 import importlib
 
-from .errors import (
-    CoincidentAngleError,
-    ConfigError,
-    ConstraintDriftError,
-    CurvedNBodyError,
-    DisagreementError,
-    InternalConsistencyError,
-    KernelDomainError,
-    NoBalanceError,
-    NonProjectableError,
-    RegularPolygonError,
-    SingularConfigurationError,
-)
-from .polygon import (
-    Curvature,
-    MassVector,
-    PolygonConfig,
-    Rho,
-    canonicalize,
-    chord_c,
-    chord_s,
-    cyclic_gaps,
-    is_regular,
-    mu,
-    nu,
-    random_irregular_polygon,
-    random_scalene_triangle,
-    rho_grid,
-    validate_rho_for_kappa,
-)
+from . import errors, polygon
+from .errors import *
+from .polygon import *
 
 # Each subcommand loads only what it runs, so the names of these modules are
 # imported on first use (PEP 562): certificate and dynamics are large to
-# compile, and geometry and dynamics load numpy.
+# compile, and geometry and dynamics load numpy.  Reading their __all__ here
+# would import them, so the names are listed again; a test holds the two
+# lists equal.
 _LAZY_NAMES = {
     "certificate": (
         "BaseGroup", "Certificate", "CoefficientSystem", "FeasibilityResult", "MassForm",
@@ -88,73 +63,4 @@ def __dir__() -> list[str]:
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # geometry
-    "Curvature",
-    "vec3",
-    "sigma_inner",
-    "surface_residual",
-    "project_point",
-    "project_tangent",
-    # criterion
-    "PolygonConfig",
-    "MassVector",
-    "Rho",
-    "CriterionReport",
-    "chord_c",
-    "chord_s",
-    "mu",
-    "nu",
-    "delta_gamma",
-    "criterion_check",
-    "canonicalize",
-    "cyclic_gaps",
-    "is_regular",
-    "rho_grid",
-    "random_irregular_polygon",
-    "random_scalene_triangle",
-    "validate_rho_for_kappa",
-    # certificate
-    "mu_derivative",
-    "decompose",
-    "MassForm",
-    "BaseGroup",
-    "CoefficientSystem",
-    "base_groups",
-    "pairing_possibility1",
-    "pairing_u",
-    "pairing_v",
-    "find_contradiction_j",
-    "classify_case",
-    "WitnessForm",
-    "Certificate",
-    "certify",
-    "FeasibilityResult",
-    "mass_feasibility",
-    # dynamics
-    "BodySystem",
-    "IntegratorConfig",
-    "RelativeEquilibrium",
-    "Trajectory",
-    "DiagnosticsReport",
-    "pair_acceleration",
-    "acceleration",
-    "step",
-    "integrate",
-    "build_polygon_state",
-    "solve_omega",
-    "diagnostics",
-    # errors
-    "CurvedNBodyError",
-    "NonProjectableError",
-    "KernelDomainError",
-    "CoincidentAngleError",
-    "SingularConfigurationError",
-    "ConstraintDriftError",
-    "NoBalanceError",
-    "RegularPolygonError",
-    "InternalConsistencyError",
-    "DisagreementError",
-    "ConfigError",
-]
+__all__ = ["__version__", *errors.__all__, *polygon.__all__, *_LAZY_MODULE]

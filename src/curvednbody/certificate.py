@@ -46,7 +46,6 @@ from .errors import (
 from .polygon import (
     PolygonConfig,
     _check_kernel_domain,
-    _rho_value,
     canonicalize,
     is_regular,
     mu,
@@ -83,7 +82,7 @@ _MEMO_POLYGONS = 32
 _MASS_FLOOR = 1e-9
 
 
-def mu_derivative(c: float, rho, k: int) -> float:
+def mu_derivative(c: float, rho: float, k: int) -> float:
     """k-th rho-derivative of the attraction kernel mu(c, rho).
 
     Differentiating c^(-1/2) * (2 - c*rho)^(-3/2) k times multiplies by
@@ -98,15 +97,14 @@ def mu_derivative(c: float, rho, k: int) -> float:
         raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
     if k == 0:
         return mu(c, rho)
-    r = _rho_value(rho)
-    base = _check_kernel_domain(c, r)
+    base = _check_kernel_domain(c, float(rho))
     pref = 1.0
     for l in range(int(k)):
         pref *= 1.5 + l
     return pref * c ** (k - 0.5) / base ** (1.5 + k)
 
 
-def decompose(c: float, rho) -> tuple[float, float]:
+def decompose(c: float, rho: float) -> tuple[float, float]:
     """Split the derivative kernel into amplitude and base: a * g^k.
 
     a = c^(1/2) / (2 - c*rho)^(3/2) and g = c / (2 - c*rho), so that
@@ -114,8 +112,7 @@ def decompose(c: float, rho) -> tuple[float, float]:
     valid domain, and g is strictly increasing in c at fixed rho, which makes
     equal bases equivalent to equal chords.
     """
-    r = _rho_value(rho)
-    base = _check_kernel_domain(c, r)
+    base = _check_kernel_domain(c, float(rho))
     return math.sqrt(c) / base**1.5, c / base
 
 
@@ -309,7 +306,7 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
     also the class's |s/c|, and the bases g must increase strictly with c.
     """
     _require_canonical(cfg)
-    rho_v = _rho_value(rho)
+    rho_v = float(rho)
     res, full = cfg.residues
     groups = []
     for k, (members, delta, gamma) in sorted(_difference_groups(res, full).items()):
@@ -428,7 +425,11 @@ class WitnessForm:
     equation: str  # "delta" | "gamma"
     form: MassForm
     pattern: str
-    sign_definite: bool
+
+    @property
+    def sign_definite(self) -> bool:
+        """Whether the form cannot vanish for positive masses."""
+        return self.form.sign_definite
 
 
 @dataclass(frozen=True)
@@ -599,21 +600,17 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
 
     if u is None and v is None:
         case = "case1"
-        forms = (
-            WitnessForm("delta", accumulate([(j, 1.0)]), f"a_j1 * m{j}", True),
-        )
+        forms = (WitnessForm("delta", accumulate([(j, 1.0)]), f"a_j1 * m{j}"),)
     elif u is not None and v is None:
         case = "case2u"
         s_nonzero_required()
         gform = accumulate([(j, t), (u, t)])
         label = f"2*m{j}" if u == j else f"m{j} + m{u}"
-        forms = (
-            WitnessForm("gamma", gform, f"a_j1 * (s_j1/c_j1) * ({label})", gform.sign_definite),
-        )
+        forms = (WitnessForm("gamma", gform, f"a_j1 * (s_j1/c_j1) * ({label})"),)
     elif u is None and v is not None:
         case = "case2v"
         dform = accumulate([(j, 1.0), (v, 1.0)])
-        forms = (WitnessForm("delta", dform, f"a_j1 * (m{j} + m{v})", True),)
+        forms = (WitnessForm("delta", dform, f"a_j1 * (m{j} + m{v})"),)
     else:
         case = "case3"
         s_nonzero_required()
@@ -622,19 +619,11 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
         d_label = f"m{v}" if u == j else f"m{j} + m{v} - m{u}"
         g_label = f"2*m{j} - m{v}" if u == j else f"m{j} - m{v} + m{u}"
         forms = (
-            WitnessForm("delta", dform, f"a_j1 * ({d_label})", dform.sign_definite),
-            WitnessForm("gamma", gform, f"a_j1 * (s_j1/c_j1) * ({g_label})", gform.sign_definite),
+            WitnessForm("delta", dform, f"a_j1 * ({d_label})"),
+            WitnessForm("gamma", gform, f"a_j1 * (s_j1/c_j1) * ({g_label})"),
         )
-    if case in ("case1", "case2v"):
-        failing = "delta"
-    elif case == "case2u":
-        failing = "gamma"
-    elif forms[0].sign_definite:
-        failing = "delta"
-    elif forms[1].sign_definite:
-        failing = "gamma"
-    else:
-        failing = "disjunction"
+    # case 3 may have no sign-definite form; then one of its two must be nonzero
+    failing = next((w.equation for w in forms if w.sign_definite), "disjunction")
     return Certificate(
         polygon=cfg,
         canonical=cfg,
@@ -680,7 +669,7 @@ def mass_feasibility(cfg: PolygonConfig, rho) -> FeasibilityResult:
     the equal masses (1, ..., 1), which solve the rows exactly, so the
     residual is 0.
     """
-    rho_v = _rho_value(rho)
+    rho_v = float(rho)
     widest, feasible = _exact_system(*cfg.canonical_residues)
     _check_kernel_domain(widest, rho_v)
     if not feasible:
@@ -727,7 +716,7 @@ def certify(cfg: PolygonConfig, rho=None) -> Certificate:
     j = find_contradiction_j(canon)
     cert = classify_case(canon, j)
     _check_witness(cert)
-    rho_v = 0.5 if rho is None else _rho_value(rho)
+    rho_v = 0.5 if rho is None else float(rho)
     feas = mass_feasibility(canon, rho_v)
     if feas.feasible:
         raise DisagreementError(

@@ -39,7 +39,6 @@ from .polygon import (
     Curvature,
     MassVector,
     PolygonConfig,
-    Rho,
     canonicalize,
     chord_c,
     cyclic_gaps,
@@ -87,11 +86,9 @@ def _parse_rho(value, kappa: float) -> float | None:
     if value is None:
         return None
     try:
-        rho = Rho(value).value
-        validate_rho_for_kappa(rho, kappa)
+        return validate_rho_for_kappa(value, kappa)
     except ValueError as exc:
         raise ConfigError("rho", str(exc)) from None
-    return rho
 
 
 def _parse_tol(value) -> float:
@@ -174,8 +171,15 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"invalid JSON in {path!r}: {exc}") from None
+    except ValueError:  # json converts integers with int(), which caps their length
+        limit = sys.get_int_max_str_digits()
+        raise ConfigError(
+            "config", f"invalid JSON in {path!r}: an integer has more than {limit} digits"
+        ) from None
+    except RecursionError:
+        raise ConfigError("config", f"invalid JSON in {path!r}: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError("config", "top-level document must be an object")
     for key in doc:

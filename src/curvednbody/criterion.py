@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CoincidentAngleError, KernelDomainError
-from .polygon import MassVector, PolygonConfig, _rho_value
+from .polygon import MassVector, PolygonConfig
 
 __all__ = ["CriterionReport", "delta_gamma", "criterion_check"]
 
@@ -59,7 +59,7 @@ def delta_gamma(cfg: PolygonConfig, masses, rho) -> tuple[tuple[float, ...], tup
     m = masses.masses if isinstance(masses, MassVector) else tuple(float(x) for x in masses)
     if len(m) != cfg.n:
         raise ValueError(f"expected {cfg.n} masses, got {len(m)}")
-    deltas, gammas = _sums(_pair_table(cfg), m, _rho_value(rho))
+    deltas, gammas = _sums(_pair_table(cfg), m, float(rho))
     return tuple(deltas), tuple(gammas)
 
 

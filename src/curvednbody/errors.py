@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CurvedNBodyError",
+    "NonProjectableError",
+    "KernelDomainError",
+    "CoincidentAngleError",
+    "SingularConfigurationError",
+    "ConstraintDriftError",
+    "NoBalanceError",
+    "RegularPolygonError",
+    "InternalConsistencyError",
+    "DisagreementError",
+    "ConfigError",
+]
+
 
 class CurvedNBodyError(Exception):
     """Base class for all package-specific errors."""

@@ -3,8 +3,9 @@
 For kappa > 0 the surface is the sphere of radius 1/sqrt(kappa) and sigma = +1;
 for kappa < 0 it is the upper sheet of a hyperboloid and sigma = -1.  The flat
 case kappa = 0 is rejected when the `Curvature` is built.  All operations work
-in binary64 on ambient 3-vectors; batched variants accept arrays of shape
-(..., 3).
+in binary64 on ambient 3-vectors, float64 arrays of shape (3,); the helpers
+also broadcast over leading axes, so (n, 3) body arrays go through the same
+code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .errors import NonProjectableError
 from .polygon import Curvature
 
 __all__ = [
-    "Vec3",
     "vec3",
     "sigma_inner",
     "surface_residual",
@@ -23,12 +23,7 @@ __all__ = [
     "project_tangent",
 ]
 
-# A Vec3 is a float64 ndarray of shape (3,); the helpers below also broadcast
-# over leading axes so (n, 3) body arrays go through the same code.
-Vec3 = np.ndarray
-
-
-def vec3(x: float, y: float, z: float) -> Vec3:
+def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build an ambient 3-vector."""
     return np.array([x, y, z], dtype=float)
 

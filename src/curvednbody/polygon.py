@@ -30,7 +30,6 @@ __all__ = [
     "Curvature",
     "PolygonConfig",
     "MassVector",
-    "Rho",
     "chord_c",
     "chord_s",
     "mu",
@@ -180,41 +179,21 @@ class MassVector:
         return len(self.masses)
 
 
-@dataclass(frozen=True)
-class Rho:
-    """Scaled squared radius rho = kappa * r^2.
+def validate_rho_for_kappa(rho: float, kappa: float) -> float:
+    """Check the scaled squared radius rho = kappa * r^2; return it as a float.
 
-    Every valid rho is nonzero and below 1: the positive branch (sphere)
-    lives in (0, 1), the equator rho = 1 excluded; the negative branch
-    (hyperboloid) is unbounded below.  Which branch applies depends on the
-    curvature sign; see validate_rho_for_kappa.
+    Every valid rho is finite, nonzero and below 1, and its sign follows the
+    curvature: the positive branch (sphere) lives in (0, 1), the equator
+    rho = 1 excluded; the negative branch (hyperboloid) is unbounded below.
     """
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v) or v == 0.0 or v >= 1.0:
-            raise ValueError(f"rho must be finite, nonzero and < 1, got {v!r}")
-        object.__setattr__(self, "value", v)
-
-    @classmethod
-    def from_kappa_radius(cls, kappa: float, r: float) -> "Rho":
-        return cls(float(kappa) * float(r) ** 2)
-
-
-def validate_rho_for_kappa(rho: "Rho | float", kappa: float) -> float:
-    """Check the sign of rho against the curvature branch; return the value."""
-    v = rho.value if isinstance(rho, Rho) else float(rho)
+    v = float(rho)
+    if not math.isfinite(v):
+        raise ValueError(f"rho must be finite, got {v!r}")
     if kappa > 0 and not (0.0 < v < 1.0):
         raise ValueError(f"kappa > 0 requires 0 < rho < 1, got {v!r}")
     if kappa < 0 and not (v < 0.0):
         raise ValueError(f"kappa < 0 requires rho < 0, got {v!r}")
     return v
-
-
-def _rho_value(rho) -> float:
-    return rho.value if isinstance(rho, Rho) else float(rho)
 
 
 def chord_c(alpha_j: float, alpha_i: float) -> float:
@@ -242,17 +221,15 @@ def _check_kernel_domain(c: float, rho: float) -> float:
     return base
 
 
-def mu(c: float, rho) -> float:
+def mu(c: float, rho: float) -> float:
     """Attraction kernel 1 / (c^(1/2) (2 - c rho)^(3/2))."""
-    r = _rho_value(rho)
-    base = _check_kernel_domain(c, r)
+    base = _check_kernel_domain(c, float(rho))
     return 1.0 / (math.sqrt(c) * base**1.5)
 
 
-def nu(c: float, s: float, rho) -> float:
+def nu(c: float, s: float, rho: float) -> float:
     """Tangential kernel s / (c^(3/2) (2 - c rho)^(3/2)) = (s/c) * mu."""
-    r = _rho_value(rho)
-    base = _check_kernel_domain(c, r)
+    base = _check_kernel_domain(c, float(rho))
     return s / (c**1.5 * base**1.5)
 
 

@@ -122,6 +122,21 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert err == f"config error: {field}: integer too large for a double\n"
 
+    @pytest.mark.parametrize("content, reason", [
+        (
+            b'{"kappa": ' + b"1" * 5000 + b', "angles": [0.0]}',
+            f"an integer has more than {sys.get_int_max_str_digits()} digits",
+        ),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        (b"\xff\xfe{\x00}\x00", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["long-integer", "deep-nesting", "not-utf-8"])
+    def test_unreadable_document_names_the_file(self, tmp_path, content, reason):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(["validate", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: config: invalid JSON in {str(path)!r}: {reason}")
+
     def test_zero_curvature_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(SQUARE_EXACT, kappa=0.0))
         code, _, err = run_cli(["validate", "--config", cfg])
@@ -216,6 +231,16 @@ class TestRhoResolution:
         doc = dict(TRIANGLE_EXACT, kappa=kappa, rho=0.5 if kappa > 0 else -1.5)
         cfg = write_config(tmp_path, doc)
         code, out, err = run_cli([command, "--config", cfg, "--rho", flag])
+        assert code == 2 and out == ""
+        assert "config error: rho:" in err
+
+    @pytest.mark.parametrize("kappa", [1.0, -1.0])
+    @pytest.mark.parametrize("flag", ["inf", "-inf", "nan"])
+    def test_non_finite_flag_rejected(self, tmp_path, command, kappa, flag):
+        doc = dict(TRIANGLE_EXACT, kappa=kappa, rho=0.5 if kappa > 0 else -1.5)
+        cfg = write_config(tmp_path, doc)
+        # argparse would read a separate "-inf" as an option
+        code, out, err = run_cli([command, "--config", cfg, f"--rho={flag}"])
         assert code == 2 and out == ""
         assert "config error: rho:" in err
 
@@ -675,6 +700,18 @@ class TestLazyNames:
         )
         assert json.loads(fresh_python(script)) == []
         assert len(set(curvednbody.__all__)) == len(curvednbody.__all__)
+
+    def test_lists_agree(self):
+        # a lazy module's names are written twice: in its __all__ and in the
+        # root's _LAZY_NAMES, which cannot read it without importing it
+        lazy = curvednbody._LAZY_NAMES
+        for module, names in lazy.items():
+            exported = importlib.import_module(f"curvednbody.{module}").__all__
+            assert set(names) == set(exported), module
+        # test_star_import checks that the root list has no duplicates
+        eager = curvednbody.errors.__all__ + curvednbody.polygon.__all__
+        lazy_names = [n for names in lazy.values() for n in names]
+        assert curvednbody.__all__ == ["__version__", *eager, *lazy_names]
 
 
 class TestBenchmarkNames:

@@ -13,7 +13,6 @@ from curvednbody import (
     KernelDomainError,
     MassVector,
     PolygonConfig,
-    Rho,
     canonicalize,
     chord_c,
     chord_s,
@@ -73,18 +72,14 @@ def test_mass_vector_positive():
 
 
 class TestRho:
-    def test_valid_range(self):
-        assert Rho(0.5).value == 0.5
-        assert Rho(-7.0).value == -7.0
+    """The rho domain, which validate_rho_for_kappa alone checks."""
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, math.nan, math.inf])
     def test_rejected(self, bad):
-        with pytest.raises(ValueError):
-            Rho(bad)
-
-    def test_from_kappa_radius(self):
-        assert Rho.from_kappa_radius(1.0, 0.6).value == pytest.approx(0.36)
-        assert Rho.from_kappa_radius(-1.0, 0.6).value == pytest.approx(-0.36)
+        # no branch admits these: every valid rho is finite, nonzero and < 1
+        for kappa in (1.0, -1.0):
+            with pytest.raises(ValueError):
+                validate_rho_for_kappa(bad, kappa)
 
     def test_branch_validation(self):
         assert validate_rho_for_kappa(0.5, 1.0) == 0.5
@@ -93,6 +88,8 @@ class TestRho:
             validate_rho_for_kappa(-0.5, 1.0)
         with pytest.raises(ValueError):
             validate_rho_for_kappa(0.5, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            validate_rho_for_kappa(-math.inf, -1.0)
 
 
 def test_chord_c_values():
