@@ -18,17 +18,15 @@ from .polygon import *
 
 # Each subcommand loads only what it runs, so the names of these modules are
 # imported on first use (PEP 562): certificate and dynamics are large to
-# compile, and geometry and dynamics load numpy.  Reading their __all__ here
-# would import them, so the names are listed again; a test holds the two
-# lists equal.
+# compile, and dynamics loads numpy.  Reading their __all__ here would
+# import them, so the names are listed again; a test holds the two lists
+# equal.
 _LAZY_NAMES = {
     "certificate": (
-        "BaseGroup", "Certificate", "CoefficientSystem", "FeasibilityResult", "MassForm",
-        "WitnessForm", "base_groups", "certify", "classify_case", "decompose",
-        "find_contradiction_j", "mass_feasibility", "mu_derivative", "pairing_possibility1",
-        "pairing_u", "pairing_v",
+        "BaseGroup", "Certificate", "FeasibilityResult", "MassForm", "WitnessForm",
+        "base_groups", "certify", "classify_case", "decompose", "find_contradiction_j",
+        "mass_feasibility", "mu_derivative", "pairing_possibility1", "pairing_u", "pairing_v",
     ),
-    "geometry": ("vec3", "sigma_inner", "surface_residual", "project_point", "project_tangent"),
     "criterion": ("CriterionReport", "delta_gamma", "criterion_check"),
     "dynamics": (
         "BodySystem",
@@ -40,7 +38,8 @@ _LAZY_NAMES = {
         "build_polygon_state",
         "diagnostics",
         "integrate",
-        "pair_acceleration",
+        "project_point",
+        "project_tangent",
         "solve_omega",
         "step",
     ),

@@ -54,7 +54,6 @@ from .polygon import (
 __all__ = [
     "MassForm",
     "BaseGroup",
-    "CoefficientSystem",
     "WitnessForm",
     "Certificate",
     "FeasibilityResult",
@@ -140,13 +139,14 @@ class MassForm:
         signs = {x > 0.0 for x in self.coeffs if x != 0.0}
         return len(signs) == 1
 
-    def value(self, masses) -> float:
-        return math.fsum(x * float(m) for x, m in zip(self.coeffs, masses, strict=True))
-
     @staticmethod
-    def from_terms(n: int, terms: dict[int, float]) -> "MassForm":
+    def from_terms(n: int, terms) -> "MassForm":
+        """The form of n masses summing (1-based index, coefficient) pairs in order.
+
+        Indices may repeat (the pairing u can equal j); their coefficients add up.
+        """
         coeffs = [0.0] * n
-        for idx, coeff in terms.items():
+        for idx, coeff in terms:
             coeffs[idx - 1] += coeff
         return MassForm(tuple(coeffs))
 
@@ -162,28 +162,6 @@ class BaseGroup:
     members: tuple[tuple[int, int], ...]  # the (j, i) pairs of the group's terms
     delta_form: MassForm  # integer delta row, scaled by a
     gamma_form: MassForm  # gamma sign row, scaled by a * |s/c|
-
-
-@dataclass(frozen=True)
-class CoefficientSystem:
-    """The grouped linear system whose joint kernel is the feasible mass set."""
-
-    n: int
-    rho: float
-    groups: tuple[BaseGroup, ...]
-
-    def equality_rows(self) -> tuple["np.ndarray", tuple[tuple[int, str], ...]]:
-        """Nonzero grouped forms as matrix rows, labeled (group index, equation)."""
-        import numpy as np  # the certificate path itself runs without numpy
-
-        rows, labels = [], []
-        for gi, group in enumerate(self.groups):
-            for eq, form in (("delta", group.delta_form), ("gamma", group.gamma_form)):
-                if not form.is_zero:
-                    rows.append(form.coeffs)
-                    labels.append((gi, eq))
-        # the (2,1) delta form carries -m_1, which no other term cancels
-        return np.array(rows, dtype=float), tuple(labels)
 
 
 def _require_canonical(cfg: PolygonConfig):
@@ -297,7 +275,7 @@ def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, bool]:
     return 1.0 - math.cos(2.0 * math.pi * widest / full), feasible
 
 
-def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
+def base_groups(cfg: PolygonConfig, rho) -> tuple[BaseGroup, ...]:
     """Group the difference-equation terms by chord value at the given rho.
 
     Needs exact turn angles.  The groups are those of _difference_groups,
@@ -306,14 +284,13 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
     also the class's |s/c|, and the bases g must increase strictly with c.
     """
     _require_canonical(cfg)
-    rho_v = float(rho)
     res, full = cfg.residues
     groups = []
     for k, (members, delta, gamma) in sorted(_difference_groups(res, full).items()):
         key = Fraction(k, full)
         angle = 2.0 * math.pi * float(key)
         c = 1.0 - math.cos(angle)
-        a, g = decompose(c, rho_v)
+        a, g = decompose(c, rho)
         t = a * math.sin(angle) / c
         groups.append(
             BaseGroup(
@@ -332,7 +309,7 @@ def base_groups(cfg: PolygonConfig, rho) -> CoefficientSystem:
                 f"base map not strictly increasing across groups; "
                 f"g({g0.c}) = {g0.g} vs g({g1.c}) = {g1.g}"
             )
-    return CoefficientSystem(n=cfg.n, rho=rho_v, groups=tuple(groups))
+    return tuple(groups)
 
 
 def _vertex_lookup(cfg: PolygonConfig) -> tuple[tuple[int, ...], int, dict[int, int]]:
@@ -591,31 +568,24 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
                 f"s_j1 = 0 at witness j={j} although a u pairing exists"
             )
 
-    def accumulate(pairs) -> MassForm:
-        # indices may repeat (u can equal j); coefficients add up
-        coeffs: dict[int, float] = {}
-        for idx, coeff in pairs:
-            coeffs[idx] = coeffs.get(idx, 0.0) + coeff
-        return MassForm.from_terms(n, coeffs)
-
     if u is None and v is None:
         case = "case1"
-        forms = (WitnessForm("delta", accumulate([(j, 1.0)]), f"a_j1 * m{j}"),)
+        forms = (WitnessForm("delta", MassForm.from_terms(n, [(j, 1.0)]), f"a_j1 * m{j}"),)
     elif u is not None and v is None:
         case = "case2u"
         s_nonzero_required()
-        gform = accumulate([(j, t), (u, t)])
+        gform = MassForm.from_terms(n, [(j, t), (u, t)])
         label = f"2*m{j}" if u == j else f"m{j} + m{u}"
         forms = (WitnessForm("gamma", gform, f"a_j1 * (s_j1/c_j1) * ({label})"),)
     elif u is None and v is not None:
         case = "case2v"
-        dform = accumulate([(j, 1.0), (v, 1.0)])
+        dform = MassForm.from_terms(n, [(j, 1.0), (v, 1.0)])
         forms = (WitnessForm("delta", dform, f"a_j1 * (m{j} + m{v})"),)
     else:
         case = "case3"
         s_nonzero_required()
-        dform = accumulate([(j, 1.0), (v, 1.0), (u, -1.0)])
-        gform = accumulate([(j, t), (v, -t), (u, t)])
+        dform = MassForm.from_terms(n, [(j, 1.0), (v, 1.0), (u, -1.0)])
+        gform = MassForm.from_terms(n, [(j, t), (v, -t), (u, t)])
         d_label = f"m{v}" if u == j else f"m{j} + m{v} - m{u}"
         g_label = f"2*m{j} - m{v}" if u == j else f"m{j} - m{v} + m{u}"
         forms = (

@@ -310,6 +310,15 @@ def _emit(report: dict) -> None:
     sys.stdout.write(dumps(report))
 
 
+def _write_out(path: str, text: str) -> None:
+    # the message names the given path, never the temporary file beside it
+    try:
+        write_text_atomic(path, text)
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
+        raise ConfigError("out", f"cannot write {path!r}: {reason}") from None
+
+
 def cmd_validate(cfg: RunConfig) -> int:
     rads = cfg.radians
     pair_c = [
@@ -474,7 +483,7 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
         table = np.column_stack(
             (traj.times, np.concatenate((P, traj.velocities), axis=2).reshape(len(P), 6 * n))
         )
-        write_text_atomic(out_path, csv_text(header, (row.tolist() for row in table)))
+        _write_out(out_path, csv_text(header, (row.tolist() for row in table)))
 
     D = traj.diagnostic_rows
     _emit(
@@ -511,7 +520,7 @@ def cmd_sweep(cfg: RunConfig, grid_count: int, out_path) -> int:
         g_spreads.append(_spread(gammas))
     text = csv_text(["rho", "delta_spread", "gamma_spread"], zip(grid, d_spreads, g_spreads))
     if out_path is not None:
-        write_text_atomic(out_path, text)
+        _write_out(out_path, text)
         _emit(
             {
                 "command": "sweep",

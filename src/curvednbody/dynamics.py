@@ -19,10 +19,13 @@ gamma_i zero is the rigid-rotation condition.  `solve_omega` takes the rate
 of a regular equal-mass polygon from it in closed form,
 omega^2 = delta_1 / r^3.
 
-One kernel, `_accel`, evaluates the field for the integrator, `acceleration`
-and the independent check in `solve_omega`.  It works on plain floats and
-visits each pair once; for the handful of bodies in a polygon that costs less
-than numpy's per-call overhead.
+Each surface formula is written once, as a kernel on plain float rows:
+`_accel` evaluates the field for the integrator, `acceleration` and the
+independent check in `solve_omega`; `_residuals`, `_closest` and the two
+projections measure and restore the constraints.  They visit each body or
+pair once; for the handful of bodies in a polygon that costs less than
+numpy's per-call overhead.  The public projections `project_point` and
+`project_tangent` are array views of the integrator's projection kernels.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .errors import (
     NonProjectableError,
     SingularConfigurationError,
 )
-from .geometry import sigma_inner
 from .polygon import Curvature, MassVector, PolygonConfig, is_regular
 
 __all__ = [
@@ -50,7 +52,8 @@ __all__ = [
     "RelativeEquilibrium",
     "DiagnosticsReport",
     "Trajectory",
-    "pair_acceleration",
+    "project_point",
+    "project_tangent",
     "acceleration",
     "step",
     "integrate",
@@ -70,16 +73,41 @@ def _residuals(Q, V, kappa, sigma):
     return surf, tang
 
 
-def _denominators(Q, kappa, sigma):
-    """Pair denominators sigma * (1 - w^2), w = kappa q_i . q_j, one per pair."""
+def _closest(Q, kappa, sigma):
+    """Smallest pair denominator sigma * (1 - w^2), w = kappa q_i . q_j; inf for one body."""
+    out = math.inf
     n = len(Q)
-    out = []
     for i in range(n - 1):
         xi, yi, zi = Q[i]
         for j in range(i + 1, n):
             xj, yj, zj = Q[j]
             w = kappa * (xi * xj + yi * yj + sigma * (zi * zj))
-            out.append(sigma * (1.0 - w * w))
+            d = sigma * (1.0 - w * w)
+            if d < out:
+                out = d
+    return out
+
+
+def _project_points(Q, kappa, sigma):
+    """Rows rescaled radially onto the surface (see project_point)."""
+    out = []
+    for x, y, z in Q:
+        k = kappa * (x * x + y * y + sigma * (z * z))
+        if k <= 0.0:
+            raise NonProjectableError(
+                f"point not projectable onto surface with kappa={kappa}: kappa*(p.p)={k!r}"
+            )
+        k = math.sqrt(k)
+        out.append((x / k, y / k, z / k))
+    return out
+
+
+def _project_tangents(Q, V, kappa, sigma):
+    """Rows of V less their normal component at the rows of Q (see project_tangent)."""
+    out = []
+    for (x, y, z), (u, v, w) in zip(Q, V):
+        k = kappa * (x * u + y * v + sigma * (z * w))
+        out.append((u - k * x, v - k * y, w - k * z))
     return out
 
 
@@ -145,9 +173,9 @@ class BodySystem:
         m = np.array(self.masses, dtype=float)
         q = np.array(self.positions, dtype=float)
         v = np.array(self.velocities, dtype=float)
-        n = m.shape[0]
-        if m.ndim != 1 or n < 1:
+        if m.ndim != 1 or m.shape[0] < 1:
             raise ValueError(f"masses must be a nonempty vector, got shape {m.shape}")
+        n = m.shape[0]
         if q.shape != (n, 3) or v.shape != (n, 3):
             raise ValueError(f"positions/velocities must have shape ({n}, 3)")
         if np.any(~np.isfinite(m)) or np.any(m <= 0.0):
@@ -165,7 +193,7 @@ class BodySystem:
                 raise ValueError(f"surface residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
         if max(tang) > STATE_TOL:
             raise ValueError(f"tangency residual {max(tang)!r} exceeds {STATE_TOL}")
-        if min(map(abs, _denominators(rows, c.kappa, c.sigma)), default=1.0) < SINGULAR_TOL:
+        if not _closest(rows, c.kappa, c.sigma) >= SINGULAR_TOL:
             raise SingularConfigurationError("body pair at or beyond the singularity threshold")
         for name, arr in (("masses", m), ("positions", q), ("velocities", v)):
             arr.setflags(write=False)
@@ -246,33 +274,44 @@ class Trajectory:
         return tuple(DiagnosticsReport(*row) for row in self.diagnostic_rows.tolist())
 
 
-def pair_acceleration(q_i, q_j, m_j: float, c: Curvature):
-    """Attraction exerted on a body at q_i by mass m_j at q_j."""
-    q_i = np.asarray(q_i, dtype=float)
-    q_j = np.asarray(q_j, dtype=float)
-    w = c.kappa * sigma_inner(q_i, q_j, c.sigma)
-    denom = c.sigma * (1.0 - w * w)
-    if not denom >= SINGULAR_TOL:
-        raise SingularConfigurationError(
-            f"pair denominator {denom!r} below threshold (collision or antipodal pair)"
-        )
-    return m_j * abs(c.kappa) ** 1.5 * (q_j - w * q_i) / denom**1.5
+def project_point(p, c: Curvature) -> np.ndarray:
+    """Radially rescale p, one point or rows of shape (..., 3), onto the surface.
+
+    Raises NonProjectableError when kappa * (p . p) <= 0, which signals a
+    diverged trajectory rather than roundoff: no positive rescale can reach
+    the surface from such a point.
+    """
+    p = np.asarray(p, dtype=float)
+    return np.array(_project_points(p.reshape(-1, 3).tolist(), c.kappa, c.sigma)).reshape(p.shape)
+
+
+def project_tangent(p, v, c: Curvature) -> np.ndarray:
+    """Remove from v its component along the surface normal at p.
+
+    p and v broadcast against each other.  For p on the surface the result
+    w satisfies p . w = 0 (signed product), and projecting twice changes
+    nothing.
+    """
+    p, v = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(v, dtype=float))
+    rows = _project_tangents(p.reshape(-1, 3).tolist(), v.reshape(-1, 3).tolist(), c.kappa, c.sigma)
+    return np.array(rows).reshape(v.shape)
 
 
 def acceleration(sys: BodySystem) -> np.ndarray:
     """Accelerations of all bodies, rows aligned with the state arrays."""
     c = sys.curvature
-    A = np.array(_accel(*_floats(sys), c.kappa, c.sigma))
+    sigma = c.sigma
+    Q, V, m = _floats(sys)
+    A = _accel(Q, V, m, c.kappa, sigma)
     # On-surface compatibility q . a = -(v . v); BodySystem guarantees the
     # surface residual that makes this identity hold.
-    lhs = sigma_inner(sys.positions, A, c.sigma) + sigma_inner(
-        sys.velocities, sys.velocities, c.sigma
+    worst = max(
+        abs((x * p + y * q + sigma * (z * r)) + (u * u + v * v + sigma * (w * w)))
+        for (x, y, z), (u, v, w), (p, q, r) in zip(Q, V, A)
     )
-    if np.max(np.abs(lhs)) > 1e-9 * (1.0 + float(np.max(np.abs(A)))):
-        raise InternalConsistencyError(
-            f"constraint compatibility violated: max residual {np.max(np.abs(lhs))!r}"
-        )
-    return A
+    if worst > 1e-9 * (1.0 + max(abs(e) for row in A for e in row)):
+        raise InternalConsistencyError(f"constraint compatibility violated: max residual {worst!r}")
+    return np.array(A)
 
 
 def diagnostics(sys: BodySystem) -> DiagnosticsReport:
@@ -280,8 +319,7 @@ def diagnostics(sys: BodySystem) -> DiagnosticsReport:
     c = sys.curvature
     Q, V, _ = _floats(sys)
     surf, tang = _residuals(Q, V, c.kappa, c.sigma)
-    dmin = min(map(abs, _denominators(Q, c.kappa, c.sigma)), default=math.inf)
-    return DiagnosticsReport(max(surf), max(tang), dmin)
+    return DiagnosticsReport(max(surf), max(tang), _closest(Q, c.kappa, c.sigma))
 
 
 def _axpy(X, h, Y):
@@ -320,7 +358,8 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
         for (p1, q1, r1), (p2, q2, r2), (p3, q3, r3), (p4, q4, r4) in zip(a1, a2, a3, a4)
     ])
     if cfg.project_each_step:
-        Qn, Vn = _project(Qn, Vn, kappa, sigma)
+        Qn = _project_points(Qn, kappa, sigma)
+        Vn = _project_tangents(Qn, Vn, kappa, sigma)
     bound = cfg.max_constraint_drift
     surf, tang = _residuals(Qn, Vn, kappa, sigma)
     for i, (sr, tr) in enumerate(zip(surf, tang)):
@@ -331,30 +370,12 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
                 f"exceed drift bound {bound}",
                 time=time,
             )
-    dmin = min(_denominators(Qn, kappa, sigma), default=math.inf)
+    dmin = _closest(Qn, kappa, sigma)
     if not dmin >= SINGULAR_TOL:
         raise SingularConfigurationError(
             "body pair at or beyond the singularity threshold", time=time
         )
     return Qn, Vn, (max(surf), max(tang), dmin)
-
-
-def _project(Q, V, kappa, sigma):
-    """project_point, then project_tangent, on float rows."""
-    Qp = []
-    Vp = []
-    for (x, y, z), (u, v, w) in zip(Q, V):
-        k = kappa * (x * x + y * y + sigma * (z * z))
-        if k <= 0.0:
-            raise NonProjectableError(
-                f"point not projectable onto surface with kappa={kappa}: kappa*(p.p)={k!r}"
-            )
-        k = math.sqrt(k)
-        x, y, z = x / k, y / k, z / k
-        k = kappa * (x * u + y * v + sigma * (z * w))
-        Qp.append((x, y, z))
-        Vp.append((u - k * x, v - k * y, w - k * z))
-    return Qp, Vp
 
 
 def step(sys: BodySystem, cfg: IntegratorConfig) -> BodySystem:
@@ -459,10 +480,10 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
     leaves omega^2 = delta_1 / r^3, which the full acceleration field then
     checks independently.
     """
-    m = np.array((masses if isinstance(masses, MassVector) else MassVector(masses)).masses)
+    m = (masses if isinstance(masses, MassVector) else MassVector(masses)).masses
     if not is_regular(polygon):
         raise NoBalanceError("radial balance requires a regular polygon")
-    if np.max(np.abs(m - m[0])) > 1e-12 * m[0]:
+    if max(abs(x - m[0]) for x in m) > 1e-12 * m[0]:
         raise NoBalanceError("radial balance requires equal masses")
     if not 0.0 < r < math.inf:
         raise ValueError(f"radius must be positive, got {r!r}")
@@ -471,16 +492,15 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
         # On the equator the radial equation degenerates: every rate balances.
         raise NoBalanceError(f"no unique rotation rate at rho {rho!r} (equator or beyond)")
     deltas, _ = delta_gamma(polygon, m, rho)
-    omega = math.sqrt(float(deltas[0]) / r**3)
+    omega = math.sqrt(deltas[0] / r**3)
     req = RelativeEquilibrium.from_radius(polygon, r, omega, c)
-    sys = build_polygon_state(req, m, c)
-    A = np.array(_accel(*_floats(sys), c.kappa, c.sigma))
-    theta = np.array(polygon.radians)
-    kin = np.column_stack(
-        (-r * omega * omega * np.cos(theta), -r * omega * omega * np.sin(theta), np.zeros(theta.shape))
-    )
-    scale = max(1.0, float(np.max(np.abs(kin))))
-    if float(np.max(np.abs(A - kin))) > 1e-9 * scale:
+    Q, V, m = _floats(build_polygon_state(req, m, c))
+    A = _accel(Q, V, m, c.kappa, c.sigma)
+    # uniform rotation about the z axis accelerates each body by -omega^2 (x, y, 0)
+    w2 = omega * omega
+    kin = [(-w2 * x, -w2 * y, 0.0) for x, y, _ in Q]
+    scale = max(1.0, max(abs(e) for row in kin for e in row))
+    if max(abs(a - k) for ra, rk in zip(A, kin) for a, k in zip(ra, rk)) > 1e-9 * scale:
         raise NoBalanceError(
             "closed-form rate does not satisfy the full force balance; "
             "no rigid rotation at this radius"

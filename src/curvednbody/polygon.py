@@ -13,7 +13,7 @@ Angles carry one of two representations: exact rational fractions of a turn,
 used by the certification machinery, or float radians, used for simulation
 interop.  Everything here is plain Python (integers, Fractions and floats),
 as are the certificate and the criterion kernels built on it; only the
-simulation layer, `geometry` and `dynamics`, loads numpy.
+simulation layer, `dynamics`, loads numpy.
 """
 
 from __future__ import annotations

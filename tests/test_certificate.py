@@ -5,6 +5,7 @@ whose grouped mass form cannot vanish with positive masses, and the
 independent exact mass search must agree.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -49,6 +50,11 @@ from curvednbody.jsonout import dumps
 
 def turns(*t):
     return PolygonConfig.from_turns(tuple(F(x) for x in t))
+
+
+def value(form, masses):
+    """A MassForm evaluated at the given masses."""
+    return math.fsum(x * float(m) for x, m in zip(form.coeffs, masses, strict=True))
 
 
 def prefactor(k):
@@ -135,10 +141,10 @@ class TestDecompose:
 class TestBaseGroups:
     def test_uneven_triangle_grouping(self):
         cfg = turns(0, "1/4", "1/2")
-        system = base_groups(cfg, 0.5)
-        assert system.n == 3
-        assert len(system.groups) == 2
-        by_c = {round(grp.c, 9): grp for grp in system.groups}
+        groups = base_groups(cfg, 0.5)
+        assert len(groups) == 2
+        assert all(len(grp.delta_form.coeffs) == len(grp.gamma_form.coeffs) == 3 for grp in groups)
+        by_c = {round(grp.c, 9): grp for grp in groups}
         g1, g2 = by_c[1.0], by_c[2.0]
         a1, _ = decompose(1.0, 0.5)
         a2, _ = decompose(2.0, 0.5)
@@ -151,25 +157,24 @@ class TestBaseGroups:
 
     def test_regular_triangle_single_group(self):
         cfg = turns(0, "1/3", "2/3")
-        system = base_groups(cfg, 0.5)
-        assert len(system.groups) == 1
+        groups = base_groups(cfg, 0.5)
+        assert len(groups) == 1
         # equal masses must annihilate both forms
         m = (1.0, 1.0, 1.0)
-        assert system.groups[0].delta_form.value(m) == pytest.approx(0.0, abs=1e-14)
-        assert system.groups[0].gamma_form.value(m) == pytest.approx(0.0, abs=1e-14)
+        assert value(groups[0].delta_form, m) == pytest.approx(0.0, abs=1e-14)
+        assert value(groups[0].gamma_form, m) == pytest.approx(0.0, abs=1e-14)
 
     def test_generic_scalene_three_singletons(self):
-        system = base_groups(turns(0, "1/5", "1/2"), 0.25)
-        assert len(system.groups) == 3
-        for grp in system.groups:
+        groups = base_groups(turns(0, "1/5", "1/2"), 0.25)
+        assert len(groups) == 3
+        for grp in groups:
             assert len(set(grp.members)) == 1
 
     def test_group_bases_strictly_increasing(self, pyrng):
         rng = random.Random(5)
         for _ in range(50):
             cfg = canonicalize(random_irregular_polygon(rng, 3 + rng.randrange(4)))
-            system = base_groups(cfg, rng.choice([0.3, 0.7, -1.5]))
-            gs = [grp.g for grp in system.groups]
+            gs = [grp.g for grp in base_groups(cfg, rng.choice([0.3, 0.7, -1.5]))]
             assert all(x < y for x, y in zip(gs, gs[1:]))
 
     def test_float_mode_rejected(self):
@@ -180,12 +185,6 @@ class TestBaseGroups:
     def test_rejects_non_canonical(self):
         with pytest.raises(ValueError):
             base_groups(turns(0, "1/2", "3/4"), 0.5)
-
-    def test_equality_rows_cover_nonzero_forms(self):
-        system = base_groups(turns(0, "1/4", "1/2"), 0.5)
-        rows, labels = system.equality_rows()
-        assert rows.shape[1] == 3
-        assert rows.shape[0] == len(labels) == 3
 
 
 class TestPairings:
@@ -368,14 +367,9 @@ class TestMassForm:
         assert not MassForm((0.0, 0.0)).sign_definite
         assert MassForm((0.0, 0.0)).is_zero
 
-    def test_value_and_scaling(self):
-        form = MassForm((1.0, -2.0))
-        assert form.value((3.0, 1.0)) == 1.0
-        assert form.value((6.0, 2.0)) == 2.0
-
     def test_from_terms_accumulates_repeats(self):
-        form = MassForm.from_terms(3, {2: 1.0})
-        assert form.coeffs == (0.0, 1.0, 0.0)
+        form = MassForm.from_terms(3, [(2, 1.0), (3, -0.5), (2, 1.0)])
+        assert form.coeffs == (0.0, 2.0, -0.5)
 
 
 class TestMassFeasibility:
@@ -446,16 +440,15 @@ class TestMassFeasibility:
 
 def reference_feasible(cfg, rho):
     """Per-rho LP verdict on the rho-scaled grouped rows, solved here."""
-    rows, _ = base_groups(canonicalize(cfg), rho).equality_rows()
-    res = linprog(
-        np.zeros(cfg.n),
-        A_eq=rows,
-        b_eq=np.zeros(rows.shape[0]),
-        bounds=[(1.0, None)] * cfg.n,
-        method="highs",
-    )
-    assert res.status in (0, 2), res.message
-    return res.status == 0
+    # every nonzero grouped form is a row; the (2,1) delta form carries -m_1,
+    # which no other term cancels, so there is always one
+    rows = [
+        form.coeffs
+        for grp in base_groups(canonicalize(cfg), rho)
+        for form in (grp.delta_form, grp.gamma_form)
+        if not form.is_zero
+    ]
+    return linprog_feasible(rows, cfg.n)
 
 
 class TestRhoFreeFeasibility:
@@ -598,6 +591,7 @@ def linprog_feasible(rows, n):
     return res.status == 0
 
 
+@functools.lru_cache  # two tests walk the same set
 def canonical_polygons(max_denominator):
     """Every canonical polygon with turn denominators <= max_denominator, once each."""
     seen = set()
@@ -605,7 +599,7 @@ def canonical_polygons(max_denominator):
         for n in range(3, q + 1):
             for rest in itertools.combinations(range(1, q), n - 1):
                 seen.add(turns(0, *(F(p, q) for p in rest)).canonical_residues)
-    return [PolygonConfig.from_turns(tuple(F(r, full) for r in res)) for res, full in sorted(seen)]
+    return tuple(PolygonConfig.from_turns(F(r, full) for r in res) for res, full in sorted(seen))
 
 
 def class_differences(cfg, masses, rho):
@@ -623,9 +617,9 @@ def class_differences(cfg, masses, rho):
 
 def group_differences(cfg, masses, rho):
     """delta_1 - delta_2 and gamma_1 - gamma_2 rebuilt from base_groups (mu = a/c)."""
-    groups = base_groups(cfg, rho).groups
-    return (sum(grp.delta_form.value(masses) / grp.c for grp in groups),
-            sum(grp.gamma_form.value(masses) / grp.c for grp in groups))
+    groups = base_groups(cfg, rho)
+    return (sum(value(grp.delta_form, masses) / grp.c for grp in groups),
+            sum(value(grp.gamma_form, masses) / grp.c for grp in groups))
 
 
 class TestClassRows:
@@ -791,6 +785,100 @@ class TestWitnessCheck:
         monkeypatch.setattr(certificate, "classify_case", skewed)
         with pytest.raises(InternalConsistencyError, match="gamma witness form"):
             certify(poly)
+
+
+def definite(row):
+    """Whether a form cannot vanish at positive masses: one strict sign, at least one entry."""
+    return len({x > 0 for x in row if x}) == 1
+
+
+def check_certificate_json(doc):
+    """Re-derive a certificate's claims from its emitted JSON, in Fractions alone.
+
+    Shares no code with the package: the rotation, the witness index, the
+    pairings and the witness forms follow from the turn angles as the paper
+    states them.
+    """
+    n = doc["n"]
+    angles = [F(x) for x in doc["angles"]]
+    a = [F(x) for x in doc["canonical_angles"]]
+    assert len(angles) == len(a) == n and all(0 <= x < y < 1 for x, y in zip(angles, angles[1:]))
+    # turning vertex k to 0 shifts the angles cyclically; the smallest first
+    # gap wins, and among those the lexicographically smallest angles
+    first = [(angles[(k + 1) % n] - s) % 1 for k, s in enumerate(angles)]
+    shortest = min(first)
+    assert a == min([(x - s) % 1 for x in angles[k:] + angles[:k]]
+                    for k, s in enumerate(angles) if first[k] == shortest)
+    gaps = [a[k + 1] - a[k] for k in range(n - 1)] + [1 - a[-1]]
+    j = next(k + 1 for k in range(2, n) if gaps[k] != gaps[0])
+    us = [k for k in range(1, n + 1) if (a[j - 1] + a[k - 1] - a[0] - a[1]) % 1 == 0]
+    vs = [k for k in range(1, n + 1) if k != j and (a[j - 1] + a[k - 1] - 2 * a[0]) % 1 == 0]
+    assert len(us) <= 1 and len(vs) <= 1
+    u, v = (us or [None])[0], (vs or [None])[0]
+    case = {(0, 0): "case1", (1, 0): "case2u", (0, 1): "case2v", (1, 1): "case3"}[
+        u is not None, v is not None]
+    assert (doc["j"], doc["u"], doc["v"], doc["case"]) == (j, u, v, case)
+    # the terms of delta_1 - delta_2 and gamma_1 - gamma_2 in the class of
+    # (j,1): (pair, [(vertex, delta coefficient, gamma coefficient)]); gamma
+    # also carries s/c, whose sign is that of sin and whose size the class sets
+    terms = [((2, 1), [(1, -1, 1), (2, 1, 1)])]
+    terms += [((k, i), [(k, sign, sign)]) for k in range(3, n + 1) for i, sign in ((1, 1), (2, -1))]
+    d = (a[j - 1] - a[0]) % 1
+    witness_class = min(d, 1 - d)
+    rows = {"delta": [0] * n, "gamma": [0] * n}
+    for (p, q), coefficients in terms:
+        d = (a[p - 1] - a[q - 1]) % 1
+        if min(d, 1 - d) == witness_class:
+            s = (d < F(1, 2)) - (d > F(1, 2))
+            for k, dx, gx in coefficients:
+                rows["delta"][k - 1] += dx
+                rows["gamma"][k - 1] += s * gx
+    forms = doc["witness_forms"]
+    equations = {"case1": ["delta"], "case2u": ["gamma"], "case2v": ["delta"],
+                 "case3": ["delta", "gamma"]}[case]
+    assert [w["equation"] for w in forms] == equations
+    for w in forms:
+        row = rows[w["equation"]]
+        coeffs = {t["index"]: t["coefficient"] for t in w["terms"]}
+        assert len(coeffs) == len(w["terms"])
+        assert set(coeffs) == {k + 1 for k, x in enumerate(row) if x}
+        if w["equation"] == "delta":
+            assert all(coeffs[k] == row[k - 1] for k in coeffs)
+        else:  # one common factor |s_j1/c_j1| > 0
+            factors = {coeffs[k] / row[k - 1] for k in coeffs}
+            assert len(factors) == 1 and factors.pop() > 0
+        assert w["sign_definite"] == definite(row)
+    # a sign-definite form cannot vanish at positive masses; in case 3 one
+    # sum or difference of the two rows is 2 m_j, so they cannot vanish together
+    patterns = [rows[w["equation"]] for w in forms]
+    assert doc["failing_equation"] == next(
+        (w["equation"] for w, row in zip(forms, patterns) if definite(row)), "disjunction")
+    assert any(map(definite, patterns)) or any(
+        definite([x + sign * y for x, y in zip(*patterns)]) for sign in (1, -1))
+    assert doc["feasibility"]["verdict"] == "infeasible"
+
+
+class TestCertificateJson:
+    """check_certificate_json accepts every certificate the package emits."""
+
+    @staticmethod
+    def check(poly):
+        check_certificate_json(json.loads(dumps(certify(poly).to_json_dict())))
+
+    def test_every_small_canonical_polygon_rotated(self):
+        # each irregular polygon with denominators <= 12, turned by k/13 so
+        # the checker has a rotation to undo
+        for k, cfg in enumerate(canonical_polygons(12)):
+            if not is_regular(cfg):
+                turned = sorted((x + F(k % 13, 13)) % 1 for x in cfg.turns)
+                self.check(PolygonConfig.from_turns(turned))
+
+    def test_random_sample(self):
+        rng = random.Random(2011)
+        for n in range(3, 13):
+            for den in (2 * n + 2, 60, 10**4):
+                for _ in range(6):
+                    self.check(random_irregular_polygon(rng, n, den))
 
 
 def certificate_outputs_digest():

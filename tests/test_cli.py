@@ -548,6 +548,25 @@ class TestSweep:
         _, second, _ = run_cli(argv)
         assert first == second
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.csv", "No such file or directory"),
+        ("adir", "Is a directory"),
+    ])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, monkeypatch, command, target, reason):
+        # the CSV is written before any report, and the message names the
+        # path given, not the temporary file written beside it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        doc = dict(TRIANGLE_EXACT, angles=["0/1", "1/3", "2/3"], rho=0.36,
+                   integrator={"dt": 0.001, "t_end": 0.005})
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli([command, "--config", cfg, "--out", target])
+        assert (code, out) == (2, "")
+        assert err == f"config error: out: cannot write {target!r}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "cfg.json"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
 
 def package_env():
     """Subprocess environment that imports the curvednbody under test."""

@@ -24,14 +24,28 @@ from curvednbody import (
     delta_gamma,
     diagnostics,
     integrate,
-    pair_acceleration,
     solve_omega,
     step,
-    surface_residual,
 )
+from curvednbody.dynamics import SINGULAR_TOL, _closest
 
 SPHERE = Curvature(1.0)
 HYPER = Curvature(-1.0)
+
+
+def sigma_inner(a, b, sigma):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + sigma * (a[..., 2] * b[..., 2])
+
+
+def pair_acceleration(q_i, q_j, m_j, c):
+    """Attraction exerted on a body at q_i by mass m_j at q_j, one pair in numpy."""
+    w = c.kappa * sigma_inner(q_i, q_j, c.sigma)
+    denom = c.sigma * (1.0 - w * w)
+    if not denom >= SINGULAR_TOL:
+        raise SingularConfigurationError(
+            f"pair denominator {denom!r} below threshold (collision or antipodal pair)"
+        )
+    return m_j * abs(c.kappa) ** 1.5 * (q_j - w * q_i) / denom**1.5
 
 
 def make_system(c, positions, velocities, masses):
@@ -82,6 +96,28 @@ class TestBodySystem:
     def test_single_body_hyperbolic(self):
         system = make_system(HYPER, [[0, 0, 1]], [[0.3, 0.4, 0]], [2.0])
         assert system.n == 1
+
+    @pytest.mark.parametrize("masses", [5.0, [[1.0]], []])
+    def test_masses_must_be_a_nonempty_vector(self, masses):
+        with pytest.raises(ValueError, match="masses must be a nonempty vector"):
+            BodySystem(SPHERE, masses, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+
+    def test_pair_beyond_the_singularity_rejected(self):
+        # 4e-11 off the unit sphere, well inside the surface tolerance, the
+        # pair's w = q_i . q_j exceeds 1 and its denominator 1 - w^2 is
+        # -1.6e-10; every step rejects that signed value, so validation must
+        q = [[1 + 4e-11, 0.0, 0.0], [1 + 4e-11, 1e-12, 0.0]]
+        assert -2e-10 < _closest(q, 1.0, 1) < -1e-10
+        with pytest.raises(SingularConfigurationError):
+            make_system(SPHERE, q, [[0, 0, 0], [0, 0, 0]], [1.0, 1.0])
+
+    def test_closest_pair_is_signed_minimum(self):
+        assert _closest([(0.0, 0.0, 1.0)], -1.0, -1) == math.inf
+        system = make_system(
+            SPHERE, [[1, 0, 0], [0, 1, 0], [0.6, 0.8, 0]], [[0, 0, 0]] * 3, [1.0] * 3
+        )
+        # w = 0, 0.6 and 0.8: the closest pair, bodies 2 and 3, has 1 - 0.64
+        assert diagnostics(system).min_pair_denominator == 1.0 - 0.8 * 0.8
 
 
     def test_far_hyperbolic_branch_accepted(self):
@@ -321,7 +357,7 @@ class TestBuildPolygonState:
         np.testing.assert_allclose(system.velocities, 0.0, atol=1e-15)
         np.testing.assert_allclose(system.positions[:, 2], 0.8, rtol=1e-14)
         for q in system.positions:
-            assert abs(surface_residual(q, SPHERE)) < 1e-14
+            assert abs(sigma_inner(q, q, SPHERE.sigma) - 1.0) < 1e-14
 
     def test_rigid_rotation_speeds(self):
         w = 1.7

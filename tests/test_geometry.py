@@ -1,4 +1,8 @@
-"""Surface membership, the signed inner product, and the two projections."""
+"""The curvature sign and the two projections onto the surface and its tangent planes.
+
+project_point and project_tangent run the integrator's own row kernels, so
+these properties hold for every RK4 step that projects.
+"""
 
 import math
 
@@ -10,10 +14,15 @@ from curvednbody import (
     NonProjectableError,
     project_point,
     project_tangent,
-    sigma_inner,
-    surface_residual,
-    vec3,
 )
+
+
+def vec3(x, y, z):
+    return np.array([x, y, z], dtype=float)
+
+
+def sigma_inner(a, b, sigma):
+    return a[0] * b[0] + a[1] * b[1] + sigma * (a[2] * b[2])
 
 
 def test_curvature_signs():
@@ -25,38 +34,6 @@ def test_curvature_signs():
 def test_curvature_rejects_degenerate(bad):
     with pytest.raises(ValueError):
         Curvature(bad)
-
-
-def test_sigma_inner_values():
-    assert sigma_inner(vec3(1, 0, 0), vec3(1, 0, 0), 1) == 1.0
-    assert sigma_inner(vec3(0, 0, 1), vec3(0, 0, 1), -1) == -1.0
-    assert sigma_inner(vec3(1, 2, 3), vec3(4, 5, 6), 1) == 32.0
-
-
-def test_sigma_inner_symmetric_bilinear(rng):
-    for _ in range(50):
-        a, b, c = rng.normal(size=(3, 3))
-        lam = rng.normal()
-        for sigma in (1, -1):
-            assert sigma_inner(a, b, sigma) == pytest.approx(sigma_inner(b, a, sigma), abs=1e-12)
-            lhs = sigma_inner(a, lam * b + c, sigma)
-            rhs = lam * sigma_inner(a, b, sigma) + sigma_inner(a, c, sigma)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_sigma_inner_broadcasts_over_rows(rng):
-    a = rng.normal(size=(5, 3))
-    b = rng.normal(size=(5, 3))
-    out = sigma_inner(a, b, -1)
-    assert out.shape == (5,)
-    for i in range(5):
-        assert out[i] == pytest.approx(sigma_inner(a[i], b[i], -1))
-
-
-def test_surface_residual_examples():
-    assert surface_residual(vec3(1, 0, 0), Curvature(1.0)) == 0.0
-    assert surface_residual(vec3(0, 0, 1), Curvature(-1.0)) == 0.0
-    assert surface_residual(vec3(2, 0, 0), Curvature(1.0)) == 3.0
 
 
 def test_project_point_examples():
@@ -75,7 +52,7 @@ def test_project_point_fixes_residual_and_is_idempotent(rng):
         p = rng.normal(size=3) * rng.uniform(0.1, 5.0)
         q = project_point(p, c)
         # 4 ulps around 1.0
-        assert abs(surface_residual(q, c)) <= 4 * math.ulp(1.0)
+        assert abs(c.kappa * sigma_inner(q, q, c.sigma) - 1.0) <= 4 * math.ulp(1.0)
         np.testing.assert_allclose(project_point(q, c), q, rtol=1e-15)
 
 
@@ -125,3 +102,21 @@ def test_project_tangent_leaves_tangent_unchanged():
     p = vec3(1, 0, 0)
     v = vec3(0, 2, -3)
     np.testing.assert_allclose(project_tangent(p, v, c), v, rtol=0, atol=0)
+
+
+def test_projections_act_row_by_row(rng):
+    # arrays of shape (..., 3) go through the kernels one row at a time, and
+    # project_tangent broadcasts the points against the velocities
+    for c in (Curvature(1.5), Curvature(-0.5)):
+        raw = rng.normal(size=(2, 4, 3))
+        if c.kappa < 0:
+            raw[..., 2] = np.hypot(raw[..., 0], raw[..., 1]) + 1.0
+        p = project_point(raw, c)
+        assert p.shape == raw.shape
+        for idx in np.ndindex(2, 4):
+            np.testing.assert_array_equal(p[idx], project_point(raw[idx], c))
+        v = rng.normal(size=(2, 4, 3))
+        t = project_tangent(p[0, 0], v, c)
+        assert t.shape == v.shape
+        for idx in np.ndindex(2, 4):
+            np.testing.assert_array_equal(t[idx], project_tangent(p[0, 0], v[idx], c))
