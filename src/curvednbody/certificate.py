@@ -15,11 +15,11 @@ three routes that share only the canonical rotation and its turn residues:
   * the case analysis: find_contradiction_j locates the witness index and
     classify_case derives the non-vanishing coefficient form(s) from the
     pairing identities,
-  * mass_feasibility independently decides whether positive masses exist:
-    it builds one integer row per chord class for every difference
-    delta_i - delta_1 and gamma_i - gamma_1 straight from the turn residues.
-    These rows admit only equal masses, so {A m = 0, m >= 1} is feasible
-    exactly when every row sums to zero (the argument is in _exact_system).
+  * mass_feasibility independently decides whether positive masses exist
+    for every difference delta_i - delta_1 and gamma_i - gamma_1: their
+    chord-class rows admit only equal masses, which solve them exactly when
+    every vertex sees the same separations alpha_j - alpha_i (mod 1), read
+    straight from the turn residues (the argument is in _exact_system).
 
 certify requires all three to agree: each witness form must be the group of
 the (j,1) term (the witness check), and the feasibility search must find no
@@ -170,26 +170,13 @@ def _require_canonical(cfg: PolygonConfig):
         raise ValueError("polygon must be in canonical rotation (minimal first gap)")
 
 
-@functools.lru_cache(maxsize=_MEMO_POLYGONS)  # one table per polygon size n
-def _difference_terms(n: int) -> tuple:
-    """The 2n - 3 terms of delta_1 - delta_2 and gamma_1 - gamma_2.
-
-    Each is (j, i, delta terms, gamma terms before the sign of s), each term
-    list made of (vertex, coefficient) pairs: the delta difference carries
-    (m_2 - m_1) on the merged (2,1) term and +/- m_j on (j,1), (j,2) for
-    j = 3..n; the gamma difference carries (m_1 + m_2) s_21/c_21 on (2,1)
-    and +/- m_j s_ji/c_ji elsewhere.
-    """
-    terms = [(2, 1, ((2, 1), (1, -1)), ((1, 1), (2, 1)))]
-    for j in range(3, n + 1):
-        terms += [(j, 1, ((j, 1),), ((j, 1),)), (j, 2, ((j, -1),), ((j, -1),))]
-    return tuple(terms)
-
-
 def _difference_groups(res: tuple[int, ...], full: int, only: int | None = None):
-    """The paper's grouping of the _difference_terms by chord class.
+    """The paper's grouping of the 2n - 3 terms of delta_1 - delta_2 and gamma_1 - gamma_2.
 
-    Terms whose separations d = alpha_j - alpha_i (mod 1) share the class
+    The delta difference carries (m_2 - m_1) on the merged (2,1) term and
+    +/- m_j on (j,1), (j,2) for j = 3..n; the gamma difference carries
+    (m_1 + m_2) s_21/c_21 on (2,1) and +/- m_j s_ji/c_ji elsewhere.  Terms
+    whose separations d = alpha_j - alpha_i (mod 1) share the class
     k = min(d, 1 - d) share c, and their s/c differ only in sign, positive
     for d < 1/2; a half-turn term has s = 0 and drops from gamma.  Only the
     turn residues res modulo full are read.  Returns {k: (members, delta
@@ -199,15 +186,16 @@ def _difference_groups(res: tuple[int, ...], full: int, only: int | None = None)
     classes are skipped.
     """
     n = len(res)
+    # (j, i, delta terms, gamma terms before the sign of s), as (vertex, coefficient) pairs
+    terms = [(2, 1, ((2, 1), (1, -1)), ((1, 1), (2, 1)))]
+    terms += [(j, i, ((j, x),), ((j, x),)) for j in range(3, n + 1) for i, x in ((1, 1), (2, -1))]
     groups: dict[int, tuple[list[tuple[int, int]], list[int], list[int]]] = {}
-    for j, i, delta, gamma in _difference_terms(n):
+    for j, i, delta, gamma in terms:
         d = (res[j - 1] - res[i - 1]) % full
         k = d if 2 * d <= full else full - d
         if only is not None and k != only:
             continue
-        if k not in groups:
-            groups[k] = ([], [0] * n, [0] * n)
-        members, drow, grow = groups[k]
+        members, drow, grow = groups.setdefault(k, ([], [0] * n, [0] * n))
         members.append((j, i))
         sign = (2 * d < full) - (2 * d > full)  # sign of s; 0 at a half turn
         for idx, x in delta:
@@ -217,60 +205,28 @@ def _difference_groups(res: tuple[int, ...], full: int, only: int | None = None)
     return groups
 
 
-def _class_forms(res: tuple[int, ...], full: int):
-    """Integer chord-class coefficients of the n - 1 differences.
-
-    For i = 2..n, delta_i - delta_1 sums +m_j over the pairs (j, i) and -m_j
-    over the pairs (j, 1), each at its kernel mu(c); gamma carries the extra
-    factor s/c.  Pairs whose separations d = alpha_j - alpha_i (mod 1) share
-    the class k = min(d, 1 - d) share c, and their s/c differ only in sign,
-    positive for d < 1/2; a half-turn pair has s = 0 and drops from gamma.
-    Each class coefficient must vanish on its own, which leaves a delta and a
-    gamma row, entries in {-2..2}, per (i, class).  Only the turn residues
-    res modulo full are read.  Yields (i, k, delta row, gamma row) in
-    increasing i, then k, with k a residue modulo full.
-    """
-    n = len(res)
-    for i in range(1, n):
-        forms: dict[int, tuple[list[int], list[int]]] = {}
-        for target, sign in ((i, 1), (0, -1)):
-            for j in range(n):
-                if j == target:
-                    continue
-                d = (res[j] - res[target]) % full
-                delta, gamma = forms.setdefault(min(d, full - d), ([0] * n, [0] * n))
-                delta[j] += sign
-                if 2 * d != full:
-                    gamma[j] += sign if 2 * d < full else -sign
-        for k in sorted(forms):
-            yield (i + 1, k) + forms[k]
-
-
 @functools.lru_cache(maxsize=_MEMO_POLYGONS)
 def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, bool]:
     """The polygon's largest class chord, and whether positive masses exist.
 
     The polygon is given by its canonical residues, which every rotation
-    shares.  Rho scales each class row only by a positive amplitude
-    a(c, rho), so the feasible set, and with it the verdict, is the same for
-    every rho.
+    shares.  For i = 2..n, grouping the terms of delta_i - delta_1 and
+    gamma_i - gamma_1 by chord class gives one integer delta row and one
+    gamma sign row per class, and the system {A m = 0, m >= 1}; rho scales
+    each row only by a positive amplitude a(c, rho), so the verdict holds at
+    every rho.  It follows in three steps:
 
-    The rows of _class_forms admit only equal masses, so their sums decide
-    {A m = 0, m >= 1} exactly:
-
-      * for i = 2..n, _class_forms adds +1 at m_j to the delta row of the
-        class of (j, i) for every j != i,
-      * and -1 at m_j to the delta row of the class of (j, 1) for every
-        j != 1,
-      * so the delta rows of difference i add up to e_1 - e_i, and every
-        solution of A m = 0 has m_1 = m_2 = ... = m_n.
-
-    Hence the system is feasible exactly when m = (1, ..., 1) solves every
-    row, that is when every row sums to zero.  The rows are read lazily, and
-    the first row with a nonzero sum proves the system infeasible.
+      1. The delta rows of difference i add up to e_1 - e_i, so only equal
+         masses can solve the system.
+      2. Equal masses solve it exactly when every row sums to zero.
+      3. For a class k < 1/2, the delta sum counts the separations
+         d = alpha_j - alpha_i (mod 1) in {k, 1 - k} that vertex i sees,
+         minus those that vertex 1 sees, and the gamma sum counts their
+         signed difference.  A half-turn counts in delta only.  So every row
+         sums to zero exactly when all vertices see the same separations.
     """
-    rows = (row for *_, delta, gamma in _class_forms(res, full) for row in (delta, gamma))
-    feasible = not any(sum(row) for row in rows)
+    seen = sorted((r - res[0]) % full for r in res)
+    feasible = all(sorted((r - s) % full for r in res) == seen for s in res[1:])
     widest = max(min((a - b) % full, (b - a) % full) for a, b in itertools.combinations(res, 2))
     return 1.0 - math.cos(2.0 * math.pi * widest / full), feasible
 
@@ -631,13 +587,13 @@ def mass_feasibility(cfg: PolygonConfig, rho) -> FeasibilityResult:
 
     Decides {A m = 0, m_i > 0} exactly, with A the integer class rows of
     every difference delta_i - delta_1 and gamma_i - gamma_1; these rows
-    admit only equal masses (see _exact_system), so the system is feasible
-    exactly when every row sums to zero.  The verdict is independent of any
-    floor and of rho, and is found once per polygon.  At the given rho every
-    class must lie in the kernel domain; 2 - c*rho is monotone in c, so
-    checking the largest chord checks them all.  A feasible system reports
-    the equal masses (1, ..., 1), which solve the rows exactly, so the
-    residual is 0.
+    admit only equal masses, so the system is feasible exactly when every
+    vertex sees the same separations (see _exact_system).  The verdict is
+    independent of any floor and of rho, and is found once per polygon.  At
+    the given rho every class must lie in the kernel domain; 2 - c*rho is
+    monotone in c, so checking the largest chord checks them all.  A
+    feasible system reports the equal masses (1, ..., 1), which solve the
+    rows exactly, so the residual is 0.
     """
     rho_v = float(rho)
     widest, feasible = _exact_system(*cfg.canonical_residues)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -470,11 +471,16 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
     n = state.n
     P = traj.positions
 
-    max_c_drift = 0.0
-    if n > 1:
-        metric = np.array([1.0, 1.0, float(c.sigma)])
-        C = 1.0 - c.kappa * (P @ (P * metric).transpose(0, 2, 1))  # (T, n, n) pair c
-        max_c_drift = float(np.max(np.abs(C - C[0])[:, ~np.eye(n, dtype=bool)]))
+    # pair c = 1 - kappa (x_i x_j + y_i y_j + z_i (sigma z_j)), summed in that
+    # order on plain floats, so that no BLAS kernel chooses the rounding
+    kappa, sigma = c.kappa, float(c.sigma)
+
+    def pair_c(rows):
+        pairs = itertools.combinations(rows.tolist(), 2)
+        return [1.0 - kappa * (a[0] * b[0] + a[1] * b[1] + a[2] * (sigma * b[2])) for a, b in pairs]
+
+    start = pair_c(P[0])
+    max_c_drift = max((abs(x - x0) for rows in P for x, x0 in zip(pair_c(rows), start)), default=0.0)
 
     if out_path is not None:
         # per sample: t, then x, y, z, vx, vy, vz of each body in turn

@@ -394,7 +394,7 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
     step.  A step count whose samples could not be stored raises ValueError
     before any step.  Errors abort with the failing time attached.
     """
-    last, final = 0, cfg.dt
+    last, final, count = 0, cfg.dt, 0.0
     if cfg.t_end > 0.0:
         if cfg.dt == 0.0:
             raise ValueError("dt must be positive to reach a positive t_end")
@@ -408,10 +408,13 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
         if remainder > 1e-9 * cfg.dt:
             last, final = nfull + 1, remainder
     c = sys.curvature
-    times = np.zeros(last + 1)
-    P = np.empty((last + 1, sys.n, 3))
-    W = np.empty_like(P)
-    D = np.empty((last + 1, 3))
+    try:
+        times = np.zeros(last + 1)
+        P = np.empty((last + 1, sys.n, 3))
+        W = np.empty_like(P)
+        D = np.empty((last + 1, 3))
+    except MemoryError:
+        raise ValueError(f"t_end / dt = {count:g} steps are too many to store") from None
     Q, V, m = _floats(sys)
     P[0], W[0], D[0] = Q, V, astuple(diagnostics(sys))
     for k in range(1, last + 1):

@@ -7,11 +7,13 @@ independent exact mass search must agree.
 
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
 import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from curvednbody import (
+    DisagreementError,
     InternalConsistencyError,
     KernelDomainError,
     MassForm,
@@ -44,7 +47,7 @@ from curvednbody import (
     pairing_v,
     random_irregular_polygon,
 )
-from curvednbody import certificate
+from curvednbody import certificate, cli
 from curvednbody.jsonout import dumps
 
 
@@ -602,12 +605,41 @@ def canonical_polygons(max_denominator):
     return tuple(PolygonConfig.from_turns(F(r, full) for r in res) for res, full in sorted(seen))
 
 
+def class_forms(res, full):
+    """Integer chord-class coefficients of the n - 1 differences.
+
+    For i = 2..n, delta_i - delta_1 sums +m_j over the pairs (j, i) and -m_j
+    over the pairs (j, 1), each at its kernel mu(c); gamma carries the extra
+    factor s/c.  Pairs whose separations d = alpha_j - alpha_i (mod 1) share
+    the class k = min(d, 1 - d) share c, and their s/c differ only in sign,
+    positive for d < 1/2; a half-turn pair has s = 0 and drops from gamma.
+    Each class coefficient must vanish on its own, which leaves a delta and a
+    gamma row, entries in {-2..2}, per (i, class).  Only the turn residues
+    res modulo full are read.  Yields (i, k, delta row, gamma row) in
+    increasing i, then k, with k a residue modulo full.
+    """
+    n = len(res)
+    for i in range(1, n):
+        forms = {}
+        for target, sign in ((i, 1), (0, -1)):
+            for j in range(n):
+                if j == target:
+                    continue
+                d = (res[j] - res[target]) % full
+                delta, gamma = forms.setdefault(min(d, full - d), ([0] * n, [0] * n))
+                delta[j] += sign
+                if 2 * d != full:
+                    gamma[j] += sign if 2 * d < full else -sign
+        for k in sorted(forms):
+            yield (i + 1, k) + forms[k]
+
+
 def class_differences(cfg, masses, rho):
     """delta_i - delta_1 and gamma_i - gamma_1, i = 2..n, rebuilt from the class rows."""
     res, full = cfg.residues
     dd = np.zeros(cfg.n - 1)
     gg = np.zeros(cfg.n - 1)
-    for i, k, delta, gamma in certificate._class_forms(res, full):
+    for i, k, delta, gamma in class_forms(res, full):
         c = 1.0 - math.cos(2.0 * math.pi * k / full)
         t = math.sin(2.0 * math.pi * k / full) / c  # |s/c| of the class
         dd[i - 2] += mu(c, rho) * np.dot(delta, masses)
@@ -623,7 +655,7 @@ def group_differences(cfg, masses, rho):
 
 
 class TestClassRows:
-    """The exact route's rows, built from turn residues alone."""
+    """The exact route's rows (the class_forms oracle), built from turn residues alone."""
 
     @staticmethod
     def row_polygons(rng):
@@ -659,22 +691,23 @@ class TestClassRows:
         for cfg in polygons:
             n = cfg.n
             sums = {i: [0] * n for i in range(2, n + 1)}
-            for i, _, delta, _ in certificate._class_forms(*cfg.residues):
+            for i, _, delta, _ in class_forms(*cfg.residues):
                 sums[i] = [a + b for a, b in zip(sums[i], delta)]
             for i, total in sums.items():
                 assert total == [1 if v == 1 else -1 if v == i else 0 for v in range(1, n + 1)], (
                     cfg.turns, i)
 
     def test_every_small_canonical_polygon(self):
-        # exhaustive over denominators <= 12: feasible (by the row sums and by
-        # HiGHS) exactly when regular, and rank n - 1 exactly then
+        # exhaustive over denominators <= 12: feasible (by the separations, by
+        # the row sums and by HiGHS) exactly when regular, and rank n - 1
+        # exactly then
         polygons = canonical_polygons(12)
         assert len(polygons) == 722
         for cfg in polygons:
             regular = is_regular(cfg)
-            rows = [row for *_, d, g in certificate._class_forms(*cfg.residues) for row in (d, g)]
-            assert mass_feasibility(cfg, 0.5).feasible == regular == linprog_feasible(rows, cfg.n), (
-                cfg.turns)
+            rows = [row for *_, d, g in class_forms(*cfg.residues) for row in (d, g)]
+            assert (mass_feasibility(cfg, 0.5).feasible == regular
+                    == (not any(sum(row) for row in rows)) == linprog_feasible(rows, cfg.n)), cfg.turns
             assert np.linalg.matrix_rank(np.array(rows, dtype=float)) == cfg.n - regular, cfg.turns
 
     def test_rank_is_n_exactly_when_irregular(self):
@@ -682,7 +715,7 @@ class TestClassRows:
         for n in range(3, 13):
             regular = PolygonConfig.from_turns(tuple(F(k, n) for k in range(n)))
             for cfg in [regular] + [canonicalize(random_irregular_polygon(rng, n, 10**4)) for _ in range(5)]:
-                rows = [row for *_, d, g in certificate._class_forms(*cfg.residues) for row in (d, g)]
+                rows = [row for *_, d, g in class_forms(*cfg.residues) for row in (d, g)]
                 assert np.linalg.matrix_rank(np.array(rows, dtype=float)) == n - is_regular(cfg)
 
 
@@ -733,7 +766,7 @@ class TestIndependentRoutes:
             return [repr(base_groups(poly, rho)) for poly in self.POLYGONS for rho in (0.5, -1.0)]
 
         expected = snapshot()
-        self.unavailable(monkeypatch, ("_class_forms",) + PAIRINGS)
+        self.unavailable(monkeypatch, ("_exact_system",) + PAIRINGS)
         assert snapshot() == expected
 
     def test_case_analysis_reads_no_other_route(self, monkeypatch):
@@ -741,8 +774,39 @@ class TestIndependentRoutes:
             return [repr(classify_case(poly, find_contradiction_j(poly))) for poly in self.POLYGONS[1:]]
 
         expected = snapshot()
-        self.unavailable(monkeypatch, ("_class_forms", "_difference_groups"))
+        self.unavailable(monkeypatch, ("_exact_system", "_difference_groups"))
         assert snapshot() == expected
+
+
+class TestDisagreement:
+    """A feasibility verdict that contradicts the case analysis is an error, never a result."""
+
+    @staticmethod
+    def report_feasible(monkeypatch):
+        exact = certificate._exact_system
+        monkeypatch.setattr(certificate, "_exact_system", lambda res, full: (exact(res, full)[0], True))
+
+    @pytest.mark.parametrize("rho", [0.5, -1.0])
+    def test_certify_raises_naming_case_j_and_rho(self, monkeypatch, rho):
+        self.report_feasible(monkeypatch)
+        for t in CASE_FIXTURES:
+            poly = turns(*t)
+            j = find_contradiction_j(poly)
+            case = classify_case(poly, j).case_tag
+            expected = f"witness {case} at j={j} but .* at rho={rho}$"
+            with pytest.raises(DisagreementError, match=expected):
+                certify(poly, rho=rho)
+
+    def test_cli_certify_exits_2_with_empty_stdout(self, monkeypatch, tmp_path):
+        self.report_feasible(monkeypatch)
+        for k, t in enumerate(CASE_FIXTURES):
+            path = tmp_path / f"cfg{k}.json"
+            path.write_text(json.dumps({"kappa": 1.0, "angles": list(t), "masses": [1.0] * len(t)}))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["certify", "--config", str(path)])
+            assert (code, out.getvalue()) == (2, ""), t
+            assert err.getvalue().startswith("error: case analysis found witness case"), t
 
 
 class TestWitnessCheck:
