@@ -47,8 +47,8 @@ from .polygon import (
     PolygonConfig,
     _check_kernel_domain,
     canonicalize,
+    chord_c,
     is_regular,
-    mu,
 )
 
 __all__ = [
@@ -89,14 +89,14 @@ def mu_derivative(c: float, rho: float, k: int) -> float:
 
         prod_{l=0}^{k-1} (3/2 + l) * c^(k - 1/2) / (2 - c*rho)^(3/2 + k)
 
-    and k = 0 reduces to mu itself.
+    and k = 0 is mu itself, 1 / (c^(1/2) (2 - c*rho)^(3/2)).
     """
     # inf % 1 and nan % 1 are nan, so non-finite orders fail here too
     if not (k >= 0 and k % 1 == 0):
         raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
-    if k == 0:
-        return mu(c, rho)
     base = _check_kernel_domain(c, float(rho))
+    if k == 0:
+        return 1.0 / (math.sqrt(c) * base**1.5)
     pref = 1.0
     for l in range(int(k)):
         pref *= 1.5 + l
@@ -377,16 +377,12 @@ class Certificate:
     v: int | None
     failing_equation: str  # "delta" | "gamma" | "disjunction"
     witness_forms: tuple[WitnessForm, ...]
-    feasibility_rho: float | None = None
-    feasibility_feasible: bool | None = None
+    feasibility_rho: float | None = None  # set by certify, whose cross-check finds no masses
 
     def to_json_dict(self) -> dict:
         feas = None
         if self.feasibility_rho is not None:
-            feas = {
-                "rho": self.feasibility_rho,
-                "verdict": "feasible" if self.feasibility_feasible else "infeasible",
-            }
+            feas = {"rho": self.feasibility_rho, "verdict": "infeasible"}
         return {
             "n": self.canonical.n,
             "angles": [str(a) for a in self.polygon.turns],
@@ -488,10 +484,9 @@ class Certificate:
             "term and the gamma-difference sum runs over j = 3..n; derivatives preserve both."
         )
         if self.feasibility_rho is not None:
-            verdict = "feasible" if self.feasibility_feasible else "infeasible"
             lines.append(
                 f"Independent cross-check: linear mass-feasibility at rho = {self.feasibility_rho:g} "
-                f"-> {verdict}."
+                "-> infeasible."
             )
         return "\n".join(lines)
 
@@ -511,25 +506,23 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
         # first gap then pins j = n with the successor pairing holding, which
         # contradicts the choice of j.
         raise InternalConsistencyError("v = 2 cannot occur at a witness index")
-    res, full = cfg.residues
-    half_turn_j1 = 2 * ((res[j - 1] - res[0]) % full) == full
-    rad = cfg.radians
-    c_j1 = 1.0 - math.cos(rad[j - 1] - rad[0])
-    s_j1 = math.sin(rad[j - 1] - rad[0])
-    t = s_j1 / c_j1
 
-    def s_nonzero_required():
-        if half_turn_j1:
+    def tangent_ratio():
+        """s_j1/c_j1, which only the gamma forms carry; they need s_j1 != 0."""
+        res, full = cfg.residues
+        if 2 * ((res[j - 1] - res[0]) % full) == full:
             raise InternalConsistencyError(
                 f"s_j1 = 0 at witness j={j} although a u pairing exists"
             )
+        rad = cfg.radians
+        return math.sin(rad[j - 1] - rad[0]) / chord_c(rad[j - 1], rad[0])
 
     if u is None and v is None:
         case = "case1"
         forms = (WitnessForm("delta", MassForm.from_terms(n, [(j, 1.0)]), f"a_j1 * m{j}"),)
     elif u is not None and v is None:
         case = "case2u"
-        s_nonzero_required()
+        t = tangent_ratio()
         gform = MassForm.from_terms(n, [(j, t), (u, t)])
         label = f"2*m{j}" if u == j else f"m{j} + m{u}"
         forms = (WitnessForm("gamma", gform, f"a_j1 * (s_j1/c_j1) * ({label})"),)
@@ -539,7 +532,7 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
         forms = (WitnessForm("delta", dform, f"a_j1 * (m{j} + m{v})"),)
     else:
         case = "case3"
-        s_nonzero_required()
+        t = tangent_ratio()
         dform = MassForm.from_terms(n, [(j, 1.0), (v, 1.0), (u, -1.0)])
         gform = MassForm.from_terms(n, [(j, t), (v, -t), (u, t)])
         d_label = f"m{v}" if u == j else f"m{j} + m{v} - m{u}"
@@ -649,4 +642,4 @@ def certify(cfg: PolygonConfig, rho=None) -> Certificate:
             f"case analysis found witness {cert.case_tag} at j={j} but the mass "
             f"search returned feasible masses {feas.masses} at rho={rho_v}"
         )
-    return replace(cert, polygon=cfg, feasibility_rho=rho_v, feasibility_feasible=False)
+    return replace(cert, polygon=cfg, feasibility_rho=rho_v)

@@ -596,12 +596,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except ConstraintDriftError as exc:
-        where = "" if exc.time is None else f" at t={exc.time!r}"
-        print(f"error: drift guard abort{where}: {exc}", file=sys.stderr)
-        return EXIT_DRIFT
     except (CurvedNBodyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a simulation error carries the time it happened, if it happened mid-run
+        where = "" if getattr(exc, "time", None) is None else f" at t={exc.time!r}"
+        if isinstance(exc, ConstraintDriftError):
+            print(f"error: drift guard abort{where}: {exc}", file=sys.stderr)
+            return EXIT_DRIFT
+        print(f"error{where}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

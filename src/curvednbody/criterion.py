@@ -3,11 +3,12 @@
 For a polygon on the circle of scaled radius rho (see `polygon` for the pair
 quantities c, s and the kernels mu, nu), the motion criterion asks that
 delta_i = sum_j m_j mu_ji and gamma_i = sum_j m_j nu_ji agree across i (the
-gammas then vanish by antisymmetry).  Like `dynamics._accel`, the kernel runs
-on plain floats without numpy: a rho-free table holds c, c^(1/2), c^(3/2) and
-s per unordered pair, and one pass over it computes (2 - c rho)^(3/2) once
-per pair for both bodies (mu is symmetric, nu antisymmetric).  A rho sweep
-builds the table once and runs the pass at each point.
+gammas then vanish by antisymmetry).  The pass below is the one evaluation
+of mu and nu, on plain floats: a rho-free table holds c (`chord_c`),
+c^(1/2), c^(3/2) and s per unordered pair, and one pass over it checks the
+kernel domain once, at the widest chord, then computes (2 - c rho)^(3/2)
+once per pair for both bodies (mu is symmetric, nu antisymmetric).  A rho
+sweep builds the table once and runs the pass at each point.
 """
 
 from __future__ import annotations
@@ -15,36 +16,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CoincidentAngleError, KernelDomainError
-from .polygon import MassVector, PolygonConfig
+from .errors import KernelDomainError
+from .polygon import MassVector, PolygonConfig, _check_kernel_domain, chord_c
 
 __all__ = ["CriterionReport", "delta_gamma", "criterion_check"]
 
 
-def _pair_table(cfg: PolygonConfig) -> list[tuple]:
-    """(i, j, c, c^(1/2), c^(3/2), s) for each pair i < j, s = sin(alpha_j - alpha_i)."""
+def _pair_table(cfg: PolygonConfig) -> tuple[float, list[tuple]]:
+    """The widest chord, and (i, j, c, c^(1/2), c^(3/2), sin(alpha_j - alpha_i)) per pair i < j."""
     a = cfg.radians
-    table = []
+    rows = []
     for i in range(len(a) - 1):
         for j in range(i + 1, len(a)):
-            d = a[j] - a[i]
-            c = 1.0 - math.cos(d)
-            if c == 0.0:
-                raise CoincidentAngleError("two polygon angles coincide modulo a full turn")
-            table.append((i, j, c, math.sqrt(c), c**1.5, math.sin(d)))
-    return table
+            c = chord_c(a[j], a[i])
+            rows.append((i, j, c, math.sqrt(c), c**1.5, math.sin(a[j] - a[i])))
+    return max(row[2] for row in rows), rows
 
 
 def _sums(table, m, rho: float) -> tuple[list[float], list[float]]:
     """delta and gamma of every body at one rho, from a pair table."""
+    widest, rows = table
+    # 2 - c*rho is monotone in c: the widest chord has the smallest base for
+    # rho > 0 and the largest, whose 3/2 power bounds all others, for rho < 0
+    base = _check_kernel_domain(widest, rho)
+    try:
+        base**1.5
+    except OverflowError:
+        raise KernelDomainError(f"kernel base 2 - c*rho = {base!r} overflows its 3/2 power") from None
     deltas = [0.0] * len(m)
     gammas = [0.0] * len(m)
-    for i, j, c, root_c, c_15, s in table:
-        base = 2.0 - c * rho
-        # a NaN or infinite rho makes the base NaN or infinite, never in range
-        if not 0.0 < base < math.inf:
-            raise KernelDomainError("kernel base not finite and positive for some pair")
-        b_15 = base**1.5
+    for i, j, c, root_c, c_15, s in rows:
+        b_15 = (2.0 - c * rho) ** 1.5
         mu_ij = 1.0 / (root_c * b_15)
         nu_ji = s / (c_15 * b_15)  # nu_ij = -nu_ji
         deltas[i] += m[j] * mu_ij

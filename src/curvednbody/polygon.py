@@ -9,6 +9,10 @@ rho = kappa * r^2, define for each ordered pair
     mu_ji = 1 / (c_ji^(1/2) * (2 - c_ji rho)^(3/2))
     nu_ji = s_ji / (c_ji^(3/2) * (2 - c_ji rho)^(3/2))
 
+The float chord of two radian angles is `chord_c`, the one check of the
+domain (c in (0, 2], base 2 - c rho finite and positive) is
+`_check_kernel_domain`, and the criterion pass evaluates mu and nu.
+
 Angles carry one of two representations: exact rational fractions of a turn,
 used by the certification machinery, or float radians, used for simulation
 interop.  Everything here is plain Python (integers, Fractions and floats),
@@ -31,9 +35,6 @@ __all__ = [
     "PolygonConfig",
     "MassVector",
     "chord_c",
-    "chord_s",
-    "mu",
-    "nu",
     "canonicalize",
     "is_regular",
     "cyclic_gaps",
@@ -206,11 +207,6 @@ def chord_c(alpha_j: float, alpha_i: float) -> float:
     return c
 
 
-def chord_s(alpha_j: float, alpha_i: float) -> float:
-    """s = sin(alpha_j - alpha_i)."""
-    return math.sin(alpha_j - alpha_i)
-
-
 def _check_kernel_domain(c: float, rho: float) -> float:
     if not (0.0 < c <= 2.0):
         raise KernelDomainError(f"chord value c={c!r} outside (0, 2]")
@@ -219,18 +215,6 @@ def _check_kernel_domain(c: float, rho: float) -> float:
     if not 0.0 < base < math.inf:
         raise KernelDomainError(f"kernel base 2 - c*rho = {base!r} is not finite and positive")
     return base
-
-
-def mu(c: float, rho: float) -> float:
-    """Attraction kernel 1 / (c^(1/2) (2 - c rho)^(3/2))."""
-    base = _check_kernel_domain(c, float(rho))
-    return 1.0 / (math.sqrt(c) * base**1.5)
-
-
-def nu(c: float, s: float, rho: float) -> float:
-    """Tangential kernel s / (c^(3/2) (2 - c rho)^(3/2)) = (s/c) * mu."""
-    base = _check_kernel_domain(c, float(rho))
-    return s / (c**1.5 * base**1.5)
 
 
 def _min_rotation(values, full):

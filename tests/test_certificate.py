@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from curvednbody import (
+    CoincidentAngleError,
     DisagreementError,
     InternalConsistencyError,
     KernelDomainError,
@@ -40,7 +41,6 @@ from curvednbody import (
     find_contradiction_j,
     is_regular,
     mass_feasibility,
-    mu,
     mu_derivative,
     pairing_possibility1,
     pairing_u,
@@ -58,6 +58,18 @@ def turns(*t):
 def value(form, masses):
     """A MassForm evaluated at the given masses."""
     return math.fsum(x * float(m) for x, m in zip(form.coeffs, masses, strict=True))
+
+
+def mu(c, rho):
+    """Attraction kernel 1 / (c^(1/2) (2 - c rho)^(3/2)) on its domain, written out."""
+    base = 2.0 - c * rho
+    assert 0.0 < c <= 2.0 and 0.0 < base < math.inf
+    return 1.0 / (math.sqrt(c) * base**1.5)
+
+
+def verdict(cert):
+    """The feasibility verdict a certificate emits."""
+    return cert.to_json_dict()["feasibility"]["verdict"]
 
 
 def prefactor(k):
@@ -425,7 +437,7 @@ class TestMassFeasibility:
         # the exact verdict reads no float chord, so valid polygons whose
         # chords round badly still get one
         assert not mass_feasibility(cfg, rho).feasible
-        assert certify(cfg, rho).feasibility_feasible is False
+        assert verdict(certify(cfg, rho)) == "infeasible"
 
     def test_square_far_hyperbolic(self):
         # every base is about 1e-300 here, so the float bases tie
@@ -520,7 +532,7 @@ class TestCertify:
         assert cert.special_j == 3
         assert cert.case_tag == "case1"
         assert cert.feasibility_rho == 0.5
-        assert cert.feasibility_feasible is False
+        assert verdict(cert) == "infeasible"
 
     def test_regular_rejected(self):
         with pytest.raises(RegularPolygonError):
@@ -538,7 +550,7 @@ class TestCertify:
     def test_hyperbolic_cross_check(self):
         cert = certify(turns(0, "1/4", "1/2"), rho=-1.0)
         assert cert.feasibility_rho == -1.0
-        assert cert.feasibility_feasible is False
+        assert verdict(cert) == "infeasible"
 
     def test_json_rendering_is_deterministic_and_shaped(self):
         cert = certify(turns(0, "1/8", "1/2", "5/8"))
@@ -577,12 +589,28 @@ class TestCertify:
         assert found == [(str(j), str(succ), gap)]
         assert gap == str(cyclic_gaps(cert.canonical)[j - 1])
 
+    E = F(1, 10**10)
+
+    @pytest.mark.parametrize("last, case", [((), "case1"), ((1 - 3 * E,), "case2v")])
+    def test_witness_chord_rounding_to_zero(self, last, case):
+        # c_31 = 1 - cos(2*pi * 3e-10) is 0.0 in floats; delta forms never read it
+        cert = certify(turns(0, self.E, 3 * self.E, "1/2", *last))
+        assert (cert.special_j, cert.case_tag) == (3, case)
+        check_certificate_json(json.loads(dumps(cert.to_json_dict())))
+
+    def test_gamma_witness_needs_a_nonzero_chord(self):
+        # case2u divides by c_31, which rounds to 0.0: the angles coincide in floats
+        cfg = turns(0, self.E, 3 * self.E, "1/2", 1 - 2 * self.E)
+        assert (find_contradiction_j(cfg), pairing_u(cfg, 3), pairing_v(cfg, 3)) == (3, 5, None)
+        with pytest.raises(CoincidentAngleError, match="coincide modulo a full turn"):
+            certify(cfg)
+
     def test_batch_agreement_with_feasibility(self):
         rng = random.Random(29)
         for _ in range(100):
             cfg = random_irregular_polygon(rng, 3 + rng.randrange(4))
             cert = certify(cfg)  # raises DisagreementError on any conflict
-            assert cert.feasibility_feasible is False
+            assert verdict(cert) == "infeasible"
 
 
 def linprog_feasible(rows, n):

@@ -210,6 +210,25 @@ class TestCriterion:
         assert code == 2 and out == ""
         assert "config error: tol:" in err
 
+    def test_far_hyperbolic_rho_is_a_domain_error(self, tmp_path):
+        # (2 - c*rho)^(3/2) overflows a double here; certify and feasibility
+        # take no power of the base, so they still decide
+        cfg = write_config(tmp_path, {"kappa": -1.0, "angles": ["0/1", "1/5", "1/2"], "masses": [1.0] * 3})
+        code, out, err = run_cli(["criterion", "--config", cfg, "--rho=-1e300"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: kernel base 2 - c*rho = ") and "overflows" in err
+        assert run_cli(["certify", "--config", cfg, "--rho=-1e300"])[0] == 0
+        assert run_cli(["feasibility", "--config", cfg, "--rho=-1e300"])[0] == 1
+
+    @pytest.mark.parametrize("command", ["validate", "criterion", "sweep"])
+    def test_chord_rounding_to_zero_names_the_angles(self, tmp_path, command):
+        # 1 - cos of a 1e-10-turn separation is 0.0: every command that
+        # forms float chords reports the pair the same way
+        cfg = write_config(tmp_path, dict(TRIANGLE_EXACT, angles=["0/1", "1/10000000000", "1/2"]))
+        code, out, err = run_cli([command, "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err == "error: angles 6.283185307179587e-10 and 0.0 coincide modulo a full turn\n"
+
 
 def reported_rho(command, doc):
     return doc["feasibility"]["rho"] if command == "certify" else doc["rho"]
@@ -303,6 +322,23 @@ class TestCertify:
         cfg = write_config(tmp_path, TRIANGLE_EXACT)
         code, _, err = run_cli(["certify", "--config", cfg, "--rho", "-1.0"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "last, code, case",
+        [(None, 0, "case1"), ("9999999997/10000000000", 0, "case2v"),
+         ("9999999998/10000000000", 2, None)],
+    )
+    def test_witness_chord_rounding_to_zero(self, tmp_path, last, code, case):
+        # the (3,1) chord 1 - cos(2*pi * 3e-10) rounds to 0.0; only a gamma
+        # witness form (case2u here) divides by it
+        angles = ["0/1", "1/10000000000", "3/10000000000", "1/2"] + ([last] if last else [])
+        cfg = write_config(tmp_path, {"kappa": 1.0, "angles": angles})
+        got, out, err = run_cli(["certify", "--config", cfg])
+        assert got == code
+        if case is None:
+            assert out == "" and re.fullmatch(r"error: angles \S+ and 0\.0 coincide modulo a full turn\n", err)
+        else:
+            assert json.loads(out)["case"] == case and err == ""
 
 
 class TestFeasibility:
@@ -500,7 +536,24 @@ class TestSimulate:
         cfg = write_config(tmp_path, doc)
         code, _, err = run_cli(["simulate", "--config", cfg])
         assert code == 4
-        assert "drift" in err
+        assert re.match(r"error: drift guard abort at t=\S+: ", err)
+
+    def test_collision_reports_its_time(self, tmp_path):
+        # two bodies 0.05 rad apart, moving toward each other, meet mid-run
+        a = 0.05
+        doc = {
+            "kappa": 1.0,
+            "angles": [0.0, a],
+            "masses": [1.0, 1.0],
+            "rho": 0.36,
+            "velocities": [[0.0, 1.0, 0.0], [math.sin(a), -math.cos(a), 0.0]],
+            "integrator": {"dt": 5e-4, "t_end": 1.0},
+        }
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert re.match(
+            r"error at t=0\.0545: pair denominator \S+ of bodies 0 and 1 below singularity threshold", err
+        )
 
     def test_irregular_without_velocities_rejected(self, tmp_path):
         doc = dict(TRIANGLE_EXACT, integrator={"dt": 0.001, "t_end": 0.01})
