@@ -23,7 +23,7 @@ from .polygon import *
 # equal.
 _LAZY_NAMES = {
     "certificate": (
-        "BaseGroup", "Certificate", "FeasibilityResult", "MassForm", "WitnessForm",
+        "BaseGroup", "Certificate", "FeasibilityResult", "WitnessForm",
         "base_groups", "certify", "classify_case", "decompose", "find_contradiction_j",
         "mass_feasibility", "mu_derivative", "pairing_possibility1", "pairing_u", "pairing_v",
     ),

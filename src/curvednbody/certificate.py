@@ -14,20 +14,21 @@ three routes that share only the canonical rotation and its turn residues:
     base_groups scales them by their amplitude at one rho,
   * the case analysis: find_contradiction_j locates the witness index and
     classify_case derives the non-vanishing coefficient form(s) from the
-    pairing identities,
+    pairing identities, each an integer mass row times one positive factor,
   * mass_feasibility independently decides whether positive masses exist
     for every difference delta_i - delta_1 and gamma_i - gamma_1: their
     chord-class rows admit only equal masses, which solve them exactly when
     every vertex sees the same separations alpha_j - alpha_i (mod 1), read
     straight from the turn residues (the argument is in _exact_system).
 
-certify requires all three to agree: each witness form must be the group of
-the (j,1) term (the witness check), and the feasibility search must find no
-masses.
+certify requires all three to agree: each witness row must equal the row of
+the (j,1) group entry for entry (the witness check, on integers), and the
+feasibility search must find no masses.
 
 Angle arithmetic on the certification path is exact (rational fractions of a
 turn, held as integer residues modulo their common denominator), so group
-membership and the pairing identities carry no float tolerance.
+membership, the signs of s and the pairing identities carry no float
+tolerance.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from .errors import (
 from .polygon import (
     PolygonConfig,
     _check_kernel_domain,
+    _kernel_power,
     canonicalize,
     chord_c,
     is_regular,
 )
 
 __all__ = [
-    "MassForm",
     "BaseGroup",
     "WitnessForm",
     "Certificate",
@@ -94,13 +95,13 @@ def mu_derivative(c: float, rho: float, k: int) -> float:
     # inf % 1 and nan % 1 are nan, so non-finite orders fail here too
     if not (k >= 0 and k % 1 == 0):
         raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
-    base = _check_kernel_domain(c, float(rho))
+    _, power = _kernel_power(c, float(rho), 1.5 + k)
     if k == 0:
-        return 1.0 / (math.sqrt(c) * base**1.5)
+        return 1.0 / (math.sqrt(c) * power)
     pref = 1.0
     for l in range(int(k)):
         pref *= 1.5 + l
-    return pref * c ** (k - 0.5) / base ** (1.5 + k)
+    return pref * c ** (k - 0.5) / power
 
 
 def decompose(c: float, rho: float) -> tuple[float, float]:
@@ -111,44 +112,8 @@ def decompose(c: float, rho: float) -> tuple[float, float]:
     valid domain, and g is strictly increasing in c at fixed rho, which makes
     equal bases equivalent to equal chords.
     """
-    base = _check_kernel_domain(c, float(rho))
-    return math.sqrt(c) / base**1.5, c / base
-
-
-@dataclass(frozen=True)
-class MassForm:
-    """Linear form over the masses, one coefficient per body."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(x) for x in self.coeffs))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """1-based indices with nonzero coefficient."""
-        return tuple(i + 1 for i, x in enumerate(self.coeffs) if x != 0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0.0 for x in self.coeffs)
-
-    @property
-    def sign_definite(self) -> bool:
-        """All nonzero coefficients share one strict sign (and one exists)."""
-        signs = {x > 0.0 for x in self.coeffs if x != 0.0}
-        return len(signs) == 1
-
-    @staticmethod
-    def from_terms(n: int, terms) -> "MassForm":
-        """The form of n masses summing (1-based index, coefficient) pairs in order.
-
-        Indices may repeat (the pairing u can equal j); their coefficients add up.
-        """
-        coeffs = [0.0] * n
-        for idx, coeff in terms:
-            coeffs[idx - 1] += coeff
-        return MassForm(tuple(coeffs))
+    base, power = _kernel_power(c, float(rho))
+    return math.sqrt(c) / power, c / base
 
 
 @dataclass(frozen=True)
@@ -160,8 +125,8 @@ class BaseGroup:
     a: float
     g: float
     members: tuple[tuple[int, int], ...]  # the (j, i) pairs of the group's terms
-    delta_form: MassForm  # integer delta row, scaled by a
-    gamma_form: MassForm  # gamma sign row, scaled by a * |s/c|
+    delta_form: tuple[float, ...]  # integer delta row, scaled by a
+    gamma_form: tuple[float, ...]  # gamma sign row, scaled by a * |s/c|
 
 
 def _require_canonical(cfg: PolygonConfig):
@@ -228,7 +193,13 @@ def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, bool]:
     seen = sorted((r - res[0]) % full for r in res)
     feasible = all(sorted((r - s) % full for r in res) == seen for s in res[1:])
     widest = max(min((a - b) % full, (b - a) % full) for a, b in itertools.combinations(res, 2))
-    return 1.0 - math.cos(2.0 * math.pi * widest / full), feasible
+    return 1.0 - math.cos(_class_angle(widest, full)), feasible
+
+
+def _class_angle(k: int, full: int) -> float:
+    """The radian angle of the chord class k modulo full, for any size of full."""
+    # integer true division rounds correctly; float(full) overflows above 1e308
+    return 2.0 * math.pi * (k / full)
 
 
 def base_groups(cfg: PolygonConfig, rho) -> tuple[BaseGroup, ...]:
@@ -243,20 +214,19 @@ def base_groups(cfg: PolygonConfig, rho) -> tuple[BaseGroup, ...]:
     res, full = cfg.residues
     groups = []
     for k, (members, delta, gamma) in sorted(_difference_groups(res, full).items()):
-        key = Fraction(k, full)
-        angle = 2.0 * math.pi * float(key)
+        angle = _class_angle(k, full)
         c = 1.0 - math.cos(angle)
         a, g = decompose(c, rho)
         t = a * math.sin(angle) / c
         groups.append(
             BaseGroup(
-                key=key,
+                key=Fraction(k, full),
                 c=c,
                 a=a,
                 g=g,
                 members=tuple(members),
-                delta_form=MassForm(tuple(a * x for x in delta)),
-                gamma_form=MassForm(tuple(t * x for x in gamma)),
+                delta_form=tuple(a * x for x in delta),
+                gamma_form=tuple(t * x for x in gamma),
             )
         )
     for g0, g1 in zip(groups, groups[1:]):
@@ -353,16 +323,22 @@ def find_contradiction_j(cfg: PolygonConfig) -> int:
 
 @dataclass(frozen=True)
 class WitnessForm:
-    """A grouped coefficient form recorded by the certificate."""
+    """A grouped coefficient form recorded by the certificate, over a_j1 > 0.
+
+    The form is factor * row: row holds its integer mass coefficients, signs
+    included, and factor > 0 multiplies all of them, 1 for a delta form and
+    |s_j1/c_j1| for a gamma form.
+    """
 
     equation: str  # "delta" | "gamma"
-    form: MassForm
+    row: tuple[int, ...]
+    factor: float
     pattern: str
 
     @property
     def sign_definite(self) -> bool:
-        """Whether the form cannot vanish for positive masses."""
-        return self.form.sign_definite
+        """Whether the form cannot vanish for positive masses: one strict sign, some entry."""
+        return len({x > 0 for x in self.row if x}) == 1
 
 
 @dataclass(frozen=True)
@@ -398,9 +374,9 @@ class Certificate:
                     "pattern": w.pattern,
                     "sign_definite": w.sign_definite,
                     "terms": [
-                        {"index": i + 1, "coefficient": x}
-                        for i, x in enumerate(w.form.coeffs)
-                        if x != 0.0
+                        {"index": i + 1, "coefficient": w.factor * x}
+                        for i, x in enumerate(w.row)
+                        if x
                     ],
                 }
                 for w in self.witness_forms
@@ -506,40 +482,44 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
         # first gap then pins j = n with the successor pairing holding, which
         # contradicts the choice of j.
         raise InternalConsistencyError("v = 2 cannot occur at a witness index")
+    res, full = cfg.residues
+    d = (res[j - 1] - res[0]) % full
+    s = (2 * d < full) - (2 * d > full)  # sign of s_j1; 0 at a half turn
 
-    def tangent_ratio():
-        """s_j1/c_j1, which only the gamma forms carry; they need s_j1 != 0."""
-        res, full = cfg.residues
-        if 2 * ((res[j - 1] - res[0]) % full) == full:
+    def row(*terms):
+        """The integer mass row summing (vertex, coefficient) pairs; u = j adds up."""
+        out = [0] * n
+        for idx, x in terms:
+            out[idx - 1] += x
+        return tuple(out)
+
+    def gamma(terms, label):
+        """A gamma form, whose factor |s_j1/c_j1| needs s_j1 != 0."""
+        if not s:
             raise InternalConsistencyError(
                 f"s_j1 = 0 at witness j={j} although a u pairing exists"
             )
         rad = cfg.radians
-        return math.sin(rad[j - 1] - rad[0]) / chord_c(rad[j - 1], rad[0])
+        factor = abs(math.sin(rad[j - 1] - rad[0])) / chord_c(rad[j - 1], rad[0])
+        return WitnessForm("gamma", row(*terms), factor, f"a_j1 * (s_j1/c_j1) * ({label})")
 
     if u is None and v is None:
         case = "case1"
-        forms = (WitnessForm("delta", MassForm.from_terms(n, [(j, 1.0)]), f"a_j1 * m{j}"),)
+        forms = (WitnessForm("delta", row((j, 1)), 1.0, f"a_j1 * m{j}"),)
     elif u is not None and v is None:
         case = "case2u"
-        t = tangent_ratio()
-        gform = MassForm.from_terms(n, [(j, t), (u, t)])
         label = f"2*m{j}" if u == j else f"m{j} + m{u}"
-        forms = (WitnessForm("gamma", gform, f"a_j1 * (s_j1/c_j1) * ({label})"),)
+        forms = (gamma(((j, s), (u, s)), label),)
     elif u is None and v is not None:
         case = "case2v"
-        dform = MassForm.from_terms(n, [(j, 1.0), (v, 1.0)])
-        forms = (WitnessForm("delta", dform, f"a_j1 * (m{j} + m{v})"),)
+        forms = (WitnessForm("delta", row((j, 1), (v, 1)), 1.0, f"a_j1 * (m{j} + m{v})"),)
     else:
         case = "case3"
-        t = tangent_ratio()
-        dform = MassForm.from_terms(n, [(j, 1.0), (v, 1.0), (u, -1.0)])
-        gform = MassForm.from_terms(n, [(j, t), (v, -t), (u, t)])
         d_label = f"m{v}" if u == j else f"m{j} + m{v} - m{u}"
         g_label = f"2*m{j} - m{v}" if u == j else f"m{j} - m{v} + m{u}"
         forms = (
-            WitnessForm("delta", dform, f"a_j1 * ({d_label})"),
-            WitnessForm("gamma", gform, f"a_j1 * (s_j1/c_j1) * ({g_label})"),
+            WitnessForm("delta", row((j, 1), (v, 1), (u, -1)), 1.0, f"a_j1 * ({d_label})"),
+            gamma(((j, s), (v, -s), (u, s)), g_label),
         )
     # case 3 may have no sign-definite form; then one of its two must be nonzero
     failing = next((w.equation for w in forms if w.sign_definite), "disjunction")
@@ -597,13 +577,14 @@ def mass_feasibility(cfg: PolygonConfig, rho) -> FeasibilityResult:
 
 
 def _check_witness(cert: Certificate):
-    """Require each witness form to be the group of the (j,1) term.
+    """Require each witness row to be the row of the (j,1) group, entry for entry.
 
     The grouping reads only the turn residues, never the pairings, so a
-    pairing fault that changes the case changes the witness form and fails
-    here.  A delta form must equal the group's integer delta row; a gamma
-    form must equal its sign row times one factor, the witness coefficient
-    at j over the row's entry there (+/-1 or +/-2), which carries s_j1/c_j1.
+    pairing fault that changes the case changes a witness row and fails
+    here.  A delta form's row must equal the group's integer delta row and a
+    gamma form's row its gamma sign row; the rows are integers, so the
+    comparison is exact, and the positive factor of a form scales its whole
+    row.
     """
     res, full = cert.canonical.residues
     j = cert.special_j
@@ -611,13 +592,11 @@ def _check_witness(cert: Certificate):
     k = min(d, full - d)
     _, delta, gamma = _difference_groups(res, full, only=k)[k]
     for wf in cert.witness_forms:
-        row, t = delta, 1.0
-        if wf.equation == "gamma":
-            row, t = gamma, (wf.form.coeffs[j - 1] / gamma[j - 1] if gamma[j - 1] else 0.0)
-        if not t or wf.form.coeffs != tuple(t * x for x in row):
+        group = tuple(delta if wf.equation == "delta" else gamma)
+        if wf.row != group:
             raise InternalConsistencyError(
-                f"{cert.case_tag} {wf.equation} witness form {wf.form.coeffs} at j={j} "
-                f"is not the group of the ({j},1) term, row {tuple(row)}"
+                f"{cert.case_tag} {wf.equation} witness row {wf.row} at j={j} "
+                f"is not the group of the ({j},1) term, row {group}"
             )
 
 

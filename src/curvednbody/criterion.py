@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import KernelDomainError
-from .polygon import MassVector, PolygonConfig, _check_kernel_domain, chord_c
+from .polygon import MassVector, PolygonConfig, _kernel_power, chord_c
 
 __all__ = ["CriterionReport", "delta_gamma", "criterion_check"]
 
@@ -38,11 +37,7 @@ def _sums(table, m, rho: float) -> tuple[list[float], list[float]]:
     widest, rows = table
     # 2 - c*rho is monotone in c: the widest chord has the smallest base for
     # rho > 0 and the largest, whose 3/2 power bounds all others, for rho < 0
-    base = _check_kernel_domain(widest, rho)
-    try:
-        base**1.5
-    except OverflowError:
-        raise KernelDomainError(f"kernel base 2 - c*rho = {base!r} overflows its 3/2 power") from None
+    _kernel_power(widest, rho)
     deltas = [0.0] * len(m)
     gammas = [0.0] * len(m)
     for i, j, c, root_c, c_15, s in rows:

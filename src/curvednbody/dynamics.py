@@ -476,12 +476,12 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
     Only regular polygons with equal masses balance this way; anything else
     raises NoBalanceError, as does a radius on or beyond the equator for
     kappa > 0, where every rate balances; a radius that is not positive and
-    finite raises ValueError.  At rest the field at body 1 is
-    -(1 - rho) delta_1 / r^2 along the radius; the rate adds
-    -kappa (v . v) q_1 with v . v = (r omega)^2, whose radial part is
-    -rho r omega^2.  Balancing the sum against the kinematic -r omega^2
-    leaves omega^2 = delta_1 / r^3, which the full acceleration field then
-    checks independently.
+    finite, or whose rate is not a positive finite float, raises ValueError.
+    At rest the field at body 1 is -(1 - rho) delta_1 / r^2 along the radius;
+    the rate adds -kappa (v . v) q_1 with v . v = (r omega)^2, whose radial
+    part is -rho r omega^2.  Balancing the sum against the kinematic
+    -r omega^2 leaves omega^2 = delta_1 / r^3, which the full acceleration
+    field then checks independently.
     """
     m = (masses if isinstance(masses, MassVector) else MassVector(masses)).masses
     if not is_regular(polygon):
@@ -495,7 +495,12 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
         # On the equator the radial equation degenerates: every rate balances.
         raise NoBalanceError(f"no unique rotation rate at rho {rho!r} (equator or beyond)")
     deltas, _ = delta_gamma(polygon, m, rho)
-    omega = math.sqrt(deltas[0] / r**3)
+    try:
+        omega = math.sqrt(deltas[0] / r**3)
+    except (OverflowError, ZeroDivisionError):  # r^3 out of float range
+        omega = math.nan
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"radius {r!r} puts the rate sqrt(delta_1 / r^3) outside the float range")
     req = RelativeEquilibrium.from_radius(polygon, r, omega, c)
     Q, V, m = _floats(build_polygon_state(req, m, c))
     A = _accel(Q, V, m, c.kappa, c.sigma)

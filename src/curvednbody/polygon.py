@@ -11,7 +11,8 @@ rho = kappa * r^2, define for each ordered pair
 
 The float chord of two radian angles is `chord_c`, the one check of the
 domain (c in (0, 2], base 2 - c rho finite and positive) is
-`_check_kernel_domain`, and the criterion pass evaluates mu and nu.
+`_check_kernel_domain`, `_kernel_power` also checks that a power of the
+base does not overflow, and the criterion pass evaluates mu and nu.
 
 Angles carry one of two representations: exact rational fractions of a turn,
 used by the certification machinery, or float radians, used for simulation
@@ -215,6 +216,17 @@ def _check_kernel_domain(c: float, rho: float) -> float:
     if not 0.0 < base < math.inf:
         raise KernelDomainError(f"kernel base 2 - c*rho = {base!r} is not finite and positive")
     return base
+
+
+def _kernel_power(c: float, rho: float, p: float = 1.5) -> tuple[float, float]:
+    """The checked kernel base 2 - c*rho and its p-th power, which must not overflow."""
+    base = _check_kernel_domain(c, rho)
+    try:
+        return base, base**p
+    except OverflowError:
+        raise KernelDomainError(
+            f"kernel base 2 - c*rho = {base!r} overflows its {Fraction(p)} power"
+        ) from None
 
 
 def _min_rotation(values, full):

@@ -28,7 +28,6 @@ from curvednbody import (
     DisagreementError,
     InternalConsistencyError,
     KernelDomainError,
-    MassForm,
     PolygonConfig,
     RegularPolygonError,
     base_groups,
@@ -56,8 +55,8 @@ def turns(*t):
 
 
 def value(form, masses):
-    """A MassForm evaluated at the given masses."""
-    return math.fsum(x * float(m) for x, m in zip(form.coeffs, masses, strict=True))
+    """A linear mass form, one coefficient per body, evaluated at the given masses."""
+    return math.fsum(x * float(m) for x, m in zip(form, masses, strict=True))
 
 
 def mu(c, rho):
@@ -101,6 +100,17 @@ class TestMuDerivative:
     def test_rejects_non_integer_order(self, k):
         with pytest.raises(ValueError, match="derivative order must be a nonnegative integer"):
             mu_derivative(1.0, 0.5, k)
+
+    @pytest.mark.parametrize("call, power", [
+        (lambda: mu_derivative(1.0, -1e300, 0), "3/2"),
+        (lambda: mu_derivative(1.0, -1e200, 1), "5/2"),
+        (lambda: decompose(1.0, -1e300), "3/2"),
+        (lambda: base_groups(turns(0, "1/5", "1/2"), -1e300), "3/2"),
+    ], ids=["mu_derivative-0", "mu_derivative-1", "decompose", "base_groups"])
+    def test_far_hyperbolic_power_overflow_is_a_domain_error(self, call, power):
+        # a valid rho whose base 2 - c*rho is finite but too large for its power
+        with pytest.raises(KernelDomainError, match=rf"= \S+ overflows its {power} power$"):
+            call()
 
     def test_matches_central_difference(self, pyrng):
         """4th-order FD of the (k-1)-th closed form reproduces the k-th."""
@@ -158,17 +168,17 @@ class TestBaseGroups:
         cfg = turns(0, "1/4", "1/2")
         groups = base_groups(cfg, 0.5)
         assert len(groups) == 2
-        assert all(len(grp.delta_form.coeffs) == len(grp.gamma_form.coeffs) == 3 for grp in groups)
+        assert all(len(grp.delta_form) == len(grp.gamma_form) == 3 for grp in groups)
         by_c = {round(grp.c, 9): grp for grp in groups}
         g1, g2 = by_c[1.0], by_c[2.0]
         a1, _ = decompose(1.0, 0.5)
         a2, _ = decompose(2.0, 0.5)
         # c=1 holds (2,1) and (3,2): delta (m2 - m1 - m3), gamma (m1 + m2 - m3)
-        np.testing.assert_allclose(g1.delta_form.coeffs, (-a1, a1, -a1), rtol=1e-13)
-        np.testing.assert_allclose(g1.gamma_form.coeffs, (a1, a1, -a1), rtol=1e-13)
+        np.testing.assert_allclose(g1.delta_form, (-a1, a1, -a1), rtol=1e-13)
+        np.testing.assert_allclose(g1.gamma_form, (a1, a1, -a1), rtol=1e-13)
         # c=2 holds (3,1) alone: delta m3, gamma killed by s=0
-        np.testing.assert_allclose(g2.delta_form.coeffs, (0.0, 0.0, a2), rtol=1e-13)
-        assert g2.gamma_form.is_zero
+        np.testing.assert_allclose(g2.delta_form, (0.0, 0.0, a2), rtol=1e-13)
+        assert g2.gamma_form == (0.0, 0.0, 0.0)
 
     def test_regular_triangle_single_group(self):
         cfg = turns(0, "1/3", "2/3")
@@ -282,7 +292,7 @@ class TestClassifyCase:
         assert cert.u is None and cert.v is None
         assert cert.failing_equation == "delta"
         (wf,) = cert.witness_forms
-        assert wf.form.coeffs == (0.0, 0.0, 0.0, 1.0)
+        assert (wf.row, wf.factor) == ((0, 0, 0, 1), 1.0)
         assert wf.sign_definite
 
     def test_case1_with_half_turn_witness(self):
@@ -308,7 +318,9 @@ class TestClassifyCase:
         assert cert.failing_equation == "gamma"
         (wf,) = cert.witness_forms
         assert wf.sign_definite
-        assert set(wf.form.support) == {3, 4}
+        # alpha_3 - alpha_1 = 3/8 of a turn, so s_31 > 0
+        assert wf.row == (0, 0, 1, 1)
+        assert wf.factor == pytest.approx(math.sin(0.75 * math.pi) / (1 - math.cos(0.75 * math.pi)))
 
     def test_case2v_fixture(self):
         cfg = turns(0, "1/8", "1/4", "3/4")
@@ -316,7 +328,7 @@ class TestClassifyCase:
         assert cert.case_tag == "case2v"
         assert cert.u is None and cert.v == 4
         (wf,) = cert.witness_forms
-        assert wf.form.coeffs == (0.0, 0.0, 1.0, 1.0)
+        assert (wf.row, wf.factor) == ((0, 0, 1, 1), 1.0)
 
     def test_case3_fixture_records_both_forms(self):
         cfg = turns(0, "1/6", "1/3", "1/2", "2/3")
@@ -327,11 +339,12 @@ class TestClassifyCase:
         dform, gform = cert.witness_forms
         assert dform.equation == "delta"
         assert gform.equation == "gamma"
-        # delta pattern m5 + m3 - m4 and gamma pattern (m5 - m3 + m4)*t
-        # sum to 2*m5 after removing the shared tangent factor
-        t = gform.form.coeffs[4] / dform.form.coeffs[4]
-        combined = np.asarray(dform.form.coeffs) + np.asarray(gform.form.coeffs) / t
-        np.testing.assert_allclose(combined, (0, 0, 0, 0, 2.0), atol=1e-12)
+        # delta pattern m5 + m3 - m4 and gamma pattern s_51 (m5 - m3 + m4),
+        # with s_51 < 0 at 2/3 of a turn: their difference is 2*m5
+        assert dform.row == (0, 0, 1, -1, 1)
+        assert gform.row == (0, 0, 1, -1, -1)
+        assert [a - b for a, b in zip(dform.row, gform.row)] == [0, 0, 0, 0, 2]
+        assert dform.factor == 1.0 and gform.factor > 0
 
     def test_case3_with_u_equal_j_collapses_to_delta(self):
         cfg = turns(0, "1/5", "2/5", "3/5")
@@ -340,7 +353,8 @@ class TestClassifyCase:
         assert cert.u == 4 and cert.v == 3
         assert cert.failing_equation == "delta"
         dform = cert.witness_forms[0]
-        assert dform.form.coeffs == (0.0, 0.0, 1.0, 0.0)
+        # the u = j terms m4 - m4 add up to nothing
+        assert dform.row == (0, 0, 1, 0)
         assert dform.sign_definite
 
     def test_rejects_index_where_pairing_exists(self):
@@ -371,20 +385,6 @@ class TestClassifyCase:
                     wf.sign_definite and wf.equation == cert.failing_equation
                     for wf in cert.witness_forms
                 )
-
-
-class TestMassForm:
-    def test_support_and_sign(self):
-        form = MassForm((0.0, 1.5, -0.5))
-        assert form.support == (2, 3)
-        assert not form.sign_definite
-        assert MassForm((0.0, 2.0, 1.0)).sign_definite
-        assert not MassForm((0.0, 0.0)).sign_definite
-        assert MassForm((0.0, 0.0)).is_zero
-
-    def test_from_terms_accumulates_repeats(self):
-        form = MassForm.from_terms(3, [(2, 1.0), (3, -0.5), (2, 1.0)])
-        assert form.coeffs == (0.0, 2.0, -0.5)
 
 
 class TestMassFeasibility:
@@ -458,10 +458,10 @@ def reference_feasible(cfg, rho):
     # every nonzero grouped form is a row; the (2,1) delta form carries -m_1,
     # which no other term cancels, so there is always one
     rows = [
-        form.coeffs
+        form
         for grp in base_groups(canonicalize(cfg), rho)
         for form in (grp.delta_form, grp.gamma_form)
-        if not form.is_zero
+        if any(form)
     ]
     return linprog_feasible(rows, cfg.n)
 
@@ -604,6 +604,16 @@ class TestCertify:
         assert (find_contradiction_j(cfg), pairing_u(cfg, 3), pairing_v(cfg, 3)) == (3, 5, None)
         with pytest.raises(CoincidentAngleError, match="coincide modulo a full turn"):
             certify(cfg)
+
+    def test_gamma_sign_comes_from_the_residues(self):
+        # alpha_3 - alpha_1 = 1/2 + 1e-20 turns, which the float angle rounds
+        # to pi, where sin is positive; s_31 is negative, and so is the
+        # recorded coefficient of 2*m3 (u = j)
+        cfg = turns(0, 2 * F(1, 10**20), F(1, 2) + F(1, 10**20))
+        doc = json.loads(dumps(certify(cfg).to_json_dict()))
+        assert (doc["case"], doc["u"]) == ("case2u", 3)
+        assert doc["witness_forms"][0]["terms"][0]["coefficient"] < 0
+        check_certificate_json(doc)
 
     def test_batch_agreement_with_feasibility(self):
         rng = random.Random(29)
@@ -861,21 +871,21 @@ class TestWitnessCheck:
             with pytest.raises(InternalConsistencyError, match="is not the group of the"):
                 certify(poly)
 
-    def test_gamma_form_needs_one_common_factor(self, monkeypatch):
-        # the case3 gamma form m5 - m3 + m4, times s_j1/c_j1, with m3 halved
+    def test_gamma_row_sign_mismatch_raises(self, monkeypatch):
+        # the case3 gamma row s_51 (m5 - m3 + m4) with the sign of its m3 entry flipped
         classify = certificate.classify_case
 
         def skewed(cfg, j):
             cert = classify(cfg, j)
             dform, gform = cert.witness_forms
-            coeffs = list(gform.form.coeffs)
-            coeffs[2] /= 2.0
-            return replace(cert, witness_forms=(dform, replace(gform, form=MassForm(tuple(coeffs)))))
+            row = list(gform.row)
+            row[2] = -row[2]
+            return replace(cert, witness_forms=(dform, replace(gform, row=tuple(row))))
 
         poly = turns(0, "1/6", "1/3", "1/2", "2/3")
         certify(poly)
         monkeypatch.setattr(certificate, "classify_case", skewed)
-        with pytest.raises(InternalConsistencyError, match="gamma witness form"):
+        with pytest.raises(InternalConsistencyError, match="gamma witness row .* is not the group"):
             certify(poly)
 
 

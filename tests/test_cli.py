@@ -155,6 +155,85 @@ class TestValidate:
         assert json.loads(out)["seed"] == 7
 
 
+DROP = object()
+
+
+def edited(**fields):
+    """TRIANGLE_EXACT with the given fields set, or removed where the value is DROP."""
+    doc = dict(TRIANGLE_EXACT, **fields)
+    return {k: v for k, v in doc.items() if v is not DROP}
+
+
+REGULAR_TRIANGLE = ["0", "1/3", "2/3"]
+
+
+class TestConfigErrors:
+    """Each rejected document or flag exits 2 with empty stdout and one stderr line."""
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        pytest.param(edited(angles="0"), ["validate"],
+                     "angles: expected a nonempty list", id="angles-not-a-list"),
+        pytest.param(edited(angles=["0", "1/0", "1/2"]), ["validate"],
+                     "angles: entry 1: '1/0' is not a valid fraction", id="angles-invalid-fraction"),
+        pytest.param(edited(angles=["0", "1/2", "3/2"]), ["validate"],
+                     "angles: entry 2: turn '3/2' outside [0, 1)", id="angles-turn-out-of-range"),
+        pytest.param(edited(angles=[0.0, 1.0, 7.0]), ["validate"],
+                     "angles: entry 2: radian 7.0 outside [0, 2*pi)", id="angles-radian-out-of-range"),
+        pytest.param(edited(angles=["0", "1/2", "1/4"]), ["validate"],
+                     "angles: entries must be strictly increasing (index 2)", id="angles-not-increasing"),
+        pytest.param([1, 2], ["validate"],
+                     "config: top-level document must be an object", id="document-not-an-object"),
+        pytest.param(edited(kappa=DROP), ["validate"],
+                     "kappa: required field missing", id="kappa-missing"),
+        pytest.param(edited(angles=DROP), ["validate"],
+                     "angles: required field missing", id="angles-missing"),
+        pytest.param(edited(masses=1.0), ["validate"],
+                     "masses: expected a list", id="masses-not-a-list"),
+        pytest.param(edited(masses=[1.0, 1.0]), ["validate"],
+                     "masses: expected 3 entries to match angles, got 2", id="masses-wrong-length"),
+        pytest.param(edited(masses=[1.0, 0, 1.0]), ["validate"],
+                     "masses: masses must be finite and positive, got 0.0", id="masses-zero"),
+        pytest.param(edited(masses=[1.0, True, 1.0]), ["validate"],
+                     "masses: expected a number, got True", id="masses-bool"),
+        pytest.param(edited(integrator=[0.01]), ["validate"],
+                     "integrator: expected an object", id="integrator-not-an-object"),
+        pytest.param(edited(integrator={"dt": 0.01, "steps": 10}), ["validate"],
+                     "integrator.steps: unknown field", id="integrator-unknown-key"),
+        pytest.param(edited(integrator={"dt": -0.01}), ["validate"],
+                     "integrator.dt: must be >= 0, got -0.01", id="integrator-negative-dt"),
+        pytest.param(edited(integrator={"t_end": -1}), ["validate"],
+                     "integrator.t_end: must be >= 0, got -1.0", id="integrator-negative-t-end"),
+        pytest.param(edited(integrator={"project_each_step": 1}), ["validate"],
+                     "integrator.project_each_step: expected a boolean", id="integrator-project-not-bool"),
+        pytest.param(edited(integrator={"max_constraint_drift": 0}), ["validate"],
+                     "integrator.max_constraint_drift: must be positive", id="integrator-drift-not-positive"),
+        pytest.param(edited(angles=REGULAR_TRIANGLE, integrator={"dt": 0.2, "t_end": 0.1}), ["simulate"],
+                     "integrator: dt 0.2 exceeds t_end 0.1", id="integrator-dt-above-t-end"),
+        pytest.param(edited(seed=1.5), ["validate"],
+                     "seed: expected an integer, got 1.5", id="seed-not-an-integer"),
+        pytest.param(edited(seed=-1), ["validate"],
+                     "seed: must be >= 0, got -1", id="seed-negative"),
+        pytest.param(edited(), ["validate", "--seed", "-1"],
+                     "seed: must be >= 0, got -1", id="seed-flag-negative"),
+        pytest.param(edited(velocities=[[0.0, 0.0, 0.0]]), ["validate"],
+                     "velocities: expected a list of 3 [vx, vy, vz] rows", id="velocities-wrong-row-count"),
+        pytest.param(edited(velocities=[[0.0, 0.0]] * 3), ["validate"],
+                     "velocities: row 0: expected [vx, vy, vz]", id="velocities-row-wrong-length"),
+        pytest.param(edited(angles=["0", "1/2"], masses=[1.0, 1.0]), ["criterion"],
+                     "angles: this command needs a polygon with at least 3 vertices",
+                     id="criterion-two-angles"),
+        pytest.param(edited(angles=[0.0, 1.0, 2.0]), ["feasibility"],
+                     'angles: feasibility search requires exact "p/q" turn angles',
+                     id="feasibility-radian-angles"),
+        pytest.param(edited(), ["sweep", "--rho-grid", "0"],
+                     "rho-grid: must be >= 1, got 0", id="sweep-empty-grid"),
+    ])
+    def test_rejected(self, tmp_path, doc, argv, message):
+        path = write_config(tmp_path, doc)
+        code, out, err = run_cli([argv[0], "--config", path, *argv[1:]])
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 class TestCriterion:
     def test_regular_satisfied(self, tmp_path):
         cfg = write_config(tmp_path, SQUARE_EXACT)
@@ -341,6 +420,18 @@ class TestCertify:
             assert json.loads(out)["case"] == case and err == ""
 
 
+    def test_turn_denominator_beyond_float_range(self, tmp_path):
+        # a 400-digit denominator is no float; the class angles divide the
+        # integers before they become floats
+        cfg = write_config(tmp_path, {"kappa": 1.0, "angles": ["0", "1/" + "9" * 400, "1/2"]})
+        code, out, err = run_cli(["certify", "--config", cfg])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["case"] == "case1"
+        code, out, err = run_cli(["feasibility", "--config", cfg, "--rho", "0.5"])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["feasible"] is False
+
+
 class TestFeasibility:
     def test_regular_feasible(self, tmp_path):
         cfg = write_config(tmp_path, SQUARE_EXACT)
@@ -515,6 +606,16 @@ class TestSimulate:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: t_end / dt = 1e+09 steps are too many to store\n"
+
+    @pytest.mark.parametrize("kappa, radius", [(1e-300, "7.071067811865475e+149"),
+                                               (1e300, "7.071067811865476e-151")])
+    def test_rate_beyond_float_range(self, tmp_path, kappa, radius):
+        # rho = 0.5 is valid at any kappa > 0, but r^3 overflows or underflows here
+        doc = {"kappa": kappa, "angles": REGULAR_TRIANGLE, "masses": [1.0] * 3, "rho": 0.5,
+               "integrator": {"dt": 0.001, "t_end": 0.01}}
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == f"error: radius {radius} puts the rate sqrt(delta_1 / r^3) outside the float range\n"
 
     def test_non_tangent_velocities_rejected(self, tmp_path):
         doc = dict(GEODESIC, velocities=[[1.0, 0.0, 0.0]])
