@@ -8,8 +8,8 @@ file is written to a temp sibling and renamed so failures never leave a
 partial file.
 
 Each subcommand imports only what it runs: certify and feasibility load the
-certificate module, simulate loads dynamics and numpy, and criterion and
-sweep run the scalar kernel of `criterion`, which needs neither.
+certificate module, simulate loads dynamics, and criterion and sweep run the
+scalar kernel of `criterion`.  No subcommand loads numpy.
 
 Exit codes: 0 success / satisfied / feasible / certificate, 1 criterion not
 satisfied or masses infeasible, 2 configuration or domain errors, 3 certify
@@ -423,8 +423,6 @@ def cmd_feasibility(cfg: RunConfig, rho_flag) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
-    import numpy as np
-
     from .dynamics import (
         BodySystem,
         IntegratorConfig,
@@ -459,50 +457,59 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
         state = build_polygon_state(rigid, masses, c)
     else:
         z = math.sqrt(c.sigma / c.kappa - c.sigma * r * r)
-        theta = np.array(cfg.radians)
-        positions = np.column_stack((r * np.cos(theta), r * np.sin(theta), np.full(theta.shape, z)))
-        velocities = np.array(cfg.velocities, dtype=float)
+        positions = [(r * math.cos(t), r * math.sin(t), z) for t in cfg.radians]
         try:
-            state = BodySystem(c, np.array(masses.masses), positions, velocities)
+            state = BodySystem(c, masses.masses, positions, cfg.velocities)
         except ValueError as exc:
             raise ConfigError("velocities", str(exc)) from None
 
     traj = integrate(state, icfg)
     n = state.n
-    P = traj.positions
+    # the flat buffers hold k = 3n coordinates a sample, x, y, z of each body in turn
+    k = 3 * n
+    T, P, W, D = traj.time_buf, traj.position_buf, traj.velocity_buf, traj.diagnostic_buf
 
     # pair c = 1 - kappa (x_i x_j + y_i y_j + z_i (sigma z_j)), summed in that
     # order on plain floats, so that no BLAS kernel chooses the rounding
     kappa, sigma = c.kappa, float(c.sigma)
 
-    def pair_c(rows):
-        pairs = itertools.combinations(rows.tolist(), 2)
+    def pair_c(coords):
+        it = iter(coords)
+        pairs = itertools.combinations(zip(it, it, it), 2)
         return [1.0 - kappa * (a[0] * b[0] + a[1] * b[1] + a[2] * (sigma * b[2])) for a, b in pairs]
 
-    start = pair_c(P[0])
-    max_c_drift = max((abs(x - x0) for rows in P for x, x0 in zip(pair_c(rows), start)), default=0.0)
+    start = pair_c(P[:k])
+    max_c_drift = max(
+        (abs(x - x0) for i in range(0, len(P), k) for x, x0 in zip(pair_c(P[i : i + k]), start)),
+        default=0.0,
+    )
 
     if out_path is not None:
         # per sample: t, then x, y, z, vx, vy, vz of each body in turn
         fields = ("x", "y", "z", "vx", "vy", "vz")
         header = ["t"] + [f"{a}{i}" for i in range(1, n + 1) for a in fields]
-        table = np.column_stack(
-            (traj.times, np.concatenate((P, traj.velocities), axis=2).reshape(len(P), 6 * n))
-        )
-        _write_out(out_path, csv_text(header, (row.tolist() for row in table)))
 
-    D = traj.diagnostic_rows
+        def rows():
+            for s, t in enumerate(T):
+                row = [t]
+                for j in range(s * k, s * k + k, 3):
+                    row += P[j : j + 3]
+                    row += W[j : j + 3]
+                yield row
+
+        _write_out(out_path, csv_text(header, rows()))
+
     _emit(
         {
             "command": "simulate",
             "n": n,
             "dt": icfg.dt,
             "t_end": icfg.t_end,
-            "steps": len(traj.times) - 1,
+            "steps": len(T) - 1,
             "omega_dot": omega_dot,
-            "max_surface_residual": D[:, 0].max(),
-            "max_tangency_residual": D[:, 1].max(),
-            "min_pair_denominator": D[:, 2].min(),
+            "max_surface_residual": max(D[0::3]),
+            "max_tangency_residual": max(D[1::3]),
+            "min_pair_denominator": min(D[2::3]),
             "max_c_drift": max_c_drift,
             "out": out_path,
         }

@@ -26,15 +26,24 @@ projections measure and restore the constraints.  They visit each body or
 pair once; for the handful of bodies in a polygon that costs less than
 numpy's per-call overhead.  The public projections `project_point` and
 `project_tangent` are array views of the integrator's projection kernels.
+
+States and trajectories keep their numbers in flat buffers of doubles
+(stdlib `array('d')` behind read-only memoryviews), coordinates as x, y, z
+of each body in turn.  Their array attributes are read-only numpy views of
+those buffers, built on first access, as are a trajectory's `states`, whose
+arrays are row views of its own.  numpy is imported only then, or when
+`acceleration` or a projection is called; `simulate` does neither.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
+from array import array
 from dataclasses import astuple, dataclass, field
-
-import numpy as np
+from itertools import chain
+from sys import maxsize
 
 from .criterion import delta_gamma
 from .errors import (
@@ -155,67 +164,123 @@ def _accel(Q, V, m, kappa, sigma):
     ]
 
 
+def _buffer(values) -> memoryview:
+    """Read-only buffer of doubles holding the given (x, y, z) rows in turn."""
+    return memoryview(array("d", chain.from_iterable(values))).toreadonly()
+
+
+def _rows(buf) -> list:
+    """The (x, y, z) rows of a flat buffer of coordinates."""
+    it = iter(buf)
+    return list(zip(it, it, it))
+
+
+def _frozen(buf, *shape):
+    """Numpy array of the given shape over a read-only buffer of doubles, not a copy."""
+    import numpy as np
+
+    return np.frombuffer(buf, dtype=float).reshape(shape)
+
+
+def _shape(values) -> tuple[int, ...]:
+    """Shape of an array-like, read along its first entries."""
+    values = values.tolist() if hasattr(values, "tolist") else values
+    shape = []
+    while isinstance(values, (list, tuple)):
+        shape.append(len(values))
+        if not values:
+            break
+        values = values[0]
+    return tuple(shape)
+
+
+def _float_rows(values, n: int):
+    """n (x, y, z) rows of floats from an array-like; None for any other shape."""
+    rows = values.tolist() if hasattr(values, "tolist") else values
+    try:
+        if len(rows) == n and all(len(row) == 3 for row in rows):
+            return [(float(x), float(y), float(z)) for x, y, z in rows]
+    except TypeError:  # no length, or an entry that is no number
+        pass
+    return None
+
+
 def _floats(sys: "BodySystem"):
     """Positions and velocities as lists of (x, y, z) rows, and the masses."""
-    return sys.positions.tolist(), sys.velocities.tolist(), sys.masses.tolist()
+    return _rows(sys.position_buf), _rows(sys.velocity_buf), sys.mass_values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class BodySystem:
-    """Validated state: bodies on the surface with tangent velocities."""
+    """Validated state: bodies on the surface with tangent velocities.
+
+    The masses are kept as a tuple of floats and the coordinates as flat
+    read-only buffers; `masses`, `positions` and `velocities` are read-only
+    arrays over them, built on first access.
+    """
 
     curvature: Curvature
-    masses: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
+    mass_values: tuple[float, ...] = field(repr=False)
+    position_buf: memoryview = field(repr=False)
+    velocity_buf: memoryview = field(repr=False)
 
-    def __post_init__(self):
-        m = np.array(self.masses, dtype=float)
-        q = np.array(self.positions, dtype=float)
-        v = np.array(self.velocities, dtype=float)
-        if m.ndim != 1 or m.shape[0] < 1:
-            raise ValueError(f"masses must be a nonempty vector, got shape {m.shape}")
-        n = m.shape[0]
-        if q.shape != (n, 3) or v.shape != (n, 3):
+    def __init__(self, curvature: Curvature, masses, positions, velocities):
+        try:
+            m = tuple(float(x) for x in (masses.tolist() if hasattr(masses, "tolist") else masses))
+        except TypeError:  # not iterable, or an entry that is no number
+            m = ()
+        if not m:
+            raise ValueError(f"masses must be a nonempty vector, got shape {_shape(masses)}")
+        n = len(m)
+        Q, V = _float_rows(positions, n), _float_rows(velocities, n)
+        if Q is None or V is None:
             raise ValueError(f"positions/velocities must have shape ({n}, 3)")
-        if np.any(~np.isfinite(m)) or np.any(m <= 0.0):
+        if not all(0.0 < x < math.inf for x in m):
             raise ValueError("masses must be finite and positive")
-        if np.any(~np.isfinite(q)) or np.any(~np.isfinite(v)):
+        if not all(math.isfinite(x) for row in Q + V for x in row):
             raise ValueError("state contains non-finite entries")
-        c = self.curvature
-        rows = q.tolist()
-        surf, tang = _residuals(rows, v.tolist(), c.kappa, c.sigma)
+        c = curvature
+        surf, tang = _residuals(Q, V, c.kappa, c.sigma)
         # kappa q.q - 1 cancels terms of size |kappa| |q|^2, which is 1 on the
         # sphere but grows as r^2 out along the hyperboloid
-        for res, (x, y, z) in zip(surf, rows):
+        for res, (x, y, z) in zip(surf, Q):
             scale = abs(c.kappa) * (x * x + y * y + z * z)
             if res > STATE_TOL * scale:
                 raise ValueError(f"surface residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
         if max(tang) > STATE_TOL:
             raise ValueError(f"tangency residual {max(tang)!r} exceeds {STATE_TOL}")
-        if not _closest(rows, c.kappa, c.sigma) >= SINGULAR_TOL:
+        if not _closest(Q, c.kappa, c.sigma) >= SINGULAR_TOL:
             raise SingularConfigurationError("body pair at or beyond the singularity threshold")
-        for name, arr in (("masses", m), ("positions", q), ("velocities", v)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._fill(curvature, m, _buffer(Q), _buffer(V))
+
+    def _fill(self, curvature, masses, q, v) -> None:
+        # the fields of a frozen instance are set here, once
+        self.__dict__.update(curvature=curvature, mass_values=masses, position_buf=q, velocity_buf=v)
+
+    @classmethod
+    def _trusted(cls, curvature, masses, q, v) -> "BodySystem":
+        # integrator-internal: the drift guard has already bounded the
+        # residuals the constructor checks.  q and v are read-only flat
+        # buffers, kept as given, so a trajectory's states share its memory.
+        obj = object.__new__(cls)
+        obj._fill(curvature, masses, q, v)
+        return obj
 
     @property
     def n(self) -> int:
-        return self.masses.shape[0]
+        return len(self.mass_values)
 
-    @classmethod
-    def _trusted(cls, curvature, masses, Q, V) -> "BodySystem":
-        # integrator-internal: the drift guard has already bounded the
-        # residuals this constructor would recheck.  Float rows become new
-        # arrays; a trajectory's read-only row views are kept, not copied.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "curvature", curvature)
-        object.__setattr__(obj, "masses", masses)
-        for name, rows in (("positions", Q), ("velocities", V)):
-            arr = np.asarray(rows)
-            arr.setflags(write=False)
-            object.__setattr__(obj, name, arr)
-        return obj
+    @functools.cached_property
+    def masses(self):
+        return _frozen(memoryview(array("d", self.mass_values)).toreadonly(), self.n)
+
+    @functools.cached_property
+    def positions(self):
+        return _frozen(self.position_buf, self.n, 3)
+
+    @functools.cached_property
+    def velocities(self):
+        return _frozen(self.velocity_buf, self.n, 3)
 
 
 @dataclass(frozen=True)
@@ -249,56 +314,95 @@ class DiagnosticsReport:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Read-only arrays with one row per sample, the initial one included.
+    """Every sample of an integration, the initial one included.
 
-    diagnostic_rows holds the fields of DiagnosticsReport in order; `states`
-    and `diagnostics` present the rows as objects, built on first access.
+    The samples sit in flat read-only buffers of doubles, one sample after
+    another: `time_buf` one time each, `position_buf` and `velocity_buf`
+    x, y, z of each body in turn, `diagnostic_buf` the fields of
+    DiagnosticsReport in order.  `times`, `positions`, `velocities` and
+    `diagnostic_rows` are read-only numpy views of them with one row per
+    sample, and `states` and `diagnostics` present the samples as objects,
+    each state's arrays being rows of `positions` and `velocities`; each
+    attribute is built on first access and then kept.
     """
 
     curvature: Curvature
-    masses: np.ndarray = field(repr=False)
-    times: np.ndarray = field(repr=False)
-    positions: np.ndarray = field(repr=False)
-    velocities: np.ndarray = field(repr=False)
-    diagnostic_rows: np.ndarray = field(repr=False)
+    mass_values: tuple[float, ...] = field(repr=False)
+    time_buf: memoryview = field(repr=False)
+    position_buf: memoryview = field(repr=False)
+    velocity_buf: memoryview = field(repr=False)
+    diagnostic_buf: memoryview = field(repr=False)
+
+    @functools.cached_property
+    def masses(self):
+        return _frozen(memoryview(array("d", self.mass_values)).toreadonly(), len(self.mass_values))
+
+    @functools.cached_property
+    def times(self):
+        return _frozen(self.time_buf, len(self.time_buf))
+
+    @functools.cached_property
+    def positions(self):
+        return _frozen(self.position_buf, len(self.time_buf), len(self.mass_values), 3)
+
+    @functools.cached_property
+    def velocities(self):
+        return _frozen(self.velocity_buf, len(self.time_buf), len(self.mass_values), 3)
+
+    @functools.cached_property
+    def diagnostic_rows(self):
+        return _frozen(self.diagnostic_buf, len(self.time_buf), 3)
 
     @functools.cached_property
     def states(self) -> tuple[BodySystem, ...]:
-        c, m = self.curvature, self.masses
-        return tuple(
-            BodySystem._trusted(c, m, q, v) for q, v in zip(self.positions, self.velocities)
-        )
+        c, m, k = self.curvature, self.mass_values, 3 * len(self.mass_values)
+        P, W, masses = self.position_buf, self.velocity_buf, self.masses
+        states = []
+        for i, q, v in zip(range(0, len(P), k), self.positions, self.velocities):
+            state = BodySystem._trusted(c, m, P[i : i + k], W[i : i + k])
+            # its arrays are the trajectory's own and its row views, which
+            # cost less to take here than to build from its buffers on access
+            state.__dict__.update(masses=masses, positions=q, velocities=v)
+            states.append(state)
+        return tuple(states)
 
     @functools.cached_property
     def diagnostics(self) -> tuple[DiagnosticsReport, ...]:
-        return tuple(DiagnosticsReport(*row) for row in self.diagnostic_rows.tolist())
+        D = self.diagnostic_buf
+        return tuple(DiagnosticsReport(*D[i : i + 3]) for i in range(0, len(D), 3))
 
 
-def project_point(p, c: Curvature) -> np.ndarray:
+def project_point(p, c: Curvature):
     """Radially rescale p, one point or rows of shape (..., 3), onto the surface.
 
     Raises NonProjectableError when kappa * (p . p) <= 0, which signals a
     diverged trajectory rather than roundoff: no positive rescale can reach
     the surface from such a point.
     """
+    import numpy as np
+
     p = np.asarray(p, dtype=float)
     return np.array(_project_points(p.reshape(-1, 3).tolist(), c.kappa, c.sigma)).reshape(p.shape)
 
 
-def project_tangent(p, v, c: Curvature) -> np.ndarray:
+def project_tangent(p, v, c: Curvature):
     """Remove from v its component along the surface normal at p.
 
     p and v broadcast against each other.  For p on the surface the result
     w satisfies p . w = 0 (signed product), and projecting twice changes
     nothing.
     """
+    import numpy as np
+
     p, v = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(v, dtype=float))
     rows = _project_tangents(p.reshape(-1, 3).tolist(), v.reshape(-1, 3).tolist(), c.kappa, c.sigma)
     return np.array(rows).reshape(v.shape)
 
 
-def acceleration(sys: BodySystem) -> np.ndarray:
+def acceleration(sys: BodySystem):
     """Accelerations of all bodies, rows aligned with the state arrays."""
+    import numpy as np
+
     c = sys.curvature
     sigma = c.sigma
     Q, V, m = _floats(sys)
@@ -345,6 +449,13 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
         a4 = _accel(_axpy(Qd, 0.5 * dt * dt, a2), _axpy(V, dt, a3), m, kappa, sigma)
     except SingularConfigurationError as exc:
         raise SingularConfigurationError(str(exc), time=time) from None
+    except OverflowError:
+        # a diverging step, or a huge curvature, leaves a pair force term out of range
+        raise SingularConfigurationError(
+            "pair force out of the float range in an RK4 stage: "
+            "|kappa|^(3/2) or a pair denominator's 3/2 power overflows",
+            time=time,
+        ) from None
     Qn = _axpy(Qd, dt * dt / 6.0, [
         (p1 + p2 + p3, q1 + q2 + q3, r1 + r2 + r3)
         for (p1, q1, r1), (p2, q2, r2), (p3, q3, r3) in zip(a1, a2, a3)
@@ -383,7 +494,7 @@ def step(sys: BodySystem, cfg: IntegratorConfig) -> BodySystem:
     if cfg.dt == 0.0:
         return sys
     Q, V, _ = _advance(*_floats(sys), sys.curvature, cfg.dt, cfg)
-    return BodySystem._trusted(sys.curvature, sys.masses, Q, V)
+    return BodySystem._trusted(sys.curvature, sys.mass_values, _buffer(Q), _buffer(V))
 
 
 def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
@@ -395,12 +506,13 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
     before any step.  Errors abort with the failing time attached.
     """
     last, final, count = 0, cfg.dt, 0.0
+    n = sys.n
     if cfg.t_end > 0.0:
         if cfg.dt == 0.0:
             raise ValueError("dt must be positive to reach a positive t_end")
         count = cfg.t_end / cfg.dt  # inf when dt is tiny enough
         # times, positions, velocities and diagnostics: 6n + 4 doubles a sample
-        if (count + 2) * 8 * (6 * sys.n + 4) > np.iinfo(np.intp).max:
+        if (count + 2) * 8 * (6 * n + 4) > maxsize:
             raise ValueError(f"t_end / dt = {count:g} steps are too many to store")
         nfull = int(math.floor(count + 1e-9))
         remainder = cfg.t_end - nfull * cfg.dt
@@ -409,22 +521,26 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
             last, final = nfull + 1, remainder
     c = sys.curvature
     try:
-        times = np.zeros(last + 1)
-        P = np.empty((last + 1, sys.n, 3))
-        W = np.empty_like(P)
-        D = np.empty((last + 1, 3))
+        # allocated in full up front, so a trajectory too large for memory
+        # fails before the first step
+        T, P, W, D = (array("d", [0.0]) * (k * (last + 1)) for k in (1, 3 * n, 3 * n, 3))
     except MemoryError:
         raise ValueError(f"t_end / dt = {count:g} steps are too many to store") from None
+    # one sample's coordinates, packed at its byte offset
+    put, stride = struct.Struct(f"{3 * n}d").pack_into, 24 * n
     Q, V, m = _floats(sys)
-    P[0], W[0], D[0] = Q, V, astuple(diagnostics(sys))
+    put(P, 0, *sys.position_buf)
+    put(W, 0, *sys.velocity_buf)
+    D[0], D[1], D[2] = astuple(diagnostics(sys))
     for k in range(1, last + 1):
         # every non-final step has size dt, so its time is exact
-        t, size = (cfg.t_end, final) if k == last else (k * cfg.dt, cfg.dt)
-        Q, V, D[k] = _advance(Q, V, m, c, size, cfg, time=t)
-        times[k], P[k], W[k] = t, Q, V
-    for arr in (times, P, W, D):
-        arr.setflags(write=False)
-    return Trajectory(c, sys.masses, times, P, W, D)
+        t, h = (cfg.t_end, final) if k == last else (k * cfg.dt, cfg.dt)
+        Q, V, (D[3 * k], D[3 * k + 1], D[3 * k + 2]) = _advance(Q, V, m, c, h, cfg, time=t)
+        T[k] = t
+        put(P, k * stride, *chain.from_iterable(Q))
+        put(W, k * stride, *chain.from_iterable(V))
+    bufs = (memoryview(b).toreadonly() for b in (T, P, W, D))
+    return Trajectory(c, sys.mass_values, *bufs)
 
 
 @dataclass(frozen=True)
@@ -462,11 +578,11 @@ def build_polygon_state(
         raise ValueError(
             f"height {req.z!r} inconsistent with radius {req.r!r} at kappa {c.kappa!r}"
         )
-    m = np.asarray(masses.masses if isinstance(masses, MassVector) else masses, dtype=float)
-    theta = np.array(req.polygon.radians) + omega0
-    r, w = req.r, req.omega_dot
-    Q = np.column_stack((r * np.cos(theta), r * np.sin(theta), np.full(theta.shape, req.z)))
-    V = np.column_stack((-r * w * np.sin(theta), r * w * np.cos(theta), np.zeros(theta.shape)))
+    m = masses.masses if isinstance(masses, MassVector) else masses
+    theta = [a + omega0 for a in req.polygon.radians]
+    r, w, z = req.r, req.omega_dot, req.z
+    Q = [(r * math.cos(t), r * math.sin(t), z) for t in theta]
+    V = [(-r * w * math.sin(t), r * w * math.cos(t), 0.0) for t in theta]
     return BodySystem(c, m, Q, V)
 
 

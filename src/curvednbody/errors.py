@@ -34,7 +34,7 @@ class CoincidentAngleError(CurvedNBodyError):
 
 
 class SingularConfigurationError(CurvedNBodyError):
-    """A pair denominator fell below the singularity threshold."""
+    """A pair denominator fell below the singularity threshold, or a pair force overflowed."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)

@@ -12,13 +12,15 @@ rho = kappa * r^2, define for each ordered pair
 The float chord of two radian angles is `chord_c`, the one check of the
 domain (c in (0, 2], base 2 - c rho finite and positive) is
 `_check_kernel_domain`, `_kernel_power` also checks that a power of the
-base does not overflow, and the criterion pass evaluates mu and nu.
+base neither overflows nor underflows to zero, and the criterion pass
+evaluates mu and nu.
 
 Angles carry one of two representations: exact rational fractions of a turn,
 used by the certification machinery, or float radians, used for simulation
 interop.  Everything here is plain Python (integers, Fractions and floats),
-as are the certificate and the criterion kernels built on it; only the
-simulation layer, `dynamics`, loads numpy.
+as are the certificate, the criterion kernels built on it and the
+integrator in `dynamics`; numpy loads only when a library caller asks
+`dynamics` for an array.
 """
 
 from __future__ import annotations
@@ -219,14 +221,19 @@ def _check_kernel_domain(c: float, rho: float) -> float:
 
 
 def _kernel_power(c: float, rho: float, p: float = 1.5) -> tuple[float, float]:
-    """The checked kernel base 2 - c*rho and its p-th power, which must not overflow."""
+    """The checked kernel base 2 - c*rho and its p-th power, which must be a nonzero float."""
     base = _check_kernel_domain(c, rho)
     try:
-        return base, base**p
+        power = base**p
     except OverflowError:
         raise KernelDomainError(
             f"kernel base 2 - c*rho = {base!r} overflows its {Fraction(p)} power"
         ) from None
+    if power == 0.0:
+        raise KernelDomainError(
+            f"kernel base 2 - c*rho = {base!r} underflows its {Fraction(p)} power"
+        )
+    return base, power
 
 
 def _min_rotation(values, full):

@@ -112,6 +112,12 @@ class TestMuDerivative:
         with pytest.raises(KernelDomainError, match=rf"= \S+ overflows its {power} power$"):
             call()
 
+    def test_power_underflow_is_a_domain_error(self):
+        # base 2 - 2 * 0.9999999 is about 2e-7, and its 123/2 power is below
+        # the smallest double; dividing by that 0.0 must not be attempted
+        with pytest.raises(KernelDomainError, match=r"= \S+ underflows its 123/2 power$"):
+            mu_derivative(2.0, 0.9999999, 60)
+
     def test_matches_central_difference(self, pyrng):
         """4th-order FD of the (k-1)-th closed form reproduces the k-th."""
         for _ in range(100):

@@ -538,6 +538,37 @@ class TestSimulate:
             "7812596b4b688c4251286dd76c3f9a1b82dd870fb6599f12166d30df83aaee70",
             "9ca88df43652f839b92fb298c9a9142b94e03dfcd8dad25c89c718f1965677ca",
         ),
+        # the shape of perfbench's cli-mix simulate call: a solved rotation
+        # of a turned regular triangle on the hyperboloid, 300 steps
+        "solved_rotation_hyperbolic": (
+            {
+                "kappa": -1.0,
+                "angles": ["17/1080", "377/1080", "737/1080"],
+                "masses": [1.25, 1.25, 1.25],
+                "rho": -0.42,
+                "integrator": {"dt": 0.001, "t_end": 0.3},
+            },
+            "d4e763addb4b66f9cc3d2c86e8def075f7323b69e15573a788900df1f8afff98",
+            "8b9987b53a5c1f731ac866def1746b794d0b03e3fa1d2261039a18925d9cb655",
+        ),
+        # exact-turn angles through the explicit-velocity branch; each
+        # velocity is tangent at its body (a parallel plus a meridian part)
+        "explicit_exact_turns": (
+            {
+                "kappa": 1.0,
+                "angles": ["0/1", "2/7", "3/5"],
+                "masses": [1.0, 0.5, 2.0],
+                "rho": 0.4,
+                "velocities": [
+                    [0.0, 0.2, 0.0],
+                    [0.12334738736004214, -0.09102429363335766, 0.09486832980505137],
+                    [-0.03133309346012952, -0.022764824932750734, -0.0316227766016838],
+                ],
+                "integrator": {"dt": 0.002, "t_end": 0.1},
+            },
+            "3ed5b56ddb839f500bebd272b54f9ca184530d69cadbd787314633e6990408e5",
+            "7cf5876c6cf920a5a6e654fd60d53ef0875ed4b718c4c5c5dc19e3f312d20756",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -552,26 +583,36 @@ class TestSimulate:
 
     def test_stdout_independent_of_blas_kernel(self, tmp_path):
         # OpenBLAS picks its kernel for the CPU at run time, and kernels with
-        # and without FMA round a matmul differently; no printed digit may
-        # depend on that choice
+        # and without FMA round a matmul differently; no printed digit and no
+        # CSV byte may depend on that choice
         script = (
-            "import sys\n"
+            "import hashlib, sys\n"
             "from curvednbody.cli import main\n"
             "for cfg in sys.argv[1:]:\n"
-            "    assert main(['simulate', '--config', cfg]) == 0\n"
+            "    assert main(['simulate', '--config', cfg, '--out', cfg + '.csv']) == 0\n"
+            "    with open(cfg + '.csv', 'rb') as fh:\n"
+            "        print(hashlib.sha256(fh.read()).hexdigest())\n"
         )
-        paths = [write_config(tmp_path, doc, f"{case}.json") for case, (doc, *_) in sorted(self.PINNED.items())]
+        cases = sorted(self.PINNED)
         outputs = {}
         for core in (None, "Prescott", "Nehalem"):
             env = {k: v for k, v in package_env().items() if k != "OPENBLAS_CORETYPE"}
             if core is not None:
                 env["OPENBLAS_CORETYPE"] = core
+            # the same relative names under every kernel keep the "out" field equal
+            run = tmp_path / str(core)
+            run.mkdir()
+            for case in cases:
+                write_config(run, self.PINNED[case][0], f"{case}.json")
             proc = subprocess.run(
-                [sys.executable, "-c", script, *paths], capture_output=True, text=True, timeout=60, env=env
+                [sys.executable, "-c", script, *(f"{case}.json" for case in cases)],
+                capture_output=True, text=True, timeout=60, env=env, cwd=run,
             )
             assert proc.returncode == 0, proc.stderr
             outputs[core] = proc.stdout
-        assert outputs[None].count('"command": "simulate"') == 2
+        assert outputs[None].count('"command": "simulate"') == len(cases)
+        for case in cases:
+            assert self.PINNED[case][2] in outputs[None]
         assert outputs["Prescott"] == outputs[None]
         assert outputs["Nehalem"] == outputs[None]
 
@@ -655,6 +696,24 @@ class TestSimulate:
         assert re.match(
             r"error at t=0\.0545: pair denominator \S+ of bodies 0 and 1 below singularity threshold", err
         )
+
+    @pytest.mark.parametrize("kappa, rho", [(-1e19, -0.5), (-1e22, -0.5), (1e210, 0.5)])
+    def test_pair_force_overflow_reports_its_time(self, tmp_path, kappa, rho):
+        # at kappa = -1e19 and -1e22 the first step diverges until a pair
+        # denominator's 3/2 power leaves the float range; at 1e210 the
+        # factor |kappa|^(3/2) does, for bodies at rest
+        doc = {
+            "kappa": kappa,
+            "angles": ["0/1", "1/3", "2/3"],
+            "masses": [1.0, 1.0, 1.0],
+            "rho": rho,
+            "integrator": {"dt": 1e-3, "t_end": 2e-3},
+        }
+        if kappa > 0:
+            doc = dict(doc, angles=[0.0, 2.0, 4.0], velocities=[[0.0, 0.0, 0.0]] * 3)
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error at t=0\.001: pair force out of the float range in an RK4 stage: .*\n", err)
 
     def test_irregular_without_velocities_rejected(self, tmp_path):
         doc = dict(TRIANGLE_EXACT, integrator={"dt": 0.001, "t_end": 0.01})
@@ -836,8 +895,8 @@ class TestImports:
         }
 
     def test_no_subcommand_loads_scipy(self, tmp_path):
-        # the runtime needs numpy alone: a fresh interpreter must not load
-        # scipy for the import or for any of the six subcommands
+        # scipy is a test dependency only: a fresh interpreter must not load
+        # it for the import or for any of the six subcommands
         argv = self.subcommands(tmp_path)
         runs = [argv[k] for k in ("validate", "criterion", "sweep", "simulate", "certify", "feasibility")]
         assert fresh_main(runs, ["scipy"]) == [
@@ -850,10 +909,9 @@ class TestImports:
             [1, False],  # feasibility: no positive masses
         ]
 
-    def test_exact_subcommands_load_no_numpy(self, tmp_path):
-        # the package import and every subcommand but simulate leave numpy
-        # and the dynamics module unloaded; simulate loads both and keeps
-        # its exit code
+    def test_no_subcommand_loads_numpy(self, tmp_path):
+        # the package import and every subcommand leave numpy unloaded;
+        # simulate alone loads the dynamics module
         argv = self.subcommands(tmp_path)
         runs = [argv[k] for k in ("validate", "certify", "feasibility", "criterion", "sweep", "simulate")]
         assert fresh_main(runs, ["numpy", "curvednbody.dynamics"]) == [
@@ -863,8 +921,17 @@ class TestImports:
             [1, False, False],  # feasibility
             [1, False, False],  # criterion
             [0, False, False],  # sweep
-            [0, True, True],  # simulate
+            [0, False, True],  # simulate
         ]
+
+    def test_dynamics_import_loads_no_numpy(self):
+        # numpy loads only when a library caller asks for an array
+        script = (
+            "import sys\n"
+            "import curvednbody.dynamics\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert fresh_python(script) == "False\n"
 
     def test_only_certify_and_feasibility_load_certificate(self, tmp_path):
         # the package import, validate, criterion, sweep and simulate leave
@@ -876,8 +943,8 @@ class TestImports:
             [0, False, False],  # validate
             [1, False, False],  # criterion
             [0, False, False],  # sweep
-            [0, False, True],  # simulate
-            [0, True, True],  # certify
+            [0, False, False],  # simulate
+            [0, True, False],  # certify
         ]
         runs = [argv["feasibility"]]
         assert fresh_main(runs, ["curvednbody.certificate"]) == [[None, False], [1, True]]

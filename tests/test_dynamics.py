@@ -379,6 +379,26 @@ class TestBuildPolygonState:
         with pytest.raises(ValueError):
             RelativeEquilibrium.from_radius(regular_polygon(3), 1.2, 0.0, SPHERE)
 
+    def test_rows_equal_numpy_trig(self, pyrng):
+        # the pinned simulate CSVs were written from numpy's cos and sin of
+        # these angles, so numpy is the oracle for the math.cos/math.sin rows:
+        # exact turns with denominators up to 10^4, phases in +-1000
+        for k in range(300):
+            c = SPHERE if k % 2 else HYPER
+            q = pyrng.randint(12, 10_000)
+            n = pyrng.randint(3, 12)
+            turns = tuple(Fraction(p, q) for p in sorted(pyrng.sample(range(q), n)))
+            r, w, omega0 = pyrng.uniform(0.1, 0.9), pyrng.uniform(-3.0, 3.0), pyrng.uniform(-1e3, 1e3)
+            req = RelativeEquilibrium.from_radius(PolygonConfig.from_turns(turns), r, w, c)
+            system = build_polygon_state(req, (1.0,) * n, c, omega0)
+            theta = np.array(req.polygon.radians) + omega0
+            np.testing.assert_array_equal(
+                system.positions, np.column_stack((r * np.cos(theta), r * np.sin(theta), np.full(n, req.z)))
+            )
+            np.testing.assert_array_equal(
+                system.velocities, np.column_stack((-r * w * np.sin(theta), r * w * np.cos(theta), np.zeros(n)))
+            )
+
 
 def assert_full_balance(poly, masses, r, w, c):
     # a rigid rotation at rate w has kinematic acceleration -w^2 (x, y, 0);
