@@ -38,8 +38,8 @@ from .jsonout import csv_text, dumps, write_text_atomic
 from .polygon import (
     TWO_PI,
     Curvature,
-    MassVector,
     PolygonConfig,
+    _masses,
     canonicalize,
     chord_c,
     cyclic_gaps,
@@ -108,7 +108,7 @@ class RunConfig:
     representation: str
     angles: tuple
     polygon: PolygonConfig | None
-    masses: MassVector | None
+    masses: tuple[float, ...] | None
     rho: float | None
     dt: float | None
     t_end: float | None
@@ -217,7 +217,7 @@ def load_config(path: str) -> RunConfig:
                 "masses", f"expected {len(angles)} entries to match angles, got {len(raw_m)}"
             )
         try:
-            masses = MassVector(tuple(_as_real(m, "masses") for m in raw_m))
+            masses = _masses(_as_real(m, "masses") for m in raw_m)
         except ValueError as exc:
             raise ConfigError("masses", str(exc)) from None
 
@@ -347,7 +347,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             "gaps": gaps,
             "pair_c": pair_c,
             "is_regular": regular,
-            "masses": None if cfg.masses is None else list(cfg.masses.masses),
+            "masses": None if cfg.masses is None else list(cfg.masses),
             "rho": cfg.rho,
             "tol": cfg.tol,
             "seed": cfg.seed,
@@ -459,7 +459,7 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
         z = math.sqrt(c.sigma / c.kappa - c.sigma * r * r)
         positions = [(r * math.cos(t), r * math.sin(t), z) for t in cfg.radians]
         try:
-            state = BodySystem(c, masses.masses, positions, cfg.velocities)
+            state = BodySystem(c, masses, positions, cfg.velocities)
         except ValueError as exc:
             raise ConfigError("velocities", str(exc)) from None
 
@@ -524,14 +524,17 @@ def cmd_sweep(cfg: RunConfig, grid_count: int, out_path) -> int:
     masses = _resolve("masses", None, cfg.masses)
     if grid_count < 1:
         raise ConfigError("rho-grid", f"must be >= 1, got {grid_count}")
-    grid = rho_grid(cfg.curvature.kappa, grid_count)
     table = _pair_table(polygon)
-    d_spreads, g_spreads = [], []
-    for rho in grid:
-        deltas, gammas = _sums(table, masses.masses, rho)
-        d_spreads.append(_spread(deltas))
-        g_spreads.append(_spread(gammas))
-    text = csv_text(["rho", "delta_spread", "gamma_spread"], zip(grid, d_spreads, g_spreads))
+    try:
+        grid = rho_grid(cfg.curvature.kappa, grid_count)
+        d_spreads, g_spreads = [], []
+        for rho in grid:
+            deltas, gammas = _sums(table, masses, rho)
+            d_spreads.append(_spread(deltas))
+            g_spreads.append(_spread(gammas))
+        text = csv_text(["rho", "delta_spread", "gamma_spread"], zip(grid, d_spreads, g_spreads))
+    except MemoryError:
+        raise ConfigError("rho-grid", f"{grid_count} points are too many to store") from None
     if out_path is not None:
         _write_out(out_path, text)
         _emit(

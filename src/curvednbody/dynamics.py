@@ -53,7 +53,7 @@ from .errors import (
     NonProjectableError,
     SingularConfigurationError,
 )
-from .polygon import Curvature, MassVector, PolygonConfig, is_regular
+from .polygon import Curvature, PolygonConfig, _masses, is_regular
 
 __all__ = [
     "BodySystem",
@@ -182,18 +182,6 @@ def _frozen(buf, *shape):
     return np.frombuffer(buf, dtype=float).reshape(shape)
 
 
-def _shape(values) -> tuple[int, ...]:
-    """Shape of an array-like, read along its first entries."""
-    values = values.tolist() if hasattr(values, "tolist") else values
-    shape = []
-    while isinstance(values, (list, tuple)):
-        shape.append(len(values))
-        if not values:
-            break
-        values = values[0]
-    return tuple(shape)
-
-
 def _float_rows(values, n: int):
     """n (x, y, z) rows of floats from an array-like; None for any other shape."""
     rows = values.tolist() if hasattr(values, "tolist") else values
@@ -225,18 +213,11 @@ class BodySystem:
     velocity_buf: memoryview = field(repr=False)
 
     def __init__(self, curvature: Curvature, masses, positions, velocities):
-        try:
-            m = tuple(float(x) for x in (masses.tolist() if hasattr(masses, "tolist") else masses))
-        except TypeError:  # not iterable, or an entry that is no number
-            m = ()
-        if not m:
-            raise ValueError(f"masses must be a nonempty vector, got shape {_shape(masses)}")
+        m = _masses(masses)
         n = len(m)
         Q, V = _float_rows(positions, n), _float_rows(velocities, n)
         if Q is None or V is None:
             raise ValueError(f"positions/velocities must have shape ({n}, 3)")
-        if not all(0.0 < x < math.inf for x in m):
-            raise ValueError("masses must be finite and positive")
         if not all(math.isfinite(x) for row in Q + V for x in row):
             raise ValueError("state contains non-finite entries")
         c = curvature
@@ -406,7 +387,13 @@ def acceleration(sys: BodySystem):
     c = sys.curvature
     sigma = c.sigma
     Q, V, m = _floats(sys)
-    A = _accel(Q, V, m, c.kappa, sigma)
+    try:
+        A = _accel(Q, V, m, c.kappa, sigma)
+    except OverflowError:
+        raise SingularConfigurationError(
+            "pair force out of the float range: "
+            "|kappa|^(3/2) or a pair denominator's 3/2 power overflows"
+        ) from None
     # On-surface compatibility q . a = -(v . v); BodySystem guarantees the
     # surface residual that makes this identity hold.
     worst = max(
@@ -578,12 +565,11 @@ def build_polygon_state(
         raise ValueError(
             f"height {req.z!r} inconsistent with radius {req.r!r} at kappa {c.kappa!r}"
         )
-    m = masses.masses if isinstance(masses, MassVector) else masses
     theta = [a + omega0 for a in req.polygon.radians]
     r, w, z = req.r, req.omega_dot, req.z
     Q = [(r * math.cos(t), r * math.sin(t), z) for t in theta]
     V = [(-r * w * math.sin(t), r * w * math.cos(t), 0.0) for t in theta]
-    return BodySystem(c, m, Q, V)
+    return BodySystem(c, masses, Q, V)
 
 
 def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float:
@@ -599,7 +585,7 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
     -r omega^2 leaves omega^2 = delta_1 / r^3, which the full acceleration
     field then checks independently.
     """
-    m = (masses if isinstance(masses, MassVector) else MassVector(masses)).masses
+    m = _masses(masses)
     if not is_regular(polygon):
         raise NoBalanceError("radial balance requires a regular polygon")
     if max(abs(x - m[0]) for x in m) > 1e-12 * m[0]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,15 +35,12 @@ from .errors import CoincidentAngleError, KernelDomainError
 __all__ = [
     "Curvature",
     "PolygonConfig",
-    "MassVector",
     "chord_c",
     "canonicalize",
     "is_regular",
     "cyclic_gaps",
     "validate_rho_for_kappa",
     "rho_grid",
-    "random_irregular_polygon",
-    "random_scalene_triangle",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -164,23 +160,18 @@ class PolygonConfig:
         return tuple(r // g for r in best), full // g
 
 
-@dataclass(frozen=True)
-class MassVector:
-    """Strictly positive body masses."""
-
-    masses: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(m) for m in self.masses)
-        if not vals:
-            raise ValueError("mass vector must be nonempty")
-        for m in vals:
-            if not math.isfinite(m) or m <= 0.0:
-                raise ValueError(f"masses must be finite and positive, got {m!r}")
-        object.__setattr__(self, "masses", vals)
-
-    def __len__(self) -> int:
-        return len(self.masses)
+def _masses(values) -> tuple[float, ...]:
+    """Body masses as a nonempty tuple of floats, each in (0, inf): the one check of masses."""
+    try:
+        vals = tuple(float(m) for m in (values.tolist() if hasattr(values, "tolist") else values))
+    except TypeError:  # not iterable, or an entry that is no number
+        vals = ()
+    if not vals:
+        raise ValueError("masses must be a nonempty vector of numbers")
+    for m in vals:
+        if not 0.0 < m < math.inf:
+            raise ValueError(f"masses must be finite and positive, got {m!r}")
+    return vals
 
 
 def validate_rho_for_kappa(rho: float, kappa: float) -> float:
@@ -300,34 +291,3 @@ def rho_grid(kappa: float, count: int) -> tuple[float, ...]:
         raise ValueError("grid needs at least one point")
     span = 1.0 if kappa > 0 else -2.0
     return tuple(span * (k + 1) / (count + 1) for k in range(count))
-
-
-def random_irregular_polygon(rng: random.Random, n: int, max_denominator: int = 360) -> PolygonConfig:
-    """Random exact irregular polygon with turn denominators <= max_denominator.
-
-    The only n distinct multiples of 1/n form the regular polygon, so an
-    irregular one needs a denominator above n.
-    """
-    if n < 3 or max_denominator <= n:
-        raise ValueError("need n >= 3 and max_denominator > n")
-    while True:
-        q = rng.randint(n, max_denominator)
-        numerators = sorted(rng.sample(range(q), n))
-        cfg = PolygonConfig.from_turns(Fraction(p, q) for p in numerators)
-        if not is_regular(cfg):
-            return cfg
-
-
-def random_scalene_triangle(rng: random.Random, max_denominator: int = 360) -> PolygonConfig:
-    """Random exact triangle with three pairwise distinct cyclic gaps.
-
-    Three distinct positive gaps of a turn, multiples of 1/q, sum to at least
-    (1 + 2 + 3)/q, so the denominator must reach 6.
-    """
-    if max_denominator < 6:
-        raise ValueError("three distinct gaps need max_denominator >= 6")
-    while True:
-        cfg = random_irregular_polygon(rng, 3, max_denominator)
-        g = cyclic_gaps(cfg)
-        if g[0] != g[1] and g[1] != g[2] and g[0] != g[2]:
-            return cfg

@@ -2,11 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from curvednbody import BodySystem, Curvature, project_tangent
+from curvednbody import BodySystem, Curvature, PolygonConfig, cyclic_gaps, is_regular, project_tangent
 
 
 def random_surface_points(rng: np.random.Generator, n: int, c: Curvature) -> np.ndarray:
@@ -34,6 +35,37 @@ def random_state(rng: np.random.Generator, n: int, c: Curvature) -> BodySystem:
     v = project_tangent(q, rng.normal(size=(n, 3)), c)
     m = rng.uniform(0.5, 2.0, size=n)
     return BodySystem(c, m, q, v)
+
+
+def random_irregular_polygon(rng: random.Random, n: int, max_denominator: int = 360) -> PolygonConfig:
+    """Random exact irregular polygon with turn denominators <= max_denominator.
+
+    The only n distinct multiples of 1/n form the regular polygon, so an
+    irregular one needs a denominator above n.
+    """
+    if n < 3 or max_denominator <= n:
+        raise ValueError("need n >= 3 and max_denominator > n")
+    while True:
+        q = rng.randint(n, max_denominator)
+        numerators = sorted(rng.sample(range(q), n))
+        cfg = PolygonConfig.from_turns(Fraction(p, q) for p in numerators)
+        if not is_regular(cfg):
+            return cfg
+
+
+def random_scalene_triangle(rng: random.Random, max_denominator: int = 360) -> PolygonConfig:
+    """Random exact triangle with three pairwise distinct cyclic gaps.
+
+    Three distinct positive gaps of a turn, multiples of 1/q, sum to at least
+    (1 + 2 + 3)/q, so the denominator must reach 6.
+    """
+    if max_denominator < 6:
+        raise ValueError("three distinct gaps need max_denominator >= 6")
+    while True:
+        cfg = random_irregular_polygon(rng, 3, max_denominator)
+        g = cyclic_gaps(cfg)
+        if g[0] != g[1] and g[1] != g[2] and g[0] != g[2]:
+            return cfg
 
 
 @pytest.fixture

@@ -25,14 +25,12 @@ from curvednbody import (
     integrate,
     mass_feasibility,
     mu_derivative,
-    random_irregular_polygon,
-    random_scalene_triangle,
     rho_grid,
     solve_omega,
 )
 from curvednbody.jsonout import dumps
 
-from conftest import random_state
+from conftest import random_irregular_polygon, random_scalene_triangle, random_state
 
 _BATCH_CACHE: dict[str, str] = {}
 

@@ -44,10 +44,11 @@ from curvednbody import (
     pairing_possibility1,
     pairing_u,
     pairing_v,
-    random_irregular_polygon,
 )
 from curvednbody import certificate, cli
 from curvednbody.jsonout import dumps
+
+from conftest import random_irregular_polygon
 
 
 def turns(*t):

@@ -756,6 +756,24 @@ class TestSweep:
                     format_float(report.max_gamma_spread),
                 ]
 
+    def test_grid_beyond_memory_is_a_config_error(self, tmp_path):
+        # 10^9 grid points need tens of GiB as Python floats; the child's
+        # address space is capped at 256 MiB, so building the grid runs out
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvednbody.cli", "sweep", "--config",
+             write_config(tmp_path, SQUARE_EXACT), "--rho-grid", "1000000000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=package_env(),
+            preexec_fn=cap,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "config error: rho-grid: 1000000000 points are too many to store\n"
+
     def test_stdout_grid(self, tmp_path):
         cfg = write_config(tmp_path, SQUARE_EXACT)
         code, out, _ = run_cli(["sweep", "--config", cfg, "--rho-grid", "5"])

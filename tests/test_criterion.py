@@ -11,7 +11,6 @@ import pytest
 from curvednbody import (
     CoincidentAngleError,
     KernelDomainError,
-    MassVector,
     PolygonConfig,
     canonicalize,
     chord_c,
@@ -20,12 +19,13 @@ from curvednbody import (
     delta_gamma,
     is_regular,
     mu_derivative,
-    random_irregular_polygon,
-    random_scalene_triangle,
     rho_grid,
     validate_rho_for_kappa,
 )
 from curvednbody import criterion
+from curvednbody.polygon import _masses
+
+from conftest import random_irregular_polygon, random_scalene_triangle
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,10 +63,10 @@ class TestPolygonConfig:
 
 
 def test_mass_vector_positive():
-    assert MassVector((1.0, 2.0)).masses == (1.0, 2.0)
+    assert _masses((1.0, 2.0)) == (1.0, 2.0)
     for bad in ((1.0, 0.0), (1.0, -3.0), (1.0, math.nan)):
         with pytest.raises(ValueError):
-            MassVector(bad)
+            _masses(bad)
 
 
 class TestRho:
@@ -131,23 +131,23 @@ class TestKernels:
 class TestDeltaGamma:
     def test_square_equal_masses(self):
         sq = turns(0, "1/4", "1/2", "3/4")
-        d, g = delta_gamma(sq, MassVector((1.0,) * 4), 0.0)
+        d, g = delta_gamma(sq, (1.0,) * 4, 0.0)
         np.testing.assert_allclose(d, 0.9571067811865475, rtol=1e-14)
         np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
     def test_uneven_triangle(self):
         tri = PolygonConfig.from_radians((0.0, math.pi / 2, math.pi))
-        d, _ = delta_gamma(tri, MassVector((1.0,) * 3), 0.0)
+        d, _ = delta_gamma(tri, (1.0,) * 3, 0.0)
         assert d[0] == pytest.approx(0.6035533905932738, rel=1e-14)
         assert d[1] == pytest.approx(0.7071067811865476, rel=1e-14)
         assert d[2] == pytest.approx(d[0], rel=1e-14)
 
     def test_mass_scaling_is_linear(self, pyrng):
         cfg = turns(0, "1/5", "1/2")
-        m = MassVector((1.2, 0.7, 2.0))
+        m = (1.2, 0.7, 2.0)
         lam = 3.25
         d1, g1 = delta_gamma(cfg, m, 0.4)
-        d2, g2 = delta_gamma(cfg, MassVector(tuple(lam * x for x in (1.2, 0.7, 2.0))), 0.4)
+        d2, g2 = delta_gamma(cfg, tuple(lam * x for x in (1.2, 0.7, 2.0)), 0.4)
         np.testing.assert_allclose(d2, lam * np.asarray(d1), rtol=1e-13)
         np.testing.assert_allclose(g2, lam * np.asarray(g1), rtol=1e-13, atol=1e-15)
 
@@ -155,13 +155,13 @@ class TestDeltaGamma:
         """Adding a constant to every angle permutes bodies but keeps values."""
         base = (0.1, 0.9, 2.4, 4.0)
         m = (1.0, 2.0, 0.5, 1.5)
-        d0, g0 = delta_gamma(PolygonConfig.from_radians(base), MassVector(m), 0.3)
+        d0, g0 = delta_gamma(PolygonConfig.from_radians(base), m, 0.3)
         for _ in range(20):
             shift = pyrng.uniform(0.0, TWO_PI)
             ang = sorted((a + shift) % TWO_PI for a in base)
             perm = sorted(range(4), key=lambda i: (base[i] + shift) % TWO_PI)
             cfg = PolygonConfig.from_radians(tuple(ang))
-            d, g = delta_gamma(cfg, MassVector(tuple(m[i] for i in perm)), 0.3)
+            d, g = delta_gamma(cfg, tuple(m[i] for i in perm), 0.3)
             np.testing.assert_allclose(d, [d0[i] for i in perm], rtol=0, atol=1e-13)
             np.testing.assert_allclose(g, [g0[i] for i in perm], rtol=0, atol=1e-13)
 
@@ -169,7 +169,7 @@ class TestDeltaGamma:
         rng = random.Random(7)
         for _ in range(50):
             cfg = random_irregular_polygon(rng, 3 + rng.randrange(3))
-            m = MassVector(tuple(rng.uniform(0.1, 5.0) for _ in range(cfg.n)))
+            m = tuple(rng.uniform(0.1, 5.0) for _ in range(cfg.n))
             rho = rng.choice([rng.uniform(0.05, 0.95), -rng.uniform(0.05, 4.0)])
             d, _ = delta_gamma(cfg, m, rho)
             assert np.all(np.asarray(d) > 0.0)
@@ -181,11 +181,11 @@ class TestDeltaGamma:
         polygons = [random_irregular_polygon(rng, n, 10_000) for n in range(3, 13)]
         polygons.append(PolygonConfig.from_radians((0.0, 0.9, 2.5, 4.1, 5.0)))
         for cfg in polygons:
-            m = MassVector(tuple(rng.uniform(0.5, 2.0) for _ in range(cfg.n)))
+            m = tuple(rng.uniform(0.5, 2.0) for _ in range(cfg.n))
             table = criterion._pair_table(cfg)
             for kappa in (1.0, -1.0):
                 rhos = rho_grid(kappa, 600)
-                sweep = [criterion._sums(table, m.masses, r) for r in rhos]
+                sweep = [criterion._sums(table, m, r) for r in rhos]
                 deltas = np.array([d for d, _ in sweep])
                 gammas = np.array([g for _, g in sweep])
                 assert deltas.shape == gammas.shape == (600, cfg.n)
@@ -215,7 +215,7 @@ class TestCriterionCheck:
     def test_regular_satisfied_everywhere(self):
         for n in (3, 5, 7):
             cfg = PolygonConfig.from_turns(tuple(F(k, n) for k in range(n)))
-            m = MassVector((1.0,) * n)
+            m = (1.0,) * n
             for kappa in (1.0, -1.0):
                 for rho in rho_grid(kappa, 7):
                     rep = criterion_check(cfg, m, rho, tol=1e-12)
@@ -223,18 +223,18 @@ class TestCriterionCheck:
 
     def test_uneven_triangle_not_satisfied(self):
         tri = PolygonConfig.from_radians((0.0, math.pi / 2, math.pi))
-        rep = criterion_check(tri, MassVector((1.0,) * 3), 0.0)
+        rep = criterion_check(tri, (1.0,) * 3, 0.0)
         assert not rep.satisfied
         assert rep.max_delta_spread == pytest.approx(0.10355339059327378, rel=1e-12)
 
     def test_infinite_tolerance_always_passes(self):
         tri = PolygonConfig.from_radians((0.0, math.pi / 2, math.pi))
-        rep = criterion_check(tri, MassVector((1.0,) * 3), 0.5, tol=math.inf)
+        rep = criterion_check(tri, (1.0,) * 3, 0.5, tol=math.inf)
         assert rep.satisfied
 
     def test_threshold_scales_with_delta(self):
         tri = turns(0, "1/4", "1/2")
-        rep = criterion_check(tri, MassVector((1.0,) * 3), 0.5, tol=1e-10)
+        rep = criterion_check(tri, (1.0,) * 3, 0.5, tol=1e-10)
         assert rep.threshold == pytest.approx(1e-10 * (1.0 + abs(rep.deltas[0])))
 
     def test_nan_spread_never_satisfied(self):
@@ -252,7 +252,7 @@ class TestCriterionCheck:
         # report it unsatisfied
         square = turns(0, "1/4", "1/2", "3/4")
         with pytest.raises(ValueError, match="tol must be positive"):
-            criterion_check(square, MassVector((1.0,) * 4), 0.5, tol=tol)
+            criterion_check(square, (1.0,) * 4, 0.5, tol=tol)
 
 
 U = 2.0**-53  # unit roundoff of a float

@@ -1,5 +1,6 @@
 """Constraint-preserving integration and relative-equilibrium solving."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ from scipy.optimize import brentq
 
 from curvednbody import (
     BodySystem,
+    ConfigError,
     ConstraintDriftError,
     Curvature,
     IntegratorConfig,
@@ -27,6 +29,7 @@ from curvednbody import (
     solve_omega,
     step,
 )
+from curvednbody.cli import load_config
 from curvednbody.dynamics import SINGULAR_TOL, _closest
 
 SPHERE = Curvature(1.0)
@@ -232,6 +235,18 @@ class TestAcceleration:
                 ]
                 np.testing.assert_allclose(acceleration(system), expect, rtol=1e-12, atol=1e-12)
 
+    def test_curvature_factor_overflow_is_singular(self):
+        # |kappa|^(3/2) leaves the float range above about 1e205, for two
+        # bodies at rest as for any other state
+        kappa = 1e210
+        r = math.sqrt(0.5 / kappa)
+        z = math.sqrt(1.0 / kappa - r * r)
+        system = make_system(
+            Curvature(kappa), [[r, 0, z], [-0.6 * r, 0.8 * r, z]], [[0, 0, 0]] * 2, [1.0, 1.0]
+        )
+        with pytest.raises(SingularConfigurationError, match="pair force out of the float range"):
+            acceleration(system)
+
     def test_random_states_satisfy_compatibility(self, rng):
         from conftest import random_state
 
@@ -350,6 +365,45 @@ def regular_polygon(n):
     return PolygonConfig.from_radians(tuple(2 * math.pi * k / n for k in range(n)))
 
 
+class TestMassCheck:
+    """load_config, BodySystem and solve_omega check masses with one function."""
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_same_rejection(self, tmp_path, value):
+        masses = (1.0, value, 1.0)
+        expect = f"masses must be finite and positive, got {value!r}"
+        q = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(ValueError) as body:
+            BodySystem(SPHERE, masses, q, [[0.0] * 3] * 3)
+        with pytest.raises(ValueError) as omega:
+            solve_omega(regular_polygon(3), masses, 0.5, SPHERE)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kappa": 1.0, "angles": ["0", "1/3", "2/3"], "masses": masses}))
+        with pytest.raises(ConfigError) as config:
+            load_config(str(path))
+        assert str(body.value) == str(omega.value) == expect
+        # the config's number parser, shared by every numeric field, refuses
+        # NaN and Infinity before the mass check sees them
+        if math.isfinite(value):
+            assert str(config.value) == f"config error: masses: {expect}"
+        else:
+            assert str(config.value) == f"config error: masses: expected a finite number, got {value!r}"
+
+    def test_any_sequence_gives_the_same_floats(self, tmp_path):
+        values = [0.5, 1, 2.25]
+        q = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kappa": 1.0, "angles": ["0", "1/3", "2/3"], "masses": values}))
+        expect = load_config(str(path)).masses
+        assert expect == (0.5, 1.0, 2.25) and all(type(m) is float for m in expect)
+        rates = set()
+        for make in (list, tuple, iter, np.array):
+            got = BodySystem(SPHERE, make(values), q, [[0.0] * 3] * 3).mass_values
+            assert got == expect and all(type(m) is float for m in got)
+            rates.add(solve_omega(regular_polygon(3), make([1.5] * 3), 0.5, SPHERE))
+        assert len(rates) == 1
+
+
 class TestBuildPolygonState:
     def test_static_square(self):
         req = RelativeEquilibrium.from_radius(regular_polygon(4), 0.6, 0.0, SPHERE)
@@ -449,7 +503,7 @@ class TestSolveOmega:
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
     def test_invalid_masses_rejected(self, value):
-        # equal but not positive or not finite: the MassVector check, no warning
+        # equal but not positive or not finite: the mass check, no warning
         with pytest.raises(ValueError, match="masses must be finite and positive"):
             solve_omega(regular_polygon(3), (value,) * 3, 0.5, SPHERE)
 
