@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -341,6 +341,12 @@ class WitnessForm:
         return len({x > 0 for x in self.row if x}) == 1
 
 
+def _turn_strings(res, full: int) -> list[str]:
+    """str(Fraction(r, full)) of each residue 0 <= r < full, without building a Fraction."""
+    gcds = [math.gcd(r, full) for r in res]
+    return [str(r // g) if g == full else f"{r // g}/{full // g}" for r, g in zip(res, gcds)]
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Mechanized nonexistence argument for one irregular polygon."""
@@ -356,13 +362,11 @@ class Certificate:
     feasibility_rho: float | None = None  # set by certify, whose cross-check finds no masses
 
     def to_json_dict(self) -> dict:
-        feas = None
-        if self.feasibility_rho is not None:
-            feas = {"rho": self.feasibility_rho, "verdict": "infeasible"}
+        rho = self.feasibility_rho
         return {
             "n": self.canonical.n,
-            "angles": [str(a) for a in self.polygon.turns],
-            "canonical_angles": [str(a) for a in self.canonical.turns],
+            "angles": _turn_strings(*self.polygon.residues),
+            "canonical_angles": _turn_strings(*self.canonical.residues),
             "j": self.special_j,
             "case": self.case_tag,
             "u": self.u,
@@ -381,7 +385,7 @@ class Certificate:
                 }
                 for w in self.witness_forms
             ],
-            "feasibility": feas,
+            "feasibility": None if rho is None else {"rho": rho, "verdict": "infeasible"},
             "narrative": self.narrative,
         }
 
@@ -389,53 +393,39 @@ class Certificate:
     def narrative(self) -> str:
         """The argument in prose, rendered from the other fields."""
         canon = self.canonical
-        a = canon.turns
         j = self.special_j
         succ = j + 1 if j < canon.n else 1
         res, full = canon.residues
-        gap_j = Fraction((res[succ - 1] - res[j - 1]) % full, full)
-        lines = []
-        lines.append(
+        gap_1, gap_j = _turn_strings((res[1] - res[0], (res[succ - 1] - res[j - 1]) % full), full)
+        lines = [
             "Nonexistence certificate for the polygon with canonical turn angles ("
-            + ", ".join(str(x) for x in a)
-            + ")."
-        )
-        lines.append(
-            f"Canonical rotation makes the first gap minimal: gap(1,2) = {a[1] - a[0]}."
-        )
-        lines.append(
+            + ", ".join(_turn_strings(res, full))
+            + ").",
+            f"Canonical rotation makes the first gap minimal: gap(1,2) = {gap_1}.",
             f"Witness index j = {j}: gap({j},{succ}) = {gap_j} differs from the first gap, "
             "so no vertex u satisfies alpha_u = alpha_j + (alpha_2 - alpha_1) (mod 1) and no "
-            "(u,2) term of that kind can share the base of the (j,1) term."
-        )
-        lines.append("Pairing search in exact turn arithmetic:")
-        lines.append(
+            "(u,2) term of that kind can share the base of the (j,1) term.",
+            "Pairing search in exact turn arithmetic:",
             "  u with alpha_j + alpha_u = alpha_1 + alpha_2 (mod 1): "
-            + (f"u = {self.u}" if self.u is not None else "none")
-        )
-        lines.append(
+            + (f"u = {self.u}" if self.u is not None else "none"),
             "  v with alpha_j + alpha_v = 2*alpha_1 (mod 1), v != j: "
-            + (f"v = {self.v}" if self.v is not None else "none")
-        )
-        lines.append(
+            + (f"v = {self.v}" if self.v is not None else "none"),
             "Uniqueness facts used: (I) such a v is unique and has s_v1 = -s_j1; "
-            "(II) such a u is unique and has s_u2 = -s_j1; (III) equal c implies equal a."
-        )
+            "(II) such a u is unique and has s_u2 = -s_j1; (III) equal c implies equal a.",
+        ]
         if self.case_tag == "case1":
             lines.append(
                 "Case 1: the (j,1) term stands alone in its base group, so the grouped "
                 f"coefficient of g_j1^k in the delta-difference equation is {self.witness_forms[0].pattern}."
             )
         elif self.case_tag == "case2u":
-            lines.append(
+            lines += [
                 "Case 2 (u present): the (j,1) and (u,2) terms share a base; their delta "
                 "coefficients m_j - m_u may cancel, but in the gamma-difference equation the "
-                f"grouped coefficient is {self.witness_forms[0].pattern}."
-            )
-            lines.append(
+                f"grouped coefficient is {self.witness_forms[0].pattern}.",
                 "s_j1 = 0 would put alpha_j - alpha_1 = 1/2 turn and restore the successor "
-                "pairing, contradicting the choice of j; the exact check confirms s_j1 != 0."
-            )
+                "pairing, contradicting the choice of j; the exact check confirms s_j1 != 0.",
+            ]
         elif self.case_tag == "case2v":
             lines.append(
                 "Case 2 (v present): the (j,1) and (v,1) terms share a base; their gamma "
@@ -448,17 +438,15 @@ class Certificate:
                 f"{self.witness_forms[0].pattern} and gamma coefficient {self.witness_forms[1].pattern}; "
                 "their mass patterns add to 2*m_j > 0, so at least one is nonzero."
             )
-        lines.append(
+        lines += [
             "Every rho-derivative of the differences delta_1 - delta_2 and gamma_1 - gamma_2 "
             "must vanish for a shape-preserving orbit of non-constant size, and terms with "
             "distinct positive bases g are linearly independent, so each grouped coefficient "
             "must vanish on its own.  The amplitude a_j1 is positive and the witness form "
-            "cannot vanish for positive masses: no admissible masses exist."
-        )
-        lines.append(
+            "cannot vanish for positive masses: no admissible masses exist.",
             "Convention note: the delta difference carries (m_2 - m_1) on the merged (2,1) "
-            "term and the gamma-difference sum runs over j = 3..n; derivatives preserve both."
-        )
+            "term and the gamma-difference sum runs over j = 3..n; derivatives preserve both.",
+        ]
         if self.feasibility_rho is not None:
             lines.append(
                 f"Independent cross-check: linear mass-feasibility at rho = {self.feasibility_rho:g} "
@@ -523,16 +511,7 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
         )
     # case 3 may have no sign-definite form; then one of its two must be nonzero
     failing = next((w.equation for w in forms if w.sign_definite), "disjunction")
-    return Certificate(
-        polygon=cfg,
-        canonical=cfg,
-        special_j=j,
-        case_tag=case,
-        u=u,
-        v=v,
-        failing_equation=failing,
-        witness_forms=forms,
-    )
+    return Certificate(cfg, cfg, j, case, u, v, failing, forms)
 
 
 @dataclass(frozen=True)
@@ -621,4 +600,6 @@ def certify(cfg: PolygonConfig, rho=None) -> Certificate:
             f"case analysis found witness {cert.case_tag} at j={j} but the mass "
             f"search returned feasible masses {feas.masses} at rho={rho_v}"
         )
-    return replace(cert, polygon=cfg, feasibility_rho=rho_v)
+    return Certificate(
+        cfg, canon, j, cert.case_tag, cert.u, cert.v, cert.failing_equation, cert.witness_forms, rho_v
+    )

@@ -200,10 +200,7 @@ def load_config(path: str) -> RunConfig:
     polygon = None
     if len(angles) >= 3:
         try:
-            if rep == "exact":
-                polygon = PolygonConfig.from_turns(angles)
-            else:
-                polygon = PolygonConfig.from_radians(angles)
+            polygon = PolygonConfig(angles, rep)
         except ValueError as exc:
             raise ConfigError("angles", str(exc)) from None
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .polygon import PolygonConfig, _kernel_power, chord_c
+from .polygon import PolygonConfig, _kernel_power, _mass_floats, chord_c
 
 __all__ = ["CriterionReport", "delta_gamma", "criterion_check"]
 
@@ -53,7 +53,7 @@ def _sums(table, m, rho: float) -> tuple[list[float], list[float]]:
 
 def delta_gamma(cfg: PolygonConfig, masses, rho) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-body sums delta_i = sum_j m_j mu_ji and gamma_i = sum_j m_j nu_ji at one rho."""
-    m = tuple(float(x) for x in masses)
+    m = _mass_floats(masses)
     if len(m) != cfg.n:
         raise ValueError(f"expected {cfg.n} masses, got {len(m)}")
     deltas, gammas = _sums(_pair_table(cfg), m, float(rho))

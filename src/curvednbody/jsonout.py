@@ -47,8 +47,6 @@ def _render(obj, pad: str, out: list) -> None:
         out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
-    elif t is Fraction:
-        out.append(_quote(str(obj)))
     else:
         _render_other(obj, pad, out)
 

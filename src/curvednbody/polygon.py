@@ -15,11 +15,11 @@ domain (c in (0, 2], base 2 - c rho finite and positive) is
 base neither overflows nor underflows to zero, and the criterion pass
 evaluates mu and nu.
 
-Angles carry one of two representations: exact rational fractions of a turn,
-used by the certification machinery, or float radians, used for simulation
-interop.  Everything here is plain Python (integers, Fractions and floats),
-as are the certificate, the criterion kernels built on it and the
-integrator in `dynamics`; numpy loads only when a library caller asks
+Angles carry one of two representations: exact fractions of a turn, held as
+integer residues and used by the certification machinery, or float radians,
+used for simulation.  Everything here is plain Python (integers, Fractions
+and floats), as are the certificate, the criterion kernels built on it and
+the integrator in `dynamics`; numpy loads only when a library caller asks
 `dynamics` for an array.
 """
 
@@ -71,45 +71,53 @@ class Curvature:
         return 1 if self.kappa > 0 else -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PolygonConfig:
     """Ordered angles of an inscribed polygon, exact (turns) or float (radians).
 
     Exact angles are Fractions in [0, 1) interpreted as fractions of a full
     turn; float angles are radians in [0, 2*pi).  Both must be strictly
-    increasing with n >= 3.
+    increasing with n >= 3.  An exact polygon stores only its integer turn
+    residues (see `residues`) and builds its Fraction angles when first read.
     """
 
-    angles: tuple
     representation: str  # "exact" | "float"
+    _value: tuple  # the residues of an exact polygon, the radians of a float one
 
-    def __post_init__(self):
-        if self.representation not in ("exact", "float"):
-            raise ValueError(f"unknown representation {self.representation!r}")
-        if len(self.angles) < 3:
-            raise ValueError(f"polygon needs at least 3 angles, got {len(self.angles)}")
-        if self.representation == "exact":
-            vals = tuple(a if type(a) is Fraction else Fraction(a) for a in self.angles)
+    def __init__(self, angles, representation: str):
+        if representation not in ("exact", "float"):
+            raise ValueError(f"unknown representation {representation!r}")
+        if len(angles) < 3:
+            raise ValueError(f"polygon needs at least 3 angles, got {len(angles)}")
+        if representation == "exact":
+            vals = tuple(a if type(a) is Fraction else Fraction(a) for a in angles)
             for a in vals:
                 if not 0 <= a.numerator < a.denominator:
                     raise ValueError(f"turn angle {a} outside [0, 1)")
             full = math.lcm(*(a.denominator for a in vals))
-            res = tuple(a.numerator * (full // a.denominator) for a in vals)
-            object.__setattr__(self, "_residues", (res, full))
-            order = res
+            order = tuple(a.numerator * (full // a.denominator) for a in vals)
+            value = (order, full)
         else:
-            vals = tuple(float(a) for a in self.angles)
+            vals = order = value = tuple(float(a) for a in angles)
             for a in vals:
                 if not math.isfinite(a) or not (0.0 <= a < TWO_PI):
                     raise ValueError(f"radian angle {a!r} outside [0, 2*pi)")
-            object.__setattr__(self, "_residues", None)
-            order = vals
         for k in range(len(vals) - 1):
             if not order[k] < order[k + 1]:
                 raise ValueError(
                     f"angles must be strictly increasing, got {vals[k]} >= {vals[k + 1]}"
                 )
-        object.__setattr__(self, "angles", vals)
+        self.__dict__.update(representation=representation, _value=value)
+
+    @classmethod
+    def _canonical(cls, res: tuple[int, ...], full: int) -> "PolygonConfig":
+        # trusted: gcd-reduced canonical residues, which are their own minimal rotation
+        cfg = object.__new__(cls)
+        cfg.__dict__.update(representation="exact", _value=(res, full), canonical_residues=(res, full))
+        return cfg
+
+    def __repr__(self):
+        return f"PolygonConfig(angles={self.angles!r}, representation={self.representation!r})"
 
     @classmethod
     def from_turns(cls, turns) -> "PolygonConfig":
@@ -120,24 +128,31 @@ class PolygonConfig:
         return cls(tuple(float(a) for a in radians), "float")
 
     @property
+    def angles(self) -> tuple:
+        return self.turns if self.is_exact else self._value
+
+    @property
     def n(self) -> int:
-        return len(self.angles)
+        return len(self._value[0] if self.is_exact else self._value)
 
     @property
     def is_exact(self) -> bool:
         return self.representation == "exact"
 
-    @property
+    @functools.cached_property
     def turns(self) -> tuple[Fraction, ...]:
         if not self.is_exact:
             raise ValueError("float-mode polygon has no exact turn angles")
-        return self.angles
+        res, full = self._value
+        return tuple(Fraction(r, full) for r in res)
 
     @property
     def radians(self) -> tuple[float, ...]:
-        if self.is_exact:
-            return tuple(TWO_PI * float(a) for a in self.angles)
-        return self.angles
+        if not self.is_exact:
+            return self._value
+        # r / full rounds the same rational as float(Fraction(r, full)), once
+        res, full = self._value
+        return tuple(TWO_PI * (r / full) for r in res)
 
     @property
     def residues(self) -> tuple[tuple[int, ...], int]:
@@ -145,11 +160,11 @@ class PolygonConfig:
 
         L is the lcm of the angle denominators, so turn arithmetic becomes
         exact integer arithmetic, and no factor of L divides every residue.
-        The residues are computed once, when the polygon is built.
+        They are the stored form of an exact polygon.
         """
-        if self._residues is None:
+        if not self.is_exact:
             raise ValueError("this operation needs exact rational turn angles")
-        return self._residues
+        return self._value
 
     @functools.cached_property
     def canonical_residues(self) -> tuple[tuple[int, ...], int]:
@@ -160,14 +175,21 @@ class PolygonConfig:
         return tuple(r // g for r in best), full // g
 
 
+def _mass_floats(values) -> tuple[float, ...]:
+    """Masses of any sign as a nonempty tuple of floats; text, whose characters iterate, is none."""
+    if not isinstance(values, (str, bytes, bytearray)):
+        try:
+            vals = tuple(float(m) for m in (values.tolist() if hasattr(values, "tolist") else values))
+        except TypeError:  # not iterable, or an entry that is no number
+            vals = ()
+        if vals:
+            return vals
+    raise ValueError("masses must be a nonempty vector of numbers")
+
+
 def _masses(values) -> tuple[float, ...]:
     """Body masses as a nonempty tuple of floats, each in (0, inf): the one check of masses."""
-    try:
-        vals = tuple(float(m) for m in (values.tolist() if hasattr(values, "tolist") else values))
-    except TypeError:  # not iterable, or an entry that is no number
-        vals = ()
-    if not vals:
-        raise ValueError("masses must be a nonempty vector of numbers")
+    vals = _mass_floats(values)
     for m in vals:
         if not 0.0 < m < math.inf:
             raise ValueError(f"masses must be finite and positive, got {m!r}")
@@ -229,9 +251,16 @@ def _kernel_power(c: float, rho: float, p: float = 1.5) -> tuple[float, float]:
 
 def _min_rotation(values, full):
     """The rotation of values modulo full that canonicalize describes."""
-    candidates = [tuple(sorted((v - start) % full for v in values)) for start in values]
-    min_first_gap = min(t[1] for t in candidates)
-    return min(t for t in candidates if t[1] == min_first_gap)
+    # only a start whose following gap is minimal can win; rotating a sorted
+    # cycle keeps it sorted, and rounding a float difference keeps its order
+    n = len(values)
+    gaps = [(values[(k + 1) % n] - values[k]) % full for k in range(n)]
+    first = min(gaps)
+    return min(
+        tuple((v - values[k]) % full for v in values[k:] + values[:k])
+        for k in range(n)
+        if gaps[k] == first
+    )
 
 
 def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
@@ -246,13 +275,7 @@ def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
     """
     if cfg.is_exact:
         res, full = cfg.canonical_residues
-        if res == cfg.residues[0]:
-            return cfg
-        canon = PolygonConfig(tuple(Fraction(r, full) for r in res), "exact")
-        # its residues are the gcd-reduced canonical ones, and a canonical
-        # rotation is its own minimal rotation
-        object.__setattr__(canon, "canonical_residues", (res, full))
-        return canon
+        return cfg if res == cfg.residues[0] else PolygonConfig._canonical(res, full)
     # (v - start) mod 2*pi can round up to 2*pi itself
     best = tuple(min(a, math.nextafter(TWO_PI, 0)) for a in _min_rotation(cfg.angles, TWO_PI))
     return cfg if best == cfg.angles else PolygonConfig(best, "float")

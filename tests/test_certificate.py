@@ -1012,14 +1012,20 @@ class TestCanonicalizeOnce:
 
     @pytest.fixture
     def builds(self, monkeypatch):
+        """Count the polygons built, by the public constructor or the canonical one."""
         count = [0]
-        init = PolygonConfig.__post_init__
+        init, canonical = PolygonConfig.__init__, PolygonConfig._canonical.__func__
 
-        def counting(cfg):
+        def counting_init(cfg, *args):
             count[0] += 1
-            init(cfg)
+            init(cfg, *args)
 
-        monkeypatch.setattr(PolygonConfig, "__post_init__", counting)
+        def counting_canonical(cls, *args):
+            count[0] += 1
+            return canonical(cls, *args)
+
+        monkeypatch.setattr(PolygonConfig, "__init__", counting_init)
+        monkeypatch.setattr(PolygonConfig, "_canonical", classmethod(counting_canonical))
         return count
 
     def test_polygons_built_per_call(self, builds):
@@ -1035,6 +1041,26 @@ class TestCanonicalizeOnce:
         for poly in (canonical, rotated):
             mass_feasibility(poly, 0.5)
         assert builds[0] == 0
+
+    def test_reports_build_no_fractions(self, monkeypatch):
+        # canonical polygons and every emitted turn string come from the residues
+        polys = [turns(0, "1/8", "3/8", "3/4"), turns("1/8", "1/4", "1/2", "7/8"),
+                 turns("1/3", "5/11", "7/9", "9/10"), turns(0, "1/" + "9" * 400, "1/2")]
+        built = [0]
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counting))
+        # Fraction arithmetic skips __new__ from Python 3.12 on; printing one still shows
+        monkeypatch.setattr(F, "__str__", lambda a: pytest.fail(f"printed Fraction {a!r}"))
+        for poly in polys:
+            certify(poly).to_json_dict()
+            for rho in (0.25, 0.5, 0.75, -1.0):
+                mass_feasibility(poly, rho).to_json_dict()
+        assert built[0] == 0
 
     def test_rotations_share_one_exact_solve(self):
         # (1/8, 3/8, 7/8) rotates to (0, 2, 4)/8, which reduces to (0, 1, 2)/4
@@ -1066,6 +1092,55 @@ class TestCanonicalizeOnce:
         # any change to a certificate or feasibility report byte changes this
         assert certificate_outputs_digest() == (
             "5c091093299c851dd0e99500de893b56f8edc62186757e6c2d9d5f86e0bde497")
+
+
+class TestResidueForms:
+    """Polygons and strings built from turn residues equal those built from Fractions."""
+
+    @staticmethod
+    def polygons():
+        rng = random.Random(22)
+        polys = [random_irregular_polygon(rng, n, 10**4) for n in range(3, 13) for _ in range(4)]
+        # rotated copies, so that canonicalize has a new polygon to build
+        polys += [PolygonConfig.from_turns(sorted((a + F(rng.randrange(1, 997), 997)) % 1 for a in p.turns))
+                  for p in polys]
+        tiny = "1/" + "9" * 400  # no float can hold its denominator
+        return polys + [turns(0, tiny, "1/2"), turns(tiny, "1/3", "1/2")]
+
+    @staticmethod
+    def reference(poly):
+        """The canonical polygon built from Fractions: minimal first gap, then the smallest tuple."""
+        rotations = [tuple(sorted((a - s) % 1 for a in poly.turns)) for s in poly.turns]
+        first = min(t[1] for t in rotations)
+        return PolygonConfig.from_turns(min(t for t in rotations if t[1] == first))
+
+    def test_canonical_polygon_equals_the_fraction_built_one(self):
+        for poly in self.polygons():
+            canon, ref = canonicalize(poly), self.reference(poly)
+            # a polygon already canonical comes back as it is
+            assert canon is poly or "turns" not in vars(canon), "built Fractions unasked"
+            assert canon == ref and hash(canon) == hash(ref)
+            assert repr(canon) == repr(ref)
+            assert canon.turns == ref.turns
+
+    def test_strings_are_those_of_str_fraction(self):
+        for poly in self.polygons():
+            ref = self.reference(poly).turns
+            doc = certify(poly).to_json_dict()
+            assert doc["angles"] == [str(a) for a in poly.turns]
+            assert doc["canonical_angles"] == [str(a) for a in ref]
+            j = doc["j"]
+            succ = j + 1 if j < len(ref) else 1
+            text = doc["narrative"]
+            assert f"canonical turn angles ({', '.join(str(a) for a in ref)})." in text
+            assert f"gap(1,2) = {ref[1] - ref[0]}." in text
+            assert f"gap({j},{succ}) = {(ref[succ - 1] - ref[j - 1]) % 1} differs" in text
+
+    def test_radians_are_those_of_float_fraction(self):
+        for poly in self.polygons():
+            for p in (poly, canonicalize(poly), self.reference(poly)):
+                expected = [(2.0 * math.pi * float(a)).hex() for a in p.turns]
+                assert [x.hex() for x in p.radians] == expected
 
 
 @st.composite

@@ -403,6 +403,19 @@ class TestMassCheck:
             rates.add(solve_omega(regular_polygon(3), make([1.5] * 3), 0.5, SPHERE))
         assert len(rates) == 1
 
+    @pytest.mark.parametrize("text", ["111", b"111", bytearray(b"111")])
+    def test_text_is_no_mass_vector(self, text):
+        # iterated, "111" would read as the masses 1, 1, 1 and b"111" as 49, 49, 49
+        q = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        calls = [
+            lambda: BodySystem(SPHERE, text, q, [[0.0] * 3] * 3),
+            lambda: solve_omega(regular_polygon(3), text, 0.5, SPHERE),
+            lambda: delta_gamma(regular_polygon(3), text, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^masses must be a nonempty vector of numbers$"):
+                call()
+
 
 class TestBuildPolygonState:
     def test_static_square(self):
