@@ -199,10 +199,8 @@ def load_config(path: str) -> RunConfig:
     rep, angles = _parse_angles(doc["angles"])
     polygon = None
     if len(angles) >= 3:
-        try:
-            polygon = PolygonConfig(angles, rep)
-        except ValueError as exc:
-            raise ConfigError("angles", str(exc)) from None
+        # _parse_angles has applied the constructor's range and order checks
+        polygon = PolygonConfig(angles, rep)
 
     masses = None
     if doc.get("masses") is not None:
@@ -317,7 +315,7 @@ def _write_out(path: str, text: str) -> None:
         raise ConfigError("out", f"cannot write {path!r}: {reason}") from None
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, args) -> int:
     rads = cfg.radians
     pair_c = [
         [i + 1, j + 1, chord_c(rads[j], rads[i])]
@@ -353,38 +351,26 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_criterion(cfg: RunConfig, rho_flag, tol_flag) -> int:
+def cmd_criterion(cfg: RunConfig, args) -> int:
     from .criterion import criterion_check
 
     polygon = _require_polygon(cfg)
     masses = _resolve("masses", None, cfg.masses)
-    rho = _resolve("rho", _parse_rho(rho_flag, cfg.curvature.kappa), cfg.rho)
-    tol = cfg.tol if tol_flag is None else _parse_tol(tol_flag)
+    rho = _resolve("rho", _parse_rho(args.rho, cfg.curvature.kappa), cfg.rho)
+    tol = cfg.tol if args.tol is None else _parse_tol(args.tol)
     report = criterion_check(polygon, masses, rho, tol=tol)
-    _emit(
-        {
-            "command": "criterion",
-            "rho": rho,
-            "tol": tol,
-            "deltas": report.deltas,
-            "gammas": report.gammas,
-            "max_delta_spread": report.max_delta_spread,
-            "max_gamma_spread": report.max_gamma_spread,
-            "threshold": report.threshold,
-            "satisfied": report.satisfied,
-        }
-    )
+    _emit({"command": "criterion", "rho": rho, "tol": tol, **dataclasses.asdict(report)})
     return EXIT_OK if report.satisfied else EXIT_UNSATISFIED
 
 
-def cmd_certify(cfg: RunConfig, rho_flag) -> int:
+def cmd_certify(cfg: RunConfig, args) -> int:
     from .certificate import certify
 
     polygon = _require_polygon(cfg)
     if cfg.representation != "exact":
         raise ConfigError("angles", "certification requires exact \"p/q\" turn angles")
     kappa = cfg.curvature.kappa
-    rho = _resolve("rho", _parse_rho(rho_flag, kappa), cfg.rho, 0.5 if kappa > 0 else -1.0)
+    rho = _resolve("rho", _parse_rho(args.rho, kappa), cfg.rho, 0.5 if kappa > 0 else -1.0)
     try:
         cert = certify(polygon, rho=rho)
     except RegularPolygonError:
@@ -405,13 +391,13 @@ def cmd_certify(cfg: RunConfig, rho_flag) -> int:
     return EXIT_OK
 
 
-def cmd_feasibility(cfg: RunConfig, rho_flag) -> int:
+def cmd_feasibility(cfg: RunConfig, args) -> int:
     from .certificate import mass_feasibility
 
     polygon = _require_polygon(cfg)
     if cfg.representation != "exact":
         raise ConfigError("angles", "feasibility search requires exact \"p/q\" turn angles")
-    rho = _resolve("rho", _parse_rho(rho_flag, cfg.curvature.kappa), cfg.rho)
+    rho = _resolve("rho", _parse_rho(args.rho, cfg.curvature.kappa), cfg.rho)
     result = mass_feasibility(polygon, rho)
     doc = result.to_json_dict()
     doc["command"] = "feasibility"
@@ -419,7 +405,7 @@ def cmd_feasibility(cfg: RunConfig, rho_flag) -> int:
     return EXIT_OK if result.feasible else EXIT_UNSATISFIED
 
 
-def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
+def cmd_simulate(cfg: RunConfig, args) -> int:
     from .dynamics import (
         BodySystem,
         IntegratorConfig,
@@ -431,8 +417,8 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
 
     masses = _resolve("masses", None, cfg.masses)
     rho = _resolve("rho", None, cfg.rho)
-    dt = _resolve("integrator.dt", dt_flag, cfg.dt)
-    t_end = _resolve("integrator.t_end", t_end_flag, cfg.t_end)
+    dt = _resolve("integrator.dt", args.dt, cfg.dt)
+    t_end = _resolve("integrator.t_end", args.t_end, cfg.t_end)
     try:
         icfg = IntegratorConfig(
             dt=dt,
@@ -481,7 +467,7 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
         default=0.0,
     )
 
-    if out_path is not None:
+    if args.out is not None:
         # per sample: t, then x, y, z, vx, vy, vz of each body in turn
         fields = ("x", "y", "z", "vx", "vy", "vz")
         header = ["t"] + [f"{a}{i}" for i in range(1, n + 1) for a in fields]
@@ -494,7 +480,7 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
                     row += W[j : j + 3]
                 yield row
 
-        _write_out(out_path, csv_text(header, rows()))
+        _write_out(args.out, csv_text(header, rows()))
 
     _emit(
         {
@@ -508,22 +494,22 @@ def cmd_simulate(cfg: RunConfig, dt_flag, t_end_flag, out_path) -> int:
             "max_tangency_residual": max(D[1::3]),
             "min_pair_denominator": min(D[2::3]),
             "max_c_drift": max_c_drift,
-            "out": out_path,
+            "out": args.out,
         }
     )
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, grid_count: int, out_path) -> int:
+def cmd_sweep(cfg: RunConfig, args) -> int:
     from .criterion import _pair_table, _spread, _sums
 
     polygon = _require_polygon(cfg)
     masses = _resolve("masses", None, cfg.masses)
-    if grid_count < 1:
-        raise ConfigError("rho-grid", f"must be >= 1, got {grid_count}")
+    if args.rho_grid < 1:
+        raise ConfigError("rho-grid", f"must be >= 1, got {args.rho_grid}")
     table = _pair_table(polygon)
     try:
-        grid = rho_grid(cfg.curvature.kappa, grid_count)
+        grid = rho_grid(cfg.curvature.kappa, args.rho_grid)
         d_spreads, g_spreads = [], []
         for rho in grid:
             deltas, gammas = _sums(table, masses, rho)
@@ -531,16 +517,16 @@ def cmd_sweep(cfg: RunConfig, grid_count: int, out_path) -> int:
             g_spreads.append(_spread(gammas))
         text = csv_text(["rho", "delta_spread", "gamma_spread"], zip(grid, d_spreads, g_spreads))
     except MemoryError:
-        raise ConfigError("rho-grid", f"{grid_count} points are too many to store") from None
-    if out_path is not None:
-        _write_out(out_path, text)
+        raise ConfigError("rho-grid", f"{args.rho_grid} points are too many to store") from None
+    if args.out is not None:
+        _write_out(args.out, text)
         _emit(
             {
                 "command": "sweep",
                 "points": len(grid),
                 "max_delta_spread": max(d_spreads),
                 "max_gamma_spread": max(g_spreads),
-                "out": out_path,
+                "out": args.out,
             }
         )
     else:
@@ -555,25 +541,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.set_defaults(run=run)
         return p
 
-    add("validate", "parse the configuration and echo derived quantities")
-    p = add("criterion", "evaluate the delta/gamma balance criterion")
+    add("validate", cmd_validate, "parse the configuration and echo derived quantities")
+    p = add("criterion", cmd_criterion, "evaluate the delta/gamma balance criterion")
     p.add_argument("--rho", type=float, default=None, help="override the config rho")
     p.add_argument("--tol", type=float, default=None, help="override the config tolerance")
-    p = add("certify", "emit a nonexistence certificate for an irregular polygon")
+    p = add("certify", cmd_certify, "emit a nonexistence certificate for an irregular polygon")
     p.add_argument("--rho", type=float, default=None, help="rho for the feasibility cross-check")
-    p = add("feasibility", "search for positive masses satisfying the grouped equations")
+    p = add("feasibility", cmd_feasibility, "search for positive masses satisfying the grouped equations")
     p.add_argument("--rho", type=float, default=None, help="override the config rho")
-    p = add("simulate", "integrate the equations of motion")
+    p = add("simulate", cmd_simulate, "integrate the equations of motion")
     p.add_argument("--dt", type=float, default=None, help="override the integrator step")
     p.add_argument("--t-end", type=float, default=None, help="override the final time")
     p.add_argument("--out", default=None, help="trajectory CSV path")
-    p = add("sweep", "evaluate the criterion across a rho grid")
+    p = add("sweep", cmd_sweep, "evaluate the criterion across a rho grid")
     p.add_argument("--rho-grid", type=int, default=20, help="number of grid points")
     p.add_argument("--out", default=None, help="sweep CSV path")
     return parser
@@ -587,19 +574,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("seed", f"must be >= 0, got {args.seed}")
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "criterion":
-            return cmd_criterion(cfg, args.rho, args.tol)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.rho)
-        if args.command == "feasibility":
-            return cmd_feasibility(cfg, args.rho)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.dt, args.t_end, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.rho_grid, args.out)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(cfg, args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

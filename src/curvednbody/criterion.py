@@ -79,9 +79,9 @@ class CriterionReport:
 
 
 def criterion_check(cfg: PolygonConfig, masses, rho, tol: float = 1e-10) -> CriterionReport:
-    """Evaluate the balance criterion with spread tolerance tol * (1 + |delta_1|), tol > 0."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    """Evaluate the balance criterion with spread tolerance tol * (1 + |delta_1|), tol > 0 finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     deltas, gammas = delta_gamma(cfg, masses, rho)
     d_spread, g_spread = _spread(deltas), _spread(gammas)
     threshold = tol * (1.0 + abs(deltas[0]))

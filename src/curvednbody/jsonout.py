@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -30,8 +28,8 @@ def format_float(x: float) -> str:
 
 
 def _render(obj, pad: str, out: list) -> None:
-    # dispatch on the exact types a report is made of first; subclasses and
-    # numpy values take the isinstance chain in _render_other
+    # dispatch on the exact types a report is made of; anything else is
+    # first converted to one of them by _plain
     t = type(obj)
     if t is str:
         out.append(_quote(obj))
@@ -48,34 +46,25 @@ def _render(obj, pad: str, out: list) -> None:
     elif obj is None:
         out.append("null")
     else:
-        _render_other(obj, pad, out)
+        _render(_plain(obj), pad, out)
 
 
-def _render_other(obj, pad: str, out: list) -> None:
-    # a numpy value can only exist once numpy is loaded, so the exact path
-    # never imports it here
-    np = sys.modules.get("numpy")
-    if np is None:
-        bools, ints, floats, arrays = bool, int, float, (list, tuple)
-    else:
-        bools, ints, floats = (bool, np.bool_), (int, np.integer), (float, np.floating)
-        arrays = (list, tuple, np.ndarray)
-    if isinstance(obj, bools):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, Fraction):
-        out.append(_quote(str(obj)))
-    elif isinstance(obj, ints):
-        out.append(str(int(obj)))
-    elif isinstance(obj, floats):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, dict):
-        _render_dict(obj, pad, out)
-    elif isinstance(obj, arrays):
-        _render_list(list(obj), pad, out)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj):
+    """obj as a value of an exact type that _render dispatches on.
+
+    A subclass becomes its base type, a Fraction its "p/q" string and an
+    array-like (any value with a tolist(), an array('d') among them) its tolist().
+    """
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, str):
+        return str.__str__(obj)  # the text itself, whatever __str__ a subclass defines
+    for base in (int, float, dict, list, tuple):
+        if isinstance(obj, base):
+            return base(obj)
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _render_dict(obj: dict, pad: str, out: list) -> None:
@@ -131,9 +120,13 @@ def csv_text(header: list, rows) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures leave no partial file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write via a sibling temp file and rename, so failures leave no partial file.
+
+    The sibling is created with mode 0o666 less the umask, as open(path, "w")
+    creates a file; O_EXCL refuses a name that already exists.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, exit codes, output determinism."""
 
 import ast
+import enum
 import hashlib
 import importlib
 import io
@@ -12,6 +13,7 @@ import re
 import resource
 import subprocess
 import sys
+from array import array
 from collections import OrderedDict, namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -845,6 +847,26 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "cfg.json"]
         assert list((tmp_path / "adir").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "umask, mode", [pytest.param(0o022, 0o644, id="022"), pytest.param(0o077, 0o600, id="077")]
+    )
+    def test_out_file_mode_follows_umask(self, tmp_path, umask, mode):
+        # the file gets the mode open(path, "w") would give it, also when it
+        # replaces an existing file
+        cfg = write_config(tmp_path, TRIANGLE_EXACT)
+        out = tmp_path / "sweep.csv"
+        script = (
+            "import os, sys\n"
+            "os.umask(int(sys.argv[1], 8))\n"
+            "from curvednbody.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        argv = ["%o" % umask, "sweep", "--config", cfg, "--rho-grid", "3", "--out", str(out)]
+        for _ in range(2):
+            fresh_python(script, *argv)
+            assert out.stat().st_mode & 0o777 == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sweep.csv"]
+
 
 def package_env():
     """Subprocess environment that imports the curvednbody under test."""
@@ -1042,6 +1064,19 @@ class TestCsvText:
         assert csv_text(["a", "b"], rows) == "a,b\n0.5,0.10000000000000001\nnan,nan\n"
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Label(str):
+    def __str__(self):
+        return "not the text"
+
+
+Pair = namedtuple("Pair", "x y")
+
+
 class TestDumps:
     """Exact bytes of every branch of the JSON renderer."""
 
@@ -1068,6 +1103,15 @@ class TestDumps:
             (Fraction(3, 7), '"3/7"'),
             (Fraction(2), '"2"'),
             (Fraction(-1, 2), '"-1/2"'),
+            # values of other types, converted to a plain one first
+            pytest.param(Level.HIGH, "2", id="IntEnum"),
+            pytest.param(np.float32(0.1), "0.10000000149011612", id="float32"),
+            pytest.param(np.array(0.25), "0.25", id="0-d array"),
+            pytest.param(Pair(1, 0.5), "[\n  1,\n  0.5\n]", id="NamedTuple"),
+            pytest.param(OrderedDict(b=1, a=2), '{\n  "a": 2,\n  "b": 1\n}', id="OrderedDict"),
+            pytest.param(np.array([-3, 7], dtype=np.int8), "[\n  -3,\n  7\n]", id="int8 array"),
+            pytest.param(np.array([True, False]), "[\n  true,\n  false\n]", id="bool_ array"),
+            pytest.param(array("d", [0.1, -2.0]), "[\n  0.10000000000000001,\n  -2\n]", id="array('d')"),
         ],
     )
     def test_scalars(self, value, text):
@@ -1083,6 +1127,7 @@ class TestDumps:
             ("\b\f", '"\\b\\f"'),
             ("caf\u00e9 \u03c1", '"caf\\u00e9 \\u03c1"'),
             ("\U0001d70c", '"\\ud835\\udf0c"'),
+            pytest.param(Label('s\u00e9 "q"'), '"s\\u00e9 \\"q\\""', id="str subclass"),
         ],
     )
     def test_strings(self, value, text):
@@ -1165,6 +1210,12 @@ class TestDumps:
             dumps({1, 2})
         with pytest.raises(TypeError, match="^cannot serialize set$"):
             dumps({"a": [set()]})
+        with pytest.raises(TypeError, match="^cannot serialize object$"):
+            dumps([object()])
+        with pytest.raises(TypeError, match="^cannot serialize complex$"):
+            dumps({"z": 1j})
+        with pytest.raises(TypeError, match="^cannot serialize complex$"):
+            dumps(np.complex128(1j))  # its tolist() is a complex
 
 
 class TestConsoleScript:

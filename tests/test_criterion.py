@@ -227,11 +227,6 @@ class TestCriterionCheck:
         assert not rep.satisfied
         assert rep.max_delta_spread == pytest.approx(0.10355339059327378, rel=1e-12)
 
-    def test_infinite_tolerance_always_passes(self):
-        tri = PolygonConfig.from_radians((0.0, math.pi / 2, math.pi))
-        rep = criterion_check(tri, (1.0,) * 3, 0.5, tol=math.inf)
-        assert rep.satisfied
-
     def test_threshold_scales_with_delta(self):
         tri = turns(0, "1/4", "1/2")
         rep = criterion_check(tri, (1.0,) * 3, 0.5, tol=1e-10)
@@ -239,17 +234,19 @@ class TestCriterionCheck:
 
     def test_nan_spread_never_satisfied(self):
         # opposite masses near 1e308 overflow to +inf and -inf in body 3's
-        # delta alone; its NaN must not vanish from the spread
+        # delta alone; its NaN must not vanish from the spread, even under a
+        # tolerance near the largest double
         cfg = PolygonConfig.from_radians((0.0, 3.0, 3.2, 3.4))
-        rep = criterion_check(cfg, (1.0, 1e308, 1.0, -1e308), 0.5, tol=math.inf)
+        rep = criterion_check(cfg, (1.0, 1e308, 1.0, -1e308), 0.5, tol=1.7e308)
         assert [math.isfinite(d) for d in rep.deltas] == [True, True, False, True]
         assert math.isnan(rep.max_delta_spread)
         assert not rep.satisfied
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.0, -1.0, -math.inf, math.inf])
     def test_tolerance_must_be_positive(self, tol):
         # a square with equal masses balances; a bad tol must raise, not
-        # report it unsatisfied
+        # report it unsatisfied.  An infinite tol would pass every spread,
+        # irregular polygons included
         square = turns(0, "1/4", "1/2", "3/4")
         with pytest.raises(ValueError, match="tol must be positive"):
             criterion_check(square, (1.0,) * 4, 0.5, tol=tol)
