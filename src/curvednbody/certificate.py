@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -46,6 +45,7 @@ from .errors import (
 )
 from .polygon import (
     PolygonConfig,
+    _Record,
     _check_kernel_domain,
     _kernel_power,
     canonicalize,
@@ -116,17 +116,16 @@ def decompose(c: float, rho: float) -> tuple[float, float]:
     return math.sqrt(c) / power, c / base
 
 
-@dataclass(frozen=True)
-class BaseGroup:
-    """All terms sharing one chord value c, hence one base g."""
+class BaseGroup(_Record):
+    """All terms sharing one chord value c, hence one base g.
 
-    key: Fraction  # exact turn class min(d, 1 - d) of the members' separation
-    c: float
-    a: float
-    g: float
-    members: tuple[tuple[int, int], ...]  # the (j, i) pairs of the group's terms
-    delta_form: tuple[float, ...]  # integer delta row, scaled by a
-    gamma_form: tuple[float, ...]  # gamma sign row, scaled by a * |s/c|
+    key is the exact turn class min(d, 1 - d) of the members' separation,
+    members the (j, i) pairs of the group's terms, delta_form its integer
+    delta row scaled by a, and gamma_form its gamma sign row scaled by
+    a * |s/c|.
+    """
+
+    _fields = ("key", "c", "a", "g", "members", "delta_form", "gamma_form")
 
 
 def _require_canonical(cfg: PolygonConfig):
@@ -321,19 +320,15 @@ def find_contradiction_j(cfg: PolygonConfig) -> int:
     )
 
 
-@dataclass(frozen=True)
-class WitnessForm:
+class WitnessForm(_Record):
     """A grouped coefficient form recorded by the certificate, over a_j1 > 0.
 
     The form is factor * row: row holds its integer mass coefficients, signs
     included, and factor > 0 multiplies all of them, 1 for a delta form and
-    |s_j1/c_j1| for a gamma form.
+    |s_j1/c_j1| for a gamma form.  equation is "delta" or "gamma".
     """
 
-    equation: str  # "delta" | "gamma"
-    row: tuple[int, ...]
-    factor: float
-    pattern: str
+    _fields = ("equation", "row", "factor", "pattern")
 
     @property
     def sign_definite(self) -> bool:
@@ -347,19 +342,19 @@ def _turn_strings(res, full: int) -> list[str]:
     return [str(r // g) if g == full else f"{r // g}/{full // g}" for r, g in zip(res, gcds)]
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Mechanized nonexistence argument for one irregular polygon."""
+class Certificate(_Record):
+    """Mechanized nonexistence argument for one irregular polygon.
 
-    polygon: PolygonConfig
-    canonical: PolygonConfig
-    special_j: int
-    case_tag: str  # "case1" | "case2u" | "case2v" | "case3"
-    u: int | None
-    v: int | None
-    failing_equation: str  # "delta" | "gamma" | "disjunction"
-    witness_forms: tuple[WitnessForm, ...]
-    feasibility_rho: float | None = None  # set by certify, whose cross-check finds no masses
+    case_tag is "case1", "case2u", "case2v" or "case3", failing_equation
+    "delta", "gamma" or "disjunction", and feasibility_rho, None by default,
+    the rho at which certify's cross-check found no masses.
+    """
+
+    _fields = (
+        "polygon", "canonical", "special_j", "case_tag", "u", "v",
+        "failing_equation", "witness_forms", "feasibility_rho",
+    )
+    _defaults = {"feasibility_rho": None}
 
     def to_json_dict(self) -> dict:
         rho = self.feasibility_rho
@@ -457,6 +452,11 @@ class Certificate:
 
 def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
     """Derive the witness coefficient form(s) for the contradiction index j."""
+    return Certificate(cfg, cfg, j, *_case_analysis(cfg, j), None)
+
+
+def _case_analysis(cfg: PolygonConfig, j: int) -> tuple:
+    """classify_case's certificate fields after j: case tag, u, v, failing equation, forms."""
     _require_canonical(cfg)
     n = cfg.n
     if not 3 <= j <= n:
@@ -511,18 +511,13 @@ def classify_case(cfg: PolygonConfig, j: int) -> Certificate:
         )
     # case 3 may have no sign-definite form; then one of its two must be nonzero
     failing = next((w.equation for w in forms if w.sign_definite), "disjunction")
-    return Certificate(cfg, cfg, j, case, u, v, failing, forms)
+    return case, u, v, failing, forms
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(_Record):
     """Outcome of the exact decision on admissible positive masses."""
 
-    feasible: bool
-    masses: tuple[float, ...] | None
-    residual: float
-    rho: float
-    floor: float
+    _fields = ("feasible", "masses", "residual", "rho", "floor")
 
     def to_json_dict(self) -> dict:
         return {
@@ -555,7 +550,7 @@ def mass_feasibility(cfg: PolygonConfig, rho) -> FeasibilityResult:
     return FeasibilityResult(True, (1.0,) * cfg.n, 0.0, rho_v, _MASS_FLOOR)
 
 
-def _check_witness(cert: Certificate):
+def _check_witness(canon: PolygonConfig, j: int, case_tag: str, forms: tuple[WitnessForm, ...]):
     """Require each witness row to be the row of the (j,1) group, entry for entry.
 
     The grouping reads only the turn residues, never the pairings, so a
@@ -565,16 +560,15 @@ def _check_witness(cert: Certificate):
     comparison is exact, and the positive factor of a form scales its whole
     row.
     """
-    res, full = cert.canonical.residues
-    j = cert.special_j
+    res, full = canon.residues
     d = (res[j - 1] - res[0]) % full
     k = min(d, full - d)
     _, delta, gamma = _difference_groups(res, full, only=k)[k]
-    for wf in cert.witness_forms:
+    for wf in forms:
         group = tuple(delta if wf.equation == "delta" else gamma)
         if wf.row != group:
             raise InternalConsistencyError(
-                f"{cert.case_tag} {wf.equation} witness row {wf.row} at j={j} "
+                f"{case_tag} {wf.equation} witness row {wf.row} at j={j} "
                 f"is not the group of the ({j},1) term, row {group}"
             )
 
@@ -591,15 +585,13 @@ def certify(cfg: PolygonConfig, rho=None) -> Certificate:
     canon = canonicalize(cfg)
     # raises ValueError for float angles, RegularPolygonError for a regular polygon
     j = find_contradiction_j(canon)
-    cert = classify_case(canon, j)
-    _check_witness(cert)
+    case, u, v, failing, forms = _case_analysis(canon, j)
+    _check_witness(canon, j, case, forms)
     rho_v = 0.5 if rho is None else float(rho)
     feas = mass_feasibility(canon, rho_v)
     if feas.feasible:
         raise DisagreementError(
-            f"case analysis found witness {cert.case_tag} at j={j} but the mass "
+            f"case analysis found witness {case} at j={j} but the mass "
             f"search returned feasible masses {feas.masses} at rho={rho_v}"
         )
-    return Certificate(
-        cfg, canon, j, cert.case_tag, cert.u, cert.v, cert.failing_equation, cert.witness_forms, rho_v
-    )
+    return Certificate(cfg, canon, j, case, u, v, failing, forms, rho_v)

@@ -19,13 +19,11 @@ called on a regular polygon, 4 drift-guard abort during simulation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -40,6 +38,7 @@ from .polygon import (
     Curvature,
     PolygonConfig,
     _masses,
+    _Record,
     canonicalize,
     chord_c,
     cyclic_gaps,
@@ -100,23 +99,13 @@ def _parse_tol(value) -> float:
     return tol
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Parsed and validated configuration document."""
 
-    curvature: Curvature
-    representation: str
-    angles: tuple
-    polygon: PolygonConfig | None
-    masses: tuple[float, ...] | None
-    rho: float | None
-    dt: float | None
-    t_end: float | None
-    project_each_step: bool
-    max_constraint_drift: float
-    tol: float
-    seed: int
-    velocities: tuple | None
+    _fields = (
+        "curvature", "representation", "angles", "polygon", "masses", "rho", "dt", "t_end",
+        "project_each_step", "max_constraint_drift", "tol", "seed", "velocities",
+    )
 
     @property
     def n(self) -> int:
@@ -359,7 +348,7 @@ def cmd_criterion(cfg: RunConfig, args) -> int:
     rho = _resolve("rho", _parse_rho(args.rho, cfg.curvature.kappa), cfg.rho)
     tol = cfg.tol if args.tol is None else _parse_tol(args.tol)
     report = criterion_check(polygon, masses, rho, tol=tol)
-    _emit({"command": "criterion", "rho": rho, "tol": tol, **dataclasses.asdict(report)})
+    _emit({"command": "criterion", "rho": rho, "tol": tol, **vars(report)})
     return EXIT_OK if report.satisfied else EXIT_UNSATISFIED
 
 
@@ -573,7 +562,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("seed", f"must be >= 0, got {args.seed}")
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            cfg = RunConfig(**{**vars(cfg), "seed": args.seed})
         return args.run(cfg, args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -14,9 +14,8 @@ sweep builds the table once and runs the pass at each point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .polygon import PolygonConfig, _kernel_power, _mass_floats, chord_c
+from .polygon import PolygonConfig, _Record, _kernel_power, _mass_floats, chord_c
 
 __all__ = ["CriterionReport", "delta_gamma", "criterion_check"]
 
@@ -66,16 +65,10 @@ def _spread(values) -> float:
     return math.nan if math.isnan(sum(diffs)) else max(diffs)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(_Record):
     """delta/gamma values with their spreads against body 1."""
 
-    deltas: tuple[float, ...]
-    gammas: tuple[float, ...]
-    max_delta_spread: float
-    max_gamma_spread: float
-    threshold: float
-    satisfied: bool
+    _fields = ("deltas", "gammas", "max_delta_spread", "max_gamma_spread", "threshold", "satisfied")
 
 
 def criterion_check(cfg: PolygonConfig, masses, rho, tol: float = 1e-10) -> CriterionReport:
@@ -85,11 +78,5 @@ def criterion_check(cfg: PolygonConfig, masses, rho, tol: float = 1e-10) -> Crit
     deltas, gammas = delta_gamma(cfg, masses, rho)
     d_spread, g_spread = _spread(deltas), _spread(gammas)
     threshold = tol * (1.0 + abs(deltas[0]))
-    return CriterionReport(
-        deltas=deltas,
-        gammas=gammas,
-        max_delta_spread=d_spread,
-        max_gamma_spread=g_spread,
-        threshold=threshold,
-        satisfied=d_spread <= threshold and g_spread <= threshold,
-    )
+    satisfied = d_spread <= threshold and g_spread <= threshold
+    return CriterionReport(deltas, gammas, d_spread, g_spread, threshold, satisfied)

@@ -41,7 +41,6 @@ import functools
 import math
 import struct
 from array import array
-from dataclasses import astuple, dataclass, field
 from itertools import chain
 from sys import maxsize
 
@@ -53,7 +52,7 @@ from .errors import (
     NonProjectableError,
     SingularConfigurationError,
 )
-from .polygon import Curvature, PolygonConfig, _masses, is_regular
+from .polygon import Curvature, PolygonConfig, _masses, _Record, is_regular
 
 __all__ = [
     "BodySystem",
@@ -198,19 +197,17 @@ def _floats(sys: "BodySystem"):
     return _rows(sys.position_buf), _rows(sys.velocity_buf), sys.mass_values
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class BodySystem:
+class BodySystem(_Record):
     """Validated state: bodies on the surface with tangent velocities.
 
     The masses are kept as a tuple of floats and the coordinates as flat
     read-only buffers; `masses`, `positions` and `velocities` are read-only
-    arrays over them, built on first access.
+    arrays over them, built on first access.  States compare by identity.
     """
 
-    curvature: Curvature
-    mass_values: tuple[float, ...] = field(repr=False)
-    position_buf: memoryview = field(repr=False)
-    velocity_buf: memoryview = field(repr=False)
+    _fields = ("curvature", "mass_values", "position_buf", "velocity_buf")
+    _hidden = _fields[1:]
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, curvature: Curvature, masses, positions, velocities):
         m = _masses(masses)
@@ -264,16 +261,14 @@ class BodySystem:
         return _frozen(self.velocity_buf, self.n, 3)
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(_Record):
     """Fixed-step RK4 settings with projection and drift guard."""
 
-    dt: float
-    t_end: float
-    project_each_step: bool = True
-    max_constraint_drift: float = 1e-6
+    _fields = ("dt", "t_end", "project_each_step", "max_constraint_drift")
+    _defaults = {"project_each_step": True, "max_constraint_drift": 1e-6}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not (math.isfinite(self.dt) and self.dt >= 0.0):
             raise ValueError(f"dt must be finite and >= 0, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
@@ -284,17 +279,13 @@ class IntegratorConfig:
             raise ValueError("max_constraint_drift must be positive")
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(_Record):
     """Constraint residuals and the closest pair denominator of a state."""
 
-    max_surface_residual: float
-    max_tangency_residual: float
-    min_pair_denominator: float
+    _fields = ("max_surface_residual", "max_tangency_residual", "min_pair_denominator")
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_Record):
     """Every sample of an integration, the initial one included.
 
     The samples sit in flat read-only buffers of doubles, one sample after
@@ -304,15 +295,13 @@ class Trajectory:
     `diagnostic_rows` are read-only numpy views of them with one row per
     sample, and `states` and `diagnostics` present the samples as objects,
     each state's arrays being rows of `positions` and `velocities`; each
-    attribute is built on first access and then kept.
+    attribute is built on first access and then kept.  Trajectories compare
+    by identity.
     """
 
-    curvature: Curvature
-    mass_values: tuple[float, ...] = field(repr=False)
-    time_buf: memoryview = field(repr=False)
-    position_buf: memoryview = field(repr=False)
-    velocity_buf: memoryview = field(repr=False)
-    diagnostic_buf: memoryview = field(repr=False)
+    _fields = ("curvature", "mass_values", "time_buf", "position_buf", "velocity_buf", "diagnostic_buf")
+    _hidden = _fields[1:]
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @functools.cached_property
     def masses(self):
@@ -518,7 +507,8 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
     Q, V, m = _floats(sys)
     put(P, 0, *sys.position_buf)
     put(W, 0, *sys.velocity_buf)
-    D[0], D[1], D[2] = astuple(diagnostics(sys))
+    d = diagnostics(sys)
+    D[0], D[1], D[2] = d.max_surface_residual, d.max_tangency_residual, d.min_pair_denominator
     for k in range(1, last + 1):
         # every non-final step has size dt, so its time is exact
         t, h = (cfg.t_end, final) if k == last else (k * cfg.dt, cfg.dt)
@@ -530,16 +520,13 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
     return Trajectory(c, sys.mass_values, *bufs)
 
 
-@dataclass(frozen=True)
-class RelativeEquilibrium:
+class RelativeEquilibrium(_Record):
     """Polygon rotating rigidly at height z with angular rate omega_dot."""
 
-    polygon: PolygonConfig
-    r: float
-    omega_dot: float
-    z: float
+    _fields = ("polygon", "r", "omega_dot", "z")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"radius must be positive, got {self.r!r}")
         if not math.isfinite(self.omega_dot):

@@ -123,13 +123,18 @@ def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so failures leave no partial file.
 
     The sibling is created with mode 0o666 less the umask, as open(path, "w")
-    creates a file; O_EXCL refuses a name that already exists.
+    creates a file; O_EXCL refuses a name that already exists.  A file it
+    replaces passes on its permission bits, as open(path, "w") keeps them.
     """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        try:
+            os.chmod(tmp, os.stat(path).st_mode & 0o777)
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import CoincidentAngleError, KernelDomainError
 
@@ -48,8 +48,59 @@ TWO_PI = 2.0 * math.pi
 _GAP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Curvature:
+class _Record:
+    """Base of the package's frozen value types.
+
+    A subclass names its fields in order in `_fields`, the defaults of
+    trailing ones in `_defaults`, and those its repr leaves out in `_hidden`.
+    The constructor takes the fields by position or keyword and keeps them
+    in the instance `__dict__`, where `functools.cached_property` also keeps
+    its values; a subclass that checks or converts its fields does so in its
+    own `__init__`.  No attribute can be set or deleted afterwards.  Two
+    records are equal, and hash alike, when they are of the same class and
+    their fields are equal.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            values = {**self._defaults, **kwargs}
+            if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= values.keys():
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+            args += tuple(values[f] for f in rest)
+        d = self.__dict__  # item by item: cheaper than update(zip(...)) at a few fields
+        for f, a in zip(fields, args):
+            d[f] = a
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            return NotImplemented
+        return cls._key(self) == cls._key(other)
+
+    def __hash__(self):
+        return hash(type(self)._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields if f not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Curvature(_Record):
     """Nonzero curvature of the surface; carries the metric sign with it.
 
     The surface is kappa * (x^2 + y^2 + sigma*z^2) = 1: for kappa > 0 the
@@ -57,13 +108,12 @@ class Curvature:
     sheet of a hyperboloid with sigma = -1.
     """
 
-    kappa: float
+    _fields = ("kappa",)
 
-    def __post_init__(self):
-        k = self.kappa
-        if not isinstance(k, (int, float)) or not math.isfinite(k) or k == 0.0:
-            raise ValueError(f"curvature must be a finite nonzero real, got {k!r}")
-        object.__setattr__(self, "kappa", float(k))
+    def __init__(self, kappa: float):
+        if not isinstance(kappa, (int, float)) or not math.isfinite(kappa) or kappa == 0.0:
+            raise ValueError(f"curvature must be a finite nonzero real, got {kappa!r}")
+        self.__dict__["kappa"] = float(kappa)
 
     @property
     def sigma(self) -> int:
@@ -71,8 +121,7 @@ class Curvature:
         return 1 if self.kappa > 0 else -1
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class PolygonConfig:
+class PolygonConfig(_Record):
     """Ordered angles of an inscribed polygon, exact (turns) or float (radians).
 
     Exact angles are Fractions in [0, 1) interpreted as fractions of a full
@@ -81,8 +130,9 @@ class PolygonConfig:
     residues (see `residues`) and builds its Fraction angles when first read.
     """
 
-    representation: str  # "exact" | "float"
-    _value: tuple  # the residues of an exact polygon, the radians of a float one
+    # representation: "exact" | "float"; _value: the residues of an exact
+    # polygon, the radians of a float one
+    _fields = ("representation", "_value")
 
     def __init__(self, angles, representation: str):
         if representation not in ("exact", "float"):
@@ -283,9 +333,11 @@ def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
 
 def cyclic_gaps(cfg: PolygonConfig) -> tuple:
     """Gaps alpha_{i+1} - alpha_i including the wrap gap back to alpha_1."""
-    full = Fraction(1) if cfg.is_exact else TWO_PI
+    if cfg.is_exact:
+        res, full = cfg.residues
+        return tuple(Fraction((b - a) % full, full) for a, b in zip(res, res[1:] + res[:1]))
     a = cfg.angles
-    return tuple(a[i + 1] - a[i] for i in range(len(a) - 1)) + (full - a[-1] + a[0],)
+    return tuple(a[i + 1] - a[i] for i in range(len(a) - 1)) + (TWO_PI - a[-1] + a[0],)
 
 
 def is_regular(cfg: PolygonConfig) -> bool:

@@ -14,7 +14,6 @@ import math
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -30,6 +29,7 @@ from curvednbody import (
     KernelDomainError,
     PolygonConfig,
     RegularPolygonError,
+    WitnessForm,
     base_groups,
     canonicalize,
     certify,
@@ -880,18 +880,17 @@ class TestWitnessCheck:
 
     def test_gamma_row_sign_mismatch_raises(self, monkeypatch):
         # the case3 gamma row s_51 (m5 - m3 + m4) with the sign of its m3 entry flipped
-        classify = certificate.classify_case
+        analyse = certificate._case_analysis
 
         def skewed(cfg, j):
-            cert = classify(cfg, j)
-            dform, gform = cert.witness_forms
+            *parts, (dform, gform) = analyse(cfg, j)
             row = list(gform.row)
             row[2] = -row[2]
-            return replace(cert, witness_forms=(dform, replace(gform, row=tuple(row))))
+            return *parts, (dform, WitnessForm(gform.equation, tuple(row), gform.factor, gform.pattern))
 
         poly = turns(0, "1/6", "1/3", "1/2", "2/3")
         certify(poly)
-        monkeypatch.setattr(certificate, "classify_case", skewed)
+        monkeypatch.setattr(certificate, "_case_analysis", skewed)
         with pytest.raises(InternalConsistencyError, match="gamma witness row .* is not the group"):
             certify(poly)
 

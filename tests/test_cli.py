@@ -851,8 +851,8 @@ class TestSweep:
         "umask, mode", [pytest.param(0o022, 0o644, id="022"), pytest.param(0o077, 0o600, id="077")]
     )
     def test_out_file_mode_follows_umask(self, tmp_path, umask, mode):
-        # the file gets the mode open(path, "w") would give it, also when it
-        # replaces an existing file
+        # a new file gets the mode open(path, "w") would give it, and a
+        # replaced file keeps the mode it had, as echo > file leaves it
         cfg = write_config(tmp_path, TRIANGLE_EXACT)
         out = tmp_path / "sweep.csv"
         script = (
@@ -865,6 +865,13 @@ class TestSweep:
         for _ in range(2):
             fresh_python(script, *argv)
             assert out.stat().st_mode & 0o777 == mode
+        for kept in (0o600, 0o664):
+            out.chmod(kept)
+            fresh_python(script, *argv)
+            assert out.stat().st_mode & 0o777 == kept
+        out.unlink()
+        fresh_python(script, *argv)
+        assert out.stat().st_mode & 0o777 == mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sweep.csv"]
 
 
@@ -962,6 +969,21 @@ class TestImports:
             [1, False, False],  # criterion
             [0, False, False],  # sweep
             [0, False, True],  # simulate
+        ]
+
+    def test_no_subcommand_loads_dataclasses(self, tmp_path):
+        # the value types are frozen classes of their own: neither the package
+        # import nor any subcommand loads dataclasses, or inspect beneath it
+        argv = self.subcommands(tmp_path)
+        runs = [argv[k] for k in ("validate", "certify", "feasibility", "criterion", "sweep", "simulate")]
+        assert fresh_main(runs, ["dataclasses", "inspect"]) == [
+            [None, False, False],
+            [0, False, False],  # validate
+            [0, False, False],  # certify
+            [1, False, False],  # feasibility
+            [1, False, False],  # criterion
+            [0, False, False],  # sweep
+            [0, False, False],  # simulate
         ]
 
     def test_dynamics_import_loads_no_numpy(self):
