@@ -19,13 +19,17 @@ gamma_i zero is the rigid-rotation condition.  `solve_omega` takes the rate
 of a regular equal-mass polygon from it in closed form,
 omega^2 = delta_1 / r^3.
 
-Each surface formula is written once, as a kernel on plain float rows:
-`_accel` evaluates the field for the integrator, `acceleration` and the
-independent check in `solve_omega`; `_residuals`, `_closest` and the two
-projections measure and restore the constraints.  They visit each body or
-pair once; for the handful of bodies in a polygon that costs less than
-numpy's per-call overhead.  The public projections `project_point` and
-`project_tangent` are array views of the integrator's projection kernels.
+The surface formulas are kernels on plain float rows: `_accel` evaluates
+the field for the integrator, `acceleration` and the independent check in
+`solve_omega`; `_residuals` and `_closest` measure the constraints of a
+state.  An RK4 step builds each stage's rows directly and then makes one
+pass over the bodies that combines the stages, projects each point and then
+its velocity back onto the surface and tangent bundle, and measures both
+residuals against the drift bound; `_closest` closes the step.  Each pass
+visits each body or pair once; for the handful of bodies in a polygon that
+costs less than numpy's per-call overhead.  The public projections
+`project_point` and `project_tangent` apply the step's projection
+arithmetic to arrays.
 
 States and trajectories keep their numbers in flat buffers of doubles
 (stdlib `array('d')` behind read-only memoryviews), coordinates as x, y, z
@@ -402,27 +406,36 @@ def diagnostics(sys: BodySystem) -> DiagnosticsReport:
     return DiagnosticsReport(max(surf), max(tang), _closest(Q, c.kappa, c.sigma))
 
 
-def _axpy(X, h, Y):
-    """Rows x + h * y of two float row sequences."""
-    return [(x + h * u, y + h * v, z + h * w) for (x, y, z), (u, v, w) in zip(X, Y)]
-
-
 def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: float | None = None):
     """One RK4 step plus projection on float rows.
 
-    Returns the new positions and velocities as (x, y, z) tuples and their
-    diagnostics as (surface, tangency, closest pair denominator).  Errors
-    carry the given time.
+    After the four stages, one pass over the bodies combines them, projects
+    the point and then the velocity, and measures both residuals; `_closest`
+    closes the step.  Returns the new positions and velocities as (x, y, z)
+    tuples and their diagnostics as (surface, tangency, closest pair
+    denominator).  Errors carry the given time; a projection failure of any
+    body comes before a drift abort.
     """
     kappa, sigma = c.kappa, c.sigma
-    h = 0.5 * dt
+    h, hh, dd = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt
     try:
         a1 = _accel(Q, V, m, kappa, sigma)
-        Qh = _axpy(Q, h, V)
-        a2 = _accel(Qh, _axpy(V, h, a1), m, kappa, sigma)
-        a3 = _accel(_axpy(Qh, 0.25 * dt * dt, a1), _axpy(V, h, a2), m, kappa, sigma)
-        Qd = _axpy(Q, dt, V)
-        a4 = _accel(_axpy(Qd, 0.5 * dt * dt, a2), _axpy(V, dt, a3), m, kappa, sigma)
+        Qh = [(x + h * u, y + h * v, z + h * w) for (x, y, z), (u, v, w) in zip(Q, V)]
+        Vh = [(u + h * p, v + h * q, w + h * r) for (u, v, w), (p, q, r) in zip(V, a1)]
+        a2 = _accel(Qh, Vh, m, kappa, sigma)
+        a3 = _accel(
+            [(x + hh * p, y + hh * q, z + hh * r) for (x, y, z), (p, q, r) in zip(Qh, a1)],
+            [(u + h * p, v + h * q, w + h * r) for (u, v, w), (p, q, r) in zip(V, a2)],
+            m, kappa, sigma,
+        )
+        a4 = _accel(
+            [
+                (x + dt * u + dd * p, y + dt * v + dd * q, z + dt * w + dd * r)
+                for (x, y, z), (u, v, w), (p, q, r) in zip(Q, V, a2)
+            ],
+            [(u + dt * p, v + dt * q, w + dt * r) for (u, v, w), (p, q, r) in zip(V, a3)],
+            m, kappa, sigma,
+        )
     except SingularConfigurationError as exc:
         raise SingularConfigurationError(str(exc), time=time) from None
     except OverflowError:
@@ -432,37 +445,59 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
             "|kappa|^(3/2) or a pair denominator's 3/2 power overflows",
             time=time,
         ) from None
-    Qn = _axpy(Qd, dt * dt / 6.0, [
-        (p1 + p2 + p3, q1 + q2 + q3, r1 + r2 + r3)
-        for (p1, q1, r1), (p2, q2, r2), (p3, q3, r3) in zip(a1, a2, a3)
-    ])
-    Vn = _axpy(V, dt / 6.0, [
-        (
-            p1 + 2.0 * p2 + 2.0 * p3 + p4,
-            q1 + 2.0 * q2 + 2.0 * q3 + q4,
-            r1 + 2.0 * r2 + 2.0 * r3 + r4,
+    cq, cv = dt * dt / 6.0, dt / 6.0
+    project, bound = cfg.project_each_step, cfg.max_constraint_drift
+    Qn, Vn = [], []
+    smax = tmax = 0.0
+    drift = None
+    for i, ((x, y, z), (u, v, w), (p1, q1, r1), (p2, q2, r2), (p3, q3, r3), (p4, q4, r4)) in enumerate(
+        zip(Q, V, a1, a2, a3, a4)
+    ):
+        x, y, z = (
+            x + dt * u + cq * (p1 + p2 + p3),
+            y + dt * v + cq * (q1 + q2 + q3),
+            z + dt * w + cq * (r1 + r2 + r3),
         )
-        for (p1, q1, r1), (p2, q2, r2), (p3, q3, r3), (p4, q4, r4) in zip(a1, a2, a3, a4)
-    ])
-    if cfg.project_each_step:
-        Qn = _project_points(Qn, kappa, sigma)
-        Vn = _project_tangents(Qn, Vn, kappa, sigma)
-    bound = cfg.max_constraint_drift
-    surf, tang = _residuals(Qn, Vn, kappa, sigma)
-    for i, (sr, tr) in enumerate(zip(surf, tang)):
+        u, v, w = (
+            u + cv * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+            v + cv * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
+            w + cv * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+        )
+        if project:
+            k = kappa * (x * x + y * y + sigma * (z * z))
+            if k <= 0.0:
+                raise NonProjectableError(
+                    f"point of body {i} not projectable onto surface with kappa={kappa}: kappa*(p.p)={k!r}",
+                    time=time,
+                )
+            k = math.sqrt(k)
+            x, y, z = x / k, y / k, z / k
+            k = kappa * (x * u + y * v + sigma * (z * w))
+            u, v, w = u - k * x, v - k * y, w - k * z
+        Qn.append((x, y, z))
+        Vn.append((u, v, w))
+        sr = abs(kappa * (x * x + y * y + sigma * (z * z)) - 1.0)
+        tr = abs(x * u + y * v + sigma * (z * w))
+        if sr > smax:
+            smax = sr
+        if tr > tmax:
+            tmax = tr
         # not-le so that a NaN residual aborts too
-        if not (sr <= bound and tr <= bound):
-            raise ConstraintDriftError(
-                f"constraint residuals of body {i} (surface {sr!r}, tangency {tr!r}) "
-                f"exceed drift bound {bound}",
-                time=time,
-            )
+        if not (sr <= bound and tr <= bound) and drift is None:
+            drift = i, sr, tr
+    if drift is not None:
+        i, sr, tr = drift
+        raise ConstraintDriftError(
+            f"constraint residuals of body {i} (surface {sr!r}, tangency {tr!r}) "
+            f"exceed drift bound {bound}",
+            time=time,
+        )
     dmin = _closest(Qn, kappa, sigma)
     if not dmin >= SINGULAR_TOL:
         raise SingularConfigurationError(
             "body pair at or beyond the singularity threshold", time=time
         )
-    return Qn, Vn, (max(surf), max(tang), dmin)
+    return Qn, Vn, (smax, tmax, dmin)
 
 
 def step(sys: BodySystem, cfg: IntegratorConfig) -> BodySystem:

@@ -21,7 +21,15 @@ class CurvedNBodyError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonProjectableError(CurvedNBodyError):
+class _StepError(CurvedNBodyError):
+    """An error that carries the time of the integration step that raised it, if any."""
+
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
+
+
+class NonProjectableError(_StepError):
     """Point cannot be rescaled onto the surface (kappa * (p . p) <= 0)."""
 
 
@@ -33,20 +41,12 @@ class CoincidentAngleError(CurvedNBodyError):
     """Two polygon angles coincide modulo a full turn."""
 
 
-class SingularConfigurationError(CurvedNBodyError):
+class SingularConfigurationError(_StepError):
     """A pair denominator fell below the singularity threshold, or a pair force overflowed."""
 
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
 
-
-class ConstraintDriftError(CurvedNBodyError):
+class ConstraintDriftError(_StepError):
     """Constraint residual exceeded the configured drift bound."""
-
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
 
 
 class NoBalanceError(CurvedNBodyError):

@@ -571,6 +571,39 @@ class TestSimulate:
             "3ed5b56ddb839f500bebd272b54f9ca184530d69cadbd787314633e6990408e5",
             "7cf5876c6cf920a5a6e654fd60d53ef0875ed4b718c4c5c5dc19e3f312d20756",
         ),
+        # the shape of perfbench's rigid-rotation n = 8 case: a solved
+        # rotation of a regular octagon on the hyperboloid, 300 steps
+        "solved_rotation_octagon": (
+            {
+                "kappa": -1.0,
+                "angles": [f"{k}/8" for k in range(8)],
+                "masses": [1.0] * 8,
+                "rho": -0.64,
+                "integrator": {"dt": 0.001, "t_end": 0.3},
+            },
+            "bd235211bdb17151a201982e9f1ec8fdefa3d162084e8f4feba7f3449c3e433f",
+            "183c94038d809c368170b82f64a48979fcf8c004b031b4db52688d9e0e9708c7",
+        ),
+        # five bodies stepped without projection; each velocity runs along
+        # its body's parallel
+        "explicit_unprojected": (
+            {
+                "kappa": 1.0,
+                "angles": [0.0, 1.1, 2.5, 3.9, 5.2],
+                "masses": [1.0, 0.7, 1.3, 0.9, 1.1],
+                "rho": 0.3,
+                "velocities": [
+                    [0.0, 0.25, 0.0],
+                    [0.08912073600614355, -0.04535961214255774, 0.0],
+                    [-0.08977082161559348, -0.12017154233204005, 0.0],
+                    [0.03438830795919869, -0.03629661521000701, 0.0],
+                    [-0.17669093114403064, -0.09370333426007543, 0.0],
+                ],
+                "integrator": {"dt": 0.002, "t_end": 0.1, "project_each_step": False},
+            },
+            "49fe55a77c6fc622542e89215a37df1c88a40217a96d7203700dcff209dfc4a4",
+            "7cf6835d1187b3de79191beb36b0445b60c7af90e3201ebc64dc412ff5df80ba",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -697,6 +730,24 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert re.match(
             r"error at t=0\.0545: pair denominator \S+ of bodies 0 and 1 below singularity threshold", err
+        )
+
+    def test_projection_failure_reports_its_time_and_body(self, tmp_path):
+        # one fast body on the hyperboloid: a single large step carries it
+        # to a point with kappa * (p . p) < 0, which no rescale can project
+        doc = {
+            "kappa": -1.0,
+            "angles": [0.0],
+            "masses": [1.0],
+            "rho": -1.0,
+            "velocities": [[0.0, 5.0, 0.0]],
+            "integrator": {"dt": 0.5, "t_end": 0.5},
+        }
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error at t=0.5: point of body 0 not projectable onto surface with kappa=-1.0: "
+            "kappa*(p.p)=-1.2756115038497566\n"
         )
 
     @pytest.mark.parametrize("kappa, rho", [(-1e19, -0.5), (-1e22, -0.5), (1e210, 0.5)])

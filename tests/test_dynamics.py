@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import mpmath
@@ -16,8 +17,10 @@ from curvednbody import (
     ConfigError,
     ConstraintDriftError,
     Curvature,
+    CurvedNBodyError,
     IntegratorConfig,
     NoBalanceError,
+    NonProjectableError,
     PolygonConfig,
     RelativeEquilibrium,
     SingularConfigurationError,
@@ -30,7 +33,7 @@ from curvednbody import (
     step,
 )
 from curvednbody.cli import load_config
-from curvednbody.dynamics import SINGULAR_TOL, _closest
+from curvednbody.dynamics import SINGULAR_TOL, _accel, _closest
 
 SPHERE = Curvature(1.0)
 HYPER = Curvature(-1.0)
@@ -279,6 +282,167 @@ class TestStep:
         np.testing.assert_allclose(
             after.positions[0] * [-1, -1, 1], after.positions[1], atol=1e-14
         )
+
+
+# The RK4 step as it was composed from whole-list passes before it finished
+# in one pass over the bodies: the reference the integrator must match bit
+# for bit, errors included.  Only the pair kernel `_accel` is shared.
+def ref_axpy(X, h, Y):
+    return [(x + h * u, y + h * v, z + h * w) for (x, y, z), (u, v, w) in zip(X, Y)]
+
+
+def ref_project_points(Q, kappa, sigma, time):
+    out = []
+    for i, (x, y, z) in enumerate(Q):
+        k = kappa * (x * x + y * y + sigma * (z * z))
+        if k <= 0.0:
+            raise NonProjectableError(
+                f"point of body {i} not projectable onto surface with kappa={kappa}: kappa*(p.p)={k!r}",
+                time=time,
+            )
+        k = math.sqrt(k)
+        out.append((x / k, y / k, z / k))
+    return out
+
+
+def ref_project_tangents(Q, V, kappa, sigma):
+    out = []
+    for (x, y, z), (u, v, w) in zip(Q, V):
+        k = kappa * (x * u + y * v + sigma * (z * w))
+        out.append((u - k * x, v - k * y, w - k * z))
+    return out
+
+
+def ref_residuals(Q, V, kappa, sigma):
+    surf = [abs(kappa * (x * x + y * y + sigma * (z * z)) - 1.0) for x, y, z in Q]
+    tang = [abs(x * u + y * v + sigma * (z * w)) for (x, y, z), (u, v, w) in zip(Q, V)]
+    return surf, tang
+
+
+def ref_closest(Q, kappa, sigma):
+    out = math.inf
+    for i in range(len(Q) - 1):
+        xi, yi, zi = Q[i]
+        for xj, yj, zj in Q[i + 1 :]:
+            w = kappa * (xi * xj + yi * yj + sigma * (zi * zj))
+            out = min(out, sigma * (1.0 - w * w))
+    return out
+
+
+def ref_advance(Q, V, m, c, dt, cfg, time=None):
+    kappa, sigma = c.kappa, c.sigma
+    h = 0.5 * dt
+    try:
+        a1 = _accel(Q, V, m, kappa, sigma)
+        Qh = ref_axpy(Q, h, V)
+        a2 = _accel(Qh, ref_axpy(V, h, a1), m, kappa, sigma)
+        a3 = _accel(ref_axpy(Qh, 0.25 * dt * dt, a1), ref_axpy(V, h, a2), m, kappa, sigma)
+        Qd = ref_axpy(Q, dt, V)
+        a4 = _accel(ref_axpy(Qd, 0.5 * dt * dt, a2), ref_axpy(V, dt, a3), m, kappa, sigma)
+    except SingularConfigurationError as exc:
+        raise SingularConfigurationError(str(exc), time=time) from None
+    except OverflowError:
+        raise SingularConfigurationError(
+            "pair force out of the float range in an RK4 stage: "
+            "|kappa|^(3/2) or a pair denominator's 3/2 power overflows",
+            time=time,
+        ) from None
+    Qn = ref_axpy(Qd, dt * dt / 6.0, [
+        (p1 + p2 + p3, q1 + q2 + q3, r1 + r2 + r3)
+        for (p1, q1, r1), (p2, q2, r2), (p3, q3, r3) in zip(a1, a2, a3)
+    ])
+    Vn = ref_axpy(V, dt / 6.0, [
+        (p1 + 2.0 * p2 + 2.0 * p3 + p4, q1 + 2.0 * q2 + 2.0 * q3 + q4, r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        for (p1, q1, r1), (p2, q2, r2), (p3, q3, r3), (p4, q4, r4) in zip(a1, a2, a3, a4)
+    ])
+    if cfg.project_each_step:
+        Qn = ref_project_points(Qn, kappa, sigma, time)
+        Vn = ref_project_tangents(Qn, Vn, kappa, sigma)
+    bound = cfg.max_constraint_drift
+    surf, tang = ref_residuals(Qn, Vn, kappa, sigma)
+    for i, (sr, tr) in enumerate(zip(surf, tang)):
+        if not (sr <= bound and tr <= bound):
+            raise ConstraintDriftError(
+                f"constraint residuals of body {i} (surface {sr!r}, tangency {tr!r}) "
+                f"exceed drift bound {bound}",
+                time=time,
+            )
+    dmin = ref_closest(Qn, kappa, sigma)
+    if not dmin >= SINGULAR_TOL:
+        raise SingularConfigurationError("body pair at or beyond the singularity threshold", time=time)
+    return Qn, Vn, (max(surf), max(tang), dmin)
+
+
+def doubles(rows):
+    return array("d", [x for row in rows for x in row]).tobytes()
+
+
+def outcome(run):
+    """What run() returns, or the type, message and time of the error it raises."""
+    try:
+        return run()
+    except CurvedNBodyError as exc:
+        return type(exc), str(exc), exc.time
+
+
+class TestStepOracle:
+    # (dt, velocity scale): a calm run, and two whose steps are too coarse
+    # for their speeds, so that projection, drift and pair errors occur
+    REGIMES = ((2.0**-7, 1.0), (0.5, 6.0), (2.0, 6.0))
+    STEPS = 12
+
+    def runs(self, kappa, project):
+        from conftest import random_state
+
+        c = Curvature(kappa)
+        rng = np.random.default_rng([2025, int(kappa * 100) % 1000, project])
+        for n in range(1, 9):
+            for dt, scale in self.REGIMES:
+                base = random_state(rng, n, c)
+                system = BodySystem(c, base.masses, base.positions, scale * base.velocities)
+                # dt is a power of two, so every step time k * dt is exact
+                yield system, IntegratorConfig(dt=dt, t_end=self.STEPS * dt, project_each_step=project)
+
+    def reference(self, system, cfg):
+        """The time, position, velocity and diagnostic buffers of integrate, from ref_advance."""
+        c, m = system.curvature, system.mass_values
+        Q, V = system.positions.tolist(), system.velocities.tolist()
+        surf, tang = ref_residuals(Q, V, c.kappa, c.sigma)
+        T, P, W, D = [0.0], Q, V, [(max(surf), max(tang), ref_closest(Q, c.kappa, c.sigma))]
+        for k in range(1, self.STEPS + 1):
+            Q, V, d = ref_advance(Q, V, m, c, cfg.dt, cfg, time=k * cfg.dt)
+            T.append(k * cfg.dt)
+            P, W = P + Q, W + V
+            D.append(d)
+        return array("d", T).tobytes(), doubles(P), doubles(W), doubles(D)
+
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.37, -2.5])
+    def test_step_and_integrate_match_reference(self, kappa, project):
+        seen = set()
+        for system, cfg in self.runs(kappa, project):
+            def stepped():
+                after = step(system, cfg)
+                return after.position_buf.tobytes(), after.velocity_buf.tobytes()
+
+            def ref_stepped():
+                Q, V = system.positions.tolist(), system.velocities.tolist()
+                Q, V, _ = ref_advance(Q, V, system.mass_values, system.curvature, cfg.dt, cfg)
+                return doubles(Q), doubles(V)
+
+            def integrated():
+                traj = integrate(system, cfg)
+                bufs = traj.time_buf, traj.position_buf, traj.velocity_buf, traj.diagnostic_buf
+                return tuple(b.tobytes() for b in bufs)
+
+            assert outcome(stepped) == outcome(ref_stepped)
+            got = outcome(integrated)
+            assert got == outcome(lambda: self.reference(system, cfg))
+            seen.add(got[0] if isinstance(got[0], type) else None)
+        # every outcome ran: success, and each error these settings can reach;
+        # only the hyperboloid has points that no rescale projects
+        expected = {None, SingularConfigurationError, ConstraintDriftError}
+        assert seen == expected | ({NonProjectableError} if project and kappa < 0 else set())
 
 
 class TestIntegrate:
