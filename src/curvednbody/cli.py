@@ -99,6 +99,15 @@ def _parse_tol(value) -> float:
     return tol
 
 
+def _parse_seed(value) -> int:
+    """A seed from the config or --seed: an integer >= 0."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("seed", f"expected an integer, got {value!r}")
+    if value < 0:
+        raise ConfigError("seed", f"must be >= 0, got {value!r}")
+    return value
+
+
 class RunConfig(_Record):
     """Parsed and validated configuration document."""
 
@@ -240,13 +249,7 @@ def load_config(path: str) -> RunConfig:
     if doc.get("tol") is not None:
         tol = _parse_tol(doc["tol"])
 
-    seed = 0
-    if doc.get("seed") is not None:
-        if isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int):
-            raise ConfigError("seed", f"expected an integer, got {doc['seed']!r}")
-        seed = doc["seed"]
-        if seed < 0:
-            raise ConfigError("seed", f"must be >= 0, got {seed!r}")
+    seed = 0 if doc.get("seed") is None else _parse_seed(doc["seed"])
 
     velocities = None
     if doc.get("velocities") is not None:
@@ -560,9 +563,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed", f"must be >= 0, got {args.seed}")
-            cfg = RunConfig(**{**vars(cfg), "seed": args.seed})
+            cfg = RunConfig(**{**vars(cfg), "seed": _parse_seed(args.seed)})
         return args.run(cfg, args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -28,8 +28,8 @@ its velocity back onto the surface and tangent bundle, and measures both
 residuals against the drift bound; `_closest` closes the step.  Each pass
 visits each body or pair once; for the handful of bodies in a polygon that
 costs less than numpy's per-call overhead.  The public projections
-`project_point` and `project_tangent` apply the step's projection
-arithmetic to arrays.
+`project_point` and `project_tangent` repeat the step's projection
+arithmetic, in its order of operations, on arrays of shape (..., 3).
 
 States and trajectories keep their numbers in flat buffers of doubles
 (stdlib `array('d')` behind read-only memoryviews), coordinates as x, y, z
@@ -97,29 +97,6 @@ def _closest(Q, kappa, sigma):
             d = sigma * (1.0 - w * w)
             if d < out:
                 out = d
-    return out
-
-
-def _project_points(Q, kappa, sigma):
-    """Rows rescaled radially onto the surface (see project_point)."""
-    out = []
-    for x, y, z in Q:
-        k = kappa * (x * x + y * y + sigma * (z * z))
-        if k <= 0.0:
-            raise NonProjectableError(
-                f"point not projectable onto surface with kappa={kappa}: kappa*(p.p)={k!r}"
-            )
-        k = math.sqrt(k)
-        out.append((x / k, y / k, z / k))
-    return out
-
-
-def _project_tangents(Q, V, kappa, sigma):
-    """Rows of V less their normal component at the rows of Q (see project_tangent)."""
-    out = []
-    for (x, y, z), (u, v, w) in zip(Q, V):
-        k = kappa * (x * u + y * v + sigma * (z * w))
-        out.append((u - k * x, v - k * y, w - k * z))
     return out
 
 
@@ -346,6 +323,16 @@ class Trajectory(_Record):
         return tuple(DiagnosticsReport(*D[i : i + 3]) for i in range(0, len(D), 3))
 
 
+def _vectors(a, name: str):
+    """a as a float array of shape (..., 3); ValueError naming its shape otherwise."""
+    import numpy as np
+
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (3,):
+        raise ValueError(f"{name} must have shape (..., 3), got {a.shape}")
+    return a
+
+
 def project_point(p, c: Curvature):
     """Radially rescale p, one point or rows of shape (..., 3), onto the surface.
 
@@ -355,22 +342,31 @@ def project_point(p, c: Curvature):
     """
     import numpy as np
 
-    p = np.asarray(p, dtype=float)
-    return np.array(_project_points(p.reshape(-1, 3).tolist(), c.kappa, c.sigma)).reshape(p.shape)
+    p = _vectors(p, "p")
+    kappa, sigma = c.kappa, c.sigma
+    out = []
+    for x, y, z in p.reshape(-1, 3).tolist():
+        k = kappa * (x * x + y * y + sigma * (z * z))
+        if k <= 0.0:
+            raise NonProjectableError(
+                f"point not projectable onto surface with kappa={kappa}: kappa*(p.p)={k!r}"
+            )
+        k = math.sqrt(k)
+        out.append((x / k, y / k, z / k))
+    return np.array(out).reshape(p.shape)
 
 
 def project_tangent(p, v, c: Curvature):
     """Remove from v its component along the surface normal at p.
 
-    p and v broadcast against each other.  For p on the surface the result
-    w satisfies p . w = 0 (signed product), and projecting twice changes
-    nothing.
+    p and v, each of shape (..., 3), broadcast against each other.  For p on
+    the surface the result w satisfies p . w = 0 (signed product), and
+    projecting twice changes nothing.
     """
-    import numpy as np
-
-    p, v = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(v, dtype=float))
-    rows = _project_tangents(p.reshape(-1, 3).tolist(), v.reshape(-1, 3).tolist(), c.kappa, c.sigma)
-    return np.array(rows).reshape(v.shape)
+    p, v = _vectors(p, "p"), _vectors(v, "v")
+    pv = p * v
+    k = c.kappa * (pv[..., 0] + pv[..., 1] + c.sigma * pv[..., 2])
+    return v - k[..., None] * p
 
 
 def acceleration(sys: BodySystem):
@@ -446,7 +442,7 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
             time=time,
         ) from None
     cq, cv = dt * dt / 6.0, dt / 6.0
-    project, bound = cfg.project_each_step, cfg.max_constraint_drift
+    project, bound, akappa = cfg.project_each_step, cfg.max_constraint_drift, abs(kappa)
     Qn, Vn = [], []
     smax = tmax = 0.0
     drift = None
@@ -482,8 +478,10 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
             smax = sr
         if tr > tmax:
             tmax = tr
-        # not-le so that a NaN residual aborts too
-        if not (sr <= bound and tr <= bound) and drift is None:
+        # not-le so that a NaN residual aborts too; as in BodySystem, the surface
+        # bound scales with the size |kappa| |q|^2 of the terms kappa q.q - 1 cancels
+        within = sr <= bound or sr <= bound * (akappa * (x * x + y * y + z * z))
+        if not (within and tr <= bound) and drift is None:
             drift = i, sr, tr
     if drift is not None:
         i, sr, tr = drift

@@ -715,6 +715,22 @@ class TestSimulate:
         assert code == 4
         assert re.match(r"error: drift guard abort at t=\S+: ", err)
 
+    def test_far_hyperbolic_branch_passes_the_drift_guard(self, tmp_path):
+        # at rho = -1e12 each body has |q|^2 = 2e12 + 1, so kappa q.q - 1
+        # cancels terms of that size and keeps a rounding residual of about
+        # 1e-4; the guard judges it at that scale, as BodySystem does
+        doc = {
+            "kappa": -1.0,
+            "angles": [0.0, 2.0, 4.0],
+            "masses": [1.0, 1.0, 1.0],
+            "rho": -1e12,
+            "velocities": [[0.0, 0.0, 0.0]] * 3,
+            "integrator": {"dt": 0.001, "t_end": 0.01},
+        }
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["steps"] == 10
+
     def test_collision_reports_its_time(self, tmp_path):
         # two bodies 0.05 rad apart, moving toward each other, meet mid-run
         a = 0.05

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -29,6 +30,8 @@ from curvednbody import (
     delta_gamma,
     diagnostics,
     integrate,
+    project_point,
+    project_tangent,
     solve_omega,
     step,
 )
@@ -360,8 +363,10 @@ def ref_advance(Q, V, m, c, dt, cfg, time=None):
         Vn = ref_project_tangents(Qn, Vn, kappa, sigma)
     bound = cfg.max_constraint_drift
     surf, tang = ref_residuals(Qn, Vn, kappa, sigma)
-    for i, (sr, tr) in enumerate(zip(surf, tang)):
-        if not (sr <= bound and tr <= bound):
+    for i, (sr, tr, (x, y, z)) in enumerate(zip(surf, tang, Qn)):
+        # the surface residual is judged at the scale of the terms it cancels
+        scale = max(1.0, abs(kappa) * (x * x + y * y + z * z))
+        if not (sr <= bound * scale and tr <= bound):
             raise ConstraintDriftError(
                 f"constraint residuals of body {i} (surface {sr!r}, tangency {tr!r}) "
                 f"exceed drift bound {bound}",
@@ -443,6 +448,84 @@ class TestStepOracle:
         # only the hyperboloid has points that no rescale projects
         expected = {None, SingularConfigurationError, ConstraintDriftError}
         assert seen == expected | ({NonProjectableError} if project and kappa < 0 else set())
+
+
+class TestProjectionPin:
+    """The public projections are the step's reference projection, bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.37, -2.5, 1e6, -1e-6])
+    def test_projections_match_reference(self, kappa):
+        c = Curvature(kappa)
+        rng = np.random.default_rng([26, int(abs(kappa) * 100) % 1000, kappa > 0])
+        seen = set()
+        for shape in ((3,), (5, 3), (2, 4, 3)):
+            for _ in range(20):
+                p = rng.normal(size=shape) * rng.uniform(0.1, 5.0)
+                if kappa < 0 and rng.uniform() < 0.7:
+                    # timelike points project onto the hyperboloid, the rest do not
+                    p[..., 2] = np.hypot(p[..., 0], p[..., 1]) + rng.uniform(0.01, 1.0)
+                v = rng.normal(size=shape) * rng.uniform(0.1, 10.0)
+                Q, V = p.reshape(-1, 3).tolist(), v.reshape(-1, 3).tolist()
+                try:
+                    expected = doubles(ref_project_points(Q, kappa, c.sigma, None))
+                except NonProjectableError as exc:
+                    # the step's message also names the body
+                    with pytest.raises(NonProjectableError) as err:
+                        project_point(p, c)
+                    assert str(err.value) == re.sub(r" of body \d+", "", str(exc))
+                    seen.add("nonprojectable")
+                else:
+                    assert project_point(p, c).tobytes() == expected
+                    seen.add("projected")
+                got = project_tangent(p, v, c).tobytes()
+                assert got == doubles(ref_project_tangents(Q, V, kappa, c.sigma))
+        assert seen == ({"projected", "nonprojectable"} if kappa < 0 else {"projected"})
+
+
+class TestOrderOfAccuracy:
+    """Observed order 4 against the exact rigid rotation of a regular polygon.
+
+    One period T = 2 pi / omega at solve_omega's rate brings every body back
+    to its start, so the largest coordinate difference there is the global
+    error of the integrator, which classical RK4 makes O(dt^4): halving dt
+    should divide it by about 16.  Without projection the ratios measured at
+    dt = T/50, T/100, T/200 and T/400 were 17.7, 16.8, 16.4 (kappa = 1, n = 3,
+    r = 0.6) and 16.3, 16.3, 16.2 (kappa = -1, n = 8, r = 0.8), falling
+    towards 16; the band allows one unit more on each side of that range,
+    which a method of order 3 (ratio 8) or 5 (ratio 32) misses.  With
+    projection the errors at T/400 were 2.5e-9 and 4.9e-8; the bounds allow
+    twice that.
+    """
+
+    BAND = (15.0, 19.0)
+    DIVISIONS = (50, 100, 200, 400)
+
+    @staticmethod
+    def period_errors(kappa, n, r, project):
+        c = Curvature(kappa)
+        poly, masses = regular_polygon(n), (1.0,) * n
+        w = solve_omega(poly, masses, r, c)
+        system = build_polygon_state(RelativeEquilibrium.from_radius(poly, r, w, c), masses, c)
+        period = 2.0 * math.pi / w
+        errors = []
+        for k in TestOrderOfAccuracy.DIVISIONS:
+            # the drift guard is not under test; unprojected coarse runs drift past 1e-6
+            cfg = IntegratorConfig(
+                dt=period / k, t_end=period, project_each_step=project, max_constraint_drift=1.0
+            )
+            traj = integrate(system, cfg)
+            assert len(traj.time_buf) == k + 1
+            end = traj.position_buf[-3 * n :]
+            errors.append(max(abs(a - b) for a, b in zip(end, system.position_buf)))
+        return errors
+
+    @pytest.mark.parametrize("kappa, n, r, bound", [(1.0, 3, 0.6, 5e-9), (-1.0, 8, 0.8, 1e-7)])
+    def test_error_falls_at_fourth_order(self, kappa, n, r, bound):
+        errors = self.period_errors(kappa, n, r, project=False)
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        lo, hi = self.BAND
+        assert all(lo <= x <= hi for x in ratios), ratios
+        assert self.period_errors(kappa, n, r, project=True)[-1] <= bound
 
 
 class TestIntegrate:

@@ -1,10 +1,13 @@
 """The curvature sign and the two projections onto the surface and its tangent planes.
 
-project_point and project_tangent run the integrator's own row kernels, so
-these properties hold for every RK4 step that projects.
+project_point and project_tangent repeat the projection arithmetic of an RK4
+step; TestProjectionPin in test_dynamics.py checks them bit for bit against
+the step's reference projection, so these properties hold for every step
+that projects.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,7 +108,7 @@ def test_project_tangent_leaves_tangent_unchanged():
 
 
 def test_projections_act_row_by_row(rng):
-    # arrays of shape (..., 3) go through the kernels one row at a time, and
+    # arrays of shape (..., 3) are projected one row at a time, and
     # project_tangent broadcasts the points against the velocities
     for c in (Curvature(1.5), Curvature(-0.5)):
         raw = rng.normal(size=(2, 4, 3))
@@ -120,3 +123,16 @@ def test_projections_act_row_by_row(rng):
         assert t.shape == v.shape
         for idx in np.ndindex(2, 4):
             np.testing.assert_array_equal(t[idx], project_tangent(p[0, 0], v[idx], c))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 3, 4), ()])
+def test_projections_reject_a_last_axis_other_than_3(shape):
+    # a (3, 2) array holds six numbers, which must not be regrouped as two points
+    bad, good = np.ones(shape), vec3(1, 0, 0)
+    c = Curvature(1.0)
+    with pytest.raises(ValueError, match=re.escape(f"p must have shape (..., 3), got {shape}")):
+        project_point(bad, c)
+    with pytest.raises(ValueError, match=re.escape(f"p must have shape (..., 3), got {shape}")):
+        project_tangent(bad, good, c)
+    with pytest.raises(ValueError, match=re.escape(f"v must have shape (..., 3), got {shape}")):
+        project_tangent(good, bad, c)
