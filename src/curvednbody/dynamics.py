@@ -200,30 +200,19 @@ class BodySystem(_Record):
             raise ValueError("state contains non-finite entries")
         c = curvature
         surf, tang = _residuals(Q, V, c.kappa, c.sigma)
-        # kappa q.q - 1 cancels terms of size |kappa| |q|^2, which is 1 on the
-        # sphere but grows as r^2 out along the hyperboloid
+        # kappa q.q - 1 and q.v cancel terms of size |kappa| |q|^2 and |q| |v|
+        # (Euclidean norms), which grow as r^2 and r out along the hyperboloid
         for res, (x, y, z) in zip(surf, Q):
             scale = abs(c.kappa) * (x * x + y * y + z * z)
             if res > STATE_TOL * scale:
                 raise ValueError(f"surface residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
-        if max(tang) > STATE_TOL:
-            raise ValueError(f"tangency residual {max(tang)!r} exceeds {STATE_TOL}")
+        for res, q, v in zip(tang, Q, V):
+            scale = max(1.0, math.hypot(*q) * math.hypot(*v))
+            if res > STATE_TOL * scale:
+                raise ValueError(f"tangency residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
         if not _closest(Q, c.kappa, c.sigma) >= SINGULAR_TOL:
             raise SingularConfigurationError("body pair at or beyond the singularity threshold")
-        self._fill(curvature, m, _buffer(Q), _buffer(V))
-
-    def _fill(self, curvature, masses, q, v) -> None:
-        # the fields of a frozen instance are set here, once
-        self.__dict__.update(curvature=curvature, mass_values=masses, position_buf=q, velocity_buf=v)
-
-    @classmethod
-    def _trusted(cls, curvature, masses, q, v) -> "BodySystem":
-        # integrator-internal: the drift guard has already bounded the
-        # residuals the constructor checks.  q and v are read-only flat
-        # buffers, kept as given, so a trajectory's states share its memory.
-        obj = object.__new__(cls)
-        obj._fill(curvature, masses, q, v)
-        return obj
+        super().__init__(curvature, m, _buffer(Q), _buffer(V))
 
     @property
     def n(self) -> int:
@@ -254,6 +243,8 @@ class IntegratorConfig(_Record):
             raise ValueError(f"dt must be finite and >= 0, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
+        if self.t_end > 0.0 and self.dt == 0.0:
+            raise ValueError("dt must be positive to reach a positive t_end")
         if self.t_end > 0.0 and self.dt > self.t_end:
             raise ValueError(f"dt {self.dt!r} exceeds t_end {self.t_end!r}")
         if not self.max_constraint_drift > 0.0:
@@ -478,10 +469,11 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
             smax = sr
         if tr > tmax:
             tmax = tr
-        # not-le so that a NaN residual aborts too; as in BodySystem, the surface
-        # bound scales with the size |kappa| |q|^2 of the terms kappa q.q - 1 cancels
+        # not-le so that a NaN residual aborts too; as in BodySystem, a bound the
+        # residual exceeds is scaled by the size of the terms the residual cancels
         within = sr <= bound or sr <= bound * (akappa * (x * x + y * y + z * z))
-        if not (within and tr <= bound) and drift is None:
+        tangent = tr <= bound or tr <= bound * (math.hypot(x, y, z) * math.hypot(u, v, w))
+        if not (within and tangent) and drift is None:
             drift = i, sr, tr
     if drift is not None:
         i, sr, tr = drift
@@ -503,6 +495,7 @@ def step(sys: BodySystem, cfg: IntegratorConfig) -> BodySystem:
     if cfg.dt == 0.0:
         return sys
     Q, V, _ = _advance(*_floats(sys), sys.curvature, cfg.dt, cfg)
+    # unchecked: the drift guard has bounded the residuals BodySystem checks
     return BodySystem._trusted(sys.curvature, sys.mass_values, _buffer(Q), _buffer(V))
 
 
@@ -517,8 +510,6 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
     last, final, count = 0, cfg.dt, 0.0
     n = sys.n
     if cfg.t_end > 0.0:
-        if cfg.dt == 0.0:
-            raise ValueError("dt must be positive to reach a positive t_end")
         count = cfg.t_end / cfg.dt  # inf when dt is tiny enough
         # times, positions, velocities and diagnostics: 6n + 4 doubles a sample
         if (count + 2) * 8 * (6 * n + 4) > maxsize:

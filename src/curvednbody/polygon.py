@@ -55,10 +55,11 @@ class _Record:
     trailing ones in `_defaults`, and those its repr leaves out in `_hidden`.
     The constructor takes the fields by position or keyword and keeps them
     in the instance `__dict__`, where `functools.cached_property` also keeps
-    its values; a subclass that checks or converts its fields does so in its
-    own `__init__`.  No attribute can be set or deleted afterwards.  Two
-    records are equal, and hash alike, when they are of the same class and
-    their fields are equal.
+    its values; it is the one place that stores fields.  A subclass that
+    checks or converts its fields does so in its own `__init__`, then calls
+    it; `_trusted` calls it on field values known to be valid, unchecked.
+    No attribute can be set or deleted afterwards.  Two records are equal,
+    and hash alike, when they are of the same class and their fields are equal.
     """
 
     _fields: tuple[str, ...] = ()
@@ -79,6 +80,13 @@ class _Record:
         d = self.__dict__  # item by item: cheaper than update(zip(...)) at a few fields
         for f, a in zip(fields, args):
             d[f] = a
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance holding the given field values in order, unchecked."""
+        obj = object.__new__(cls)
+        _Record.__init__(obj, *values)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -113,7 +121,7 @@ class Curvature(_Record):
     def __init__(self, kappa: float):
         if not isinstance(kappa, (int, float)) or not math.isfinite(kappa) or kappa == 0.0:
             raise ValueError(f"curvature must be a finite nonzero real, got {kappa!r}")
-        self.__dict__["kappa"] = float(kappa)
+        super().__init__(float(kappa))
 
     @property
     def sigma(self) -> int:
@@ -157,14 +165,7 @@ class PolygonConfig(_Record):
                 raise ValueError(
                     f"angles must be strictly increasing, got {vals[k]} >= {vals[k + 1]}"
                 )
-        self.__dict__.update(representation=representation, _value=value)
-
-    @classmethod
-    def _canonical(cls, res: tuple[int, ...], full: int) -> "PolygonConfig":
-        # trusted: gcd-reduced canonical residues, which are their own minimal rotation
-        cfg = object.__new__(cls)
-        cfg.__dict__.update(representation="exact", _value=(res, full), canonical_residues=(res, full))
-        return cfg
+        super().__init__(representation, value)
 
     def __repr__(self):
         return f"PolygonConfig(angles={self.angles!r}, representation={self.representation!r})"
@@ -325,7 +326,11 @@ def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
     """
     if cfg.is_exact:
         res, full = cfg.canonical_residues
-        return cfg if res == cfg.residues[0] else PolygonConfig._canonical(res, full)
+        if res != cfg.residues[0]:
+            # gcd-reduced canonical residues are valid, and their own canonical ones
+            cfg = PolygonConfig._trusted("exact", (res, full))
+            cfg.__dict__["canonical_residues"] = cfg._value
+        return cfg
     # (v - start) mod 2*pi can round up to 2*pi itself
     best = tuple(min(a, math.nextafter(TWO_PI, 0)) for a in _min_rotation(cfg.angles, TWO_PI))
     return cfg if best == cfg.angles else PolygonConfig(best, "float")

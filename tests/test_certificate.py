@@ -1011,20 +1011,20 @@ class TestCanonicalizeOnce:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Count the polygons built, by the public constructor or the canonical one."""
+        """Count the polygons built, by the public constructor or the unchecked one."""
         count = [0]
-        init, canonical = PolygonConfig.__init__, PolygonConfig._canonical.__func__
+        init, trusted = PolygonConfig.__init__, PolygonConfig._trusted.__func__
 
         def counting_init(cfg, *args):
             count[0] += 1
             init(cfg, *args)
 
-        def counting_canonical(cls, *args):
+        def counting_trusted(cls, *args):
             count[0] += 1
-            return canonical(cls, *args)
+            return trusted(cls, *args)
 
         monkeypatch.setattr(PolygonConfig, "__init__", counting_init)
-        monkeypatch.setattr(PolygonConfig, "_canonical", classmethod(counting_canonical))
+        monkeypatch.setattr(PolygonConfig, "_trusted", classmethod(counting_trusted))
         return count
 
     def test_polygons_built_per_call(self, builds):

@@ -211,6 +211,8 @@ class TestConfigErrors:
                      "integrator.max_constraint_drift: must be positive", id="integrator-drift-not-positive"),
         pytest.param(edited(angles=REGULAR_TRIANGLE, integrator={"dt": 0.2, "t_end": 0.1}), ["simulate"],
                      "integrator: dt 0.2 exceeds t_end 0.1", id="integrator-dt-above-t-end"),
+        pytest.param(edited(angles=REGULAR_TRIANGLE, integrator={"dt": 0, "t_end": 0.01}), ["simulate"],
+                     "integrator: dt must be positive to reach a positive t_end", id="integrator-zero-dt"),
         pytest.param(edited(seed=1.5), ["validate"],
                      "seed: expected an integer, got 1.5", id="seed-not-an-integer"),
         pytest.param(edited(seed=-1), ["validate"],
@@ -725,6 +727,24 @@ class TestSimulate:
             "masses": [1.0, 1.0, 1.0],
             "rho": -1e12,
             "velocities": [[0.0, 0.0, 0.0]] * 3,
+            "integrator": {"dt": 0.001, "t_end": 0.01},
+        }
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["steps"] == 10
+
+    def test_far_hyperbolic_tangent_passes_the_checks(self, tmp_path):
+        # Minkowski-unit radial velocities at rho = -1e8: q.v cancels terms of
+        # size |q| |v| = 2e8 and keeps a rounding residual of about 1e-8, which
+        # BodySystem and the guard judge at that scale
+        r, z = 1e4, math.sqrt(1.0 + 1e8)
+        angles = [0.1, 2.0, 4.0]
+        doc = {
+            "kappa": -1.0,
+            "angles": angles,
+            "masses": [1.0, 1.0, 1.0],
+            "rho": -1e8,
+            "velocities": [[z * math.cos(t), z * math.sin(t), r] for t in angles],
             "integrator": {"dt": 0.001, "t_end": 0.01},
         }
         code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])

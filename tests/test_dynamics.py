@@ -20,6 +20,7 @@ from curvednbody import (
     Curvature,
     CurvedNBodyError,
     IntegratorConfig,
+    InternalConsistencyError,
     NoBalanceError,
     NonProjectableError,
     PolygonConfig,
@@ -35,6 +36,7 @@ from curvednbody import (
     solve_omega,
     step,
 )
+from curvednbody import dynamics
 from curvednbody.cli import load_config
 from curvednbody.dynamics import SINGULAR_TOL, _accel, _closest
 
@@ -139,6 +141,21 @@ class TestBodySystem:
             system = build_polygon_state(req, (1.0,) * 3, HYPER)
             traj = integrate(system, IntegratorConfig(dt=1e-3, t_end=5e-3))
             assert len(traj.times) == 6
+
+    def test_far_hyperbolic_tangent_accepted(self):
+        # a Minkowski-unit radial velocity at rho = -1e8: q.v cancels terms of
+        # size |q| |v| = 2e8, and an absolute 1e-10 bound rejected this exactly
+        # tangent velocity at 37 of these 64 angles; a tilt off tangency of
+        # 1e-8 of its size is still rejected
+        r = 1e4
+        z = math.sqrt(1.0 + r * r)
+        for k in range(64):
+            t = 2.0 * math.pi * k / 64
+            q = [[r * math.cos(t), r * math.sin(t), z]]
+            v = [z * math.cos(t), z * math.sin(t), r]
+            make_system(HYPER, q, [v], [1.0])
+            with pytest.raises(ValueError, match="tangency residual"):
+                make_system(HYPER, q, [[v[0], v[1], r * (1.0 + 1e-8)]], [1.0])
 
     def test_far_hyperbolic_off_surface_rejected(self):
         r = 1000.0
@@ -363,10 +380,12 @@ def ref_advance(Q, V, m, c, dt, cfg, time=None):
         Vn = ref_project_tangents(Qn, Vn, kappa, sigma)
     bound = cfg.max_constraint_drift
     surf, tang = ref_residuals(Qn, Vn, kappa, sigma)
-    for i, (sr, tr, (x, y, z)) in enumerate(zip(surf, tang, Qn)):
-        # the surface residual is judged at the scale of the terms it cancels
+    for i, (sr, tr, q, v) in enumerate(zip(surf, tang, Qn, Vn)):
+        # each residual is judged at the scale of the terms it cancels
+        x, y, z = q
         scale = max(1.0, abs(kappa) * (x * x + y * y + z * z))
-        if not (sr <= bound * scale and tr <= bound):
+        tscale = max(1.0, math.hypot(*q) * math.hypot(*v))
+        if not (sr <= bound * scale and tr <= bound * tscale):
             raise ConstraintDriftError(
                 f"constraint residuals of body {i} (surface {sr!r}, tangency {tr!r}) "
                 f"exceed drift bound {bound}",
@@ -495,17 +514,29 @@ class TestOrderOfAccuracy:
     which a method of order 3 (ratio 8) or 5 (ratio 32) misses.  With
     projection the errors at T/400 were 2.5e-9 and 4.9e-8; the bounds allow
     twice that.
+
+    A rotation about the z axis has no z acceleration, so the third case
+    tilts the n = 3 sphere rotation by 0.7 rad about the x axis, an isometry
+    of the sphere that puts the motion into all three rows; one period
+    brings it back to its tilted start.  Its ratios were 17.5, 16.8 and
+    16.4, and its projected error at T/400 2.2e-9.  Doubling the last
+    stage's term in the z velocity sum brings its ratios to about 1.
     """
 
     BAND = (15.0, 19.0)
     DIVISIONS = (50, 100, 200, 400)
 
     @staticmethod
-    def period_errors(kappa, n, r, project):
+    def period_errors(kappa, n, r, project, tilt=0.0):
         c = Curvature(kappa)
         poly, masses = regular_polygon(n), (1.0,) * n
         w = solve_omega(poly, masses, r, c)
         system = build_polygon_state(RelativeEquilibrium.from_radius(poly, r, w, c), masses, c)
+        if tilt:
+            ct, st = math.cos(tilt), math.sin(tilt)
+            rotated = [[[x, ct * y - st * z, st * y + ct * z] for x, y, z in rows.tolist()]
+                       for rows in (system.positions, system.velocities)]
+            system = BodySystem(c, masses, *rotated)
         period = 2.0 * math.pi / w
         errors = []
         for k in TestOrderOfAccuracy.DIVISIONS:
@@ -519,13 +550,17 @@ class TestOrderOfAccuracy:
             errors.append(max(abs(a - b) for a, b in zip(end, system.position_buf)))
         return errors
 
-    @pytest.mark.parametrize("kappa, n, r, bound", [(1.0, 3, 0.6, 5e-9), (-1.0, 8, 0.8, 1e-7)])
-    def test_error_falls_at_fourth_order(self, kappa, n, r, bound):
-        errors = self.period_errors(kappa, n, r, project=False)
+    @pytest.mark.parametrize("kappa, n, r, bound, tilt", [
+        pytest.param(1.0, 3, 0.6, 5e-9, 0.0, id="1.0-3-0.6-5e-09"),
+        pytest.param(-1.0, 8, 0.8, 1e-7, 0.0, id="-1.0-8-0.8-1e-07"),
+        pytest.param(1.0, 3, 0.6, 5e-9, 0.7, id="1.0-3-0.6-5e-09-tilted"),
+    ])
+    def test_error_falls_at_fourth_order(self, kappa, n, r, bound, tilt):
+        errors = self.period_errors(kappa, n, r, False, tilt)
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         lo, hi = self.BAND
         assert all(lo <= x <= hi for x in ratios), ratios
-        assert self.period_errors(kappa, n, r, project=True)[-1] <= bound
+        assert self.period_errors(kappa, n, r, True, tilt)[-1] <= bound
 
 
 class TestIntegrate:
@@ -826,6 +861,48 @@ class TestSolveOmega:
                 ref = brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
                 assert w == pytest.approx(ref, rel=1e-12), (n, r)
                 assert_full_balance(poly, masses, r, w, c)
+
+
+class TestInvariantRaises:
+    """Raises that guard an invariant the code above them already keeps.
+
+    Valid input cannot reach them, so each test breaks the invariant: a
+    record built with inconsistent fields, or a kernel replaced for the
+    duration of the test.
+    """
+
+    def test_height_inconsistent_with_radius(self):
+        req = RelativeEquilibrium(regular_polygon(3), 0.6, 1.0, 0.5)  # the height at r = 0.6 is 0.8
+        with pytest.raises(ValueError) as err:
+            build_polygon_state(req, (1.0,) * 3, SPHERE)
+        assert str(err.value) == "height 0.5 inconsistent with radius 0.6 at kappa 1.0"
+
+    def test_rate_failing_the_full_balance(self, monkeypatch):
+        accel = dynamics._accel
+        monkeypatch.setattr(
+            dynamics, "_accel", lambda *args: [tuple(2.0 * e for e in row) for row in accel(*args)]
+        )
+        with pytest.raises(NoBalanceError) as err:
+            solve_omega(regular_polygon(3), (1.0,) * 3, 0.6, SPHERE)
+        assert str(err.value) == (
+            "closed-form rate does not satisfy the full force balance; no rigid rotation at this radius"
+        )
+
+    def test_acceleration_off_the_constraint(self, monkeypatch):
+        # at rest q . a must vanish; a = q gives q . q = 1 on the unit sphere
+        system = make_system(SPHERE, np.eye(3), np.zeros((3, 3)), [1.0] * 3)
+        monkeypatch.setattr(dynamics, "_accel", lambda Q, V, m, kappa, sigma: list(Q))
+        with pytest.raises(InternalConsistencyError) as err:
+            acceleration(system)
+        assert str(err.value) == "constraint compatibility violated: max residual 1.0"
+
+    def test_singular_pair_after_a_step_carries_its_time(self, monkeypatch):
+        system = make_system(SPHERE, np.eye(3), np.zeros((3, 3)), [1.0] * 3)
+        monkeypatch.setattr(dynamics, "_closest", lambda Q, kappa, sigma: 0.0)
+        with pytest.raises(SingularConfigurationError) as err:
+            integrate(system, IntegratorConfig(dt=0.01, t_end=0.02))
+        assert str(err.value) == "body pair at or beyond the singularity threshold"
+        assert err.value.time == 0.01
 
 
 class TestCriterionAtRest:

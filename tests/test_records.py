@@ -342,11 +342,12 @@ def test_curvature_stores_a_float():
         ),
         (
             lambda: BodySystem(SPHERE, (1.0, 1.0, 1.0), CORNERS, [(1.0, 0.0, 0.0)] + REST[1:]),
-            "tangency residual 1.0 exceeds 1e-10",
+            "tangency residual 1.0 exceeds 1e-10 of scale 1.0",
         ),
         (lambda: IntegratorConfig(-0.1, 1.0), "dt must be finite and >= 0, got -0.1"),
         (lambda: IntegratorConfig(0.1, math.nan), "t_end must be finite and >= 0, got nan"),
         (lambda: IntegratorConfig(2.0, 1.0), "dt 2.0 exceeds t_end 1.0"),
+        (lambda: IntegratorConfig(0.0, 1.0), "dt must be positive to reach a positive t_end"),
         (
             lambda: IntegratorConfig(0.1, 1.0, max_constraint_drift=0.0),
             "max_constraint_drift must be positive",
