@@ -18,8 +18,8 @@ from .polygon import *
 
 # Each subcommand loads only what it runs, so the names of these modules are
 # imported on first use (PEP 562): certificate and dynamics are large to
-# compile.  Reading their __all__ here would import them, so the names are
-# listed again; a test holds the two lists equal.
+# compile.  Each module's __all__ is its entry here, which it can import
+# because the package runs this file before any of its submodules.
 _LAZY_NAMES = {
     "certificate": (
         "BaseGroup", "Certificate", "FeasibilityResult", "WitnessForm",

@@ -38,6 +38,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from . import _LAZY_NAMES
 from .errors import (
     DisagreementError,
     InternalConsistencyError,
@@ -53,22 +54,7 @@ from .polygon import (
     is_regular,
 )
 
-__all__ = [
-    "BaseGroup",
-    "WitnessForm",
-    "Certificate",
-    "FeasibilityResult",
-    "mu_derivative",
-    "decompose",
-    "base_groups",
-    "pairing_possibility1",
-    "pairing_u",
-    "pairing_v",
-    "find_contradiction_j",
-    "classify_case",
-    "mass_feasibility",
-    "certify",
-]
+__all__ = _LAZY_NAMES["certificate"]
 
 # Canonical polygons whose exact mass verdict is kept.  Callers ask about one
 # polygon at a few rho in a row (certify, then mass_feasibility per rho); a

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 
+from . import _LAZY_NAMES
 from .polygon import PolygonConfig, _Record, _kernel_power, _mass_floats, chord_c
 
-__all__ = ["CriterionReport", "delta_gamma", "criterion_check"]
+__all__ = _LAZY_NAMES["criterion"]
 
 
 def _pair_table(cfg: PolygonConfig) -> tuple[float, list[tuple]]:

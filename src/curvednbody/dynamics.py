@@ -48,6 +48,7 @@ from array import array
 from itertools import chain
 from sys import maxsize
 
+from . import _LAZY_NAMES
 from .criterion import delta_gamma
 from .errors import (
     ConstraintDriftError,
@@ -58,21 +59,7 @@ from .errors import (
 )
 from .polygon import Curvature, PolygonConfig, _masses, _Record, is_regular
 
-__all__ = [
-    "BodySystem",
-    "IntegratorConfig",
-    "RelativeEquilibrium",
-    "DiagnosticsReport",
-    "Trajectory",
-    "project_point",
-    "project_tangent",
-    "acceleration",
-    "step",
-    "integrate",
-    "build_polygon_state",
-    "solve_omega",
-    "diagnostics",
-]
+__all__ = _LAZY_NAMES["dynamics"]
 
 SINGULAR_TOL = 1e-12
 STATE_TOL = 1e-10

@@ -125,8 +125,10 @@ def write_text_atomic(path: str, text: str) -> None:
     The sibling is created with mode 0o666 less the umask, as open(path, "w")
     creates a file; O_EXCL refuses a name that already exists.  A file it
     replaces passes on its permission bits, as open(path, "w") keeps them.
+    A symlinked path is written through: the link's target is replaced.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

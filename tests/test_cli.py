@@ -961,6 +961,24 @@ class TestSweep:
         assert out.stat().st_mode & 0o777 == mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sweep.csv"]
 
+    def test_symlinked_out_is_written_through(self, tmp_path):
+        # as open(path, "w") does: the link stays, its target gets the bytes
+        # and keeps its mode
+        cfg = write_config(tmp_path, TRIANGLE_EXACT)
+        plain = tmp_path / "plain.csv"
+        assert run_cli(["sweep", "--config", cfg, "--rho-grid", "3", "--out", str(plain)])[0] == 0
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        assert run_cli(["sweep", "--config", cfg, "--rho-grid", "3", "--out", str(link)])[0] == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == plain.read_bytes()
+        assert target.stat().st_mode & 0o777 == 0o640
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["cfg.json", "link.csv", "plain.csv", "target.csv"]
+
 
 def package_env():
     """Subprocess environment that imports the curvednbody under test."""
@@ -1136,18 +1154,29 @@ class TestLazyNames:
         )
         assert json.loads(fresh_python(script)) == []
         assert len(set(curvednbody.__all__)) == len(curvednbody.__all__)
+        # a lazy module's star import gives exactly its entry in _LAZY_NAMES
+        for module, names in curvednbody._LAZY_NAMES.items():
+            script = (
+                f"from curvednbody.{module} import *\n"
+                "names = sorted(n for n in globals() if not n.startswith('__'))\n"
+                "import json\n"
+                "print(json.dumps(names))\n"
+            )
+            assert json.loads(fresh_python(script)) == sorted(names), module
+
+    def test_dir_lists_names_not_yet_loaded(self):
+        script = (
+            "import json, sys\n"
+            "import curvednbody\n"
+            "print(json.dumps(['certify' in dir(curvednbody), 'curvednbody.certificate' in sys.modules]))\n"
+        )
+        assert json.loads(fresh_python(script)) == [True, False]
 
     def test_lists_agree(self):
-        # a lazy module's names are written twice: in its __all__ and in the
-        # root's _LAZY_NAMES, which cannot read it without importing it
-        lazy = curvednbody._LAZY_NAMES
-        for module, names in lazy.items():
-            exported = importlib.import_module(f"curvednbody.{module}").__all__
-            assert set(names) == set(exported), module
         # test_star_import checks that the root list has no duplicates
         eager = curvednbody.errors.__all__ + curvednbody.polygon.__all__
-        lazy_names = [n for names in lazy.values() for n in names]
-        assert curvednbody.__all__ == ["__version__", *eager, *lazy_names]
+        lazy = [n for names in curvednbody._LAZY_NAMES.values() for n in names]
+        assert curvednbody.__all__ == ["__version__", *eager, *lazy]
 
 
 class TestBenchmarkNames:
@@ -1353,6 +1382,16 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["is_regular"] is True
+
+    def test_version_is_stated_once(self):
+        # pyproject.toml reads the version from the package, which states it
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        doc = tomllib.loads(pyproject.read_text())
+        assert "version" not in doc["project"]
+        assert "version" in doc["project"]["dynamic"]
+        assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "curvednbody.__version__"}
+        assert re.fullmatch(r"\d+\.\d+\.\d+", curvednbody.__version__)
 
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path, TRIANGLE_EXACT)

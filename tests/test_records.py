@@ -5,7 +5,8 @@ how it is built: its repr bytes, equality and hash within one class (object
 identity for the two state containers), inequality across classes,
 refusal to change or lose an attribute, keyword, positional and default
 construction, lazily computed attributes that are kept once read, and the
-messages of the constructors' checks.
+messages of the constructors' checks and of the public functions' argument
+checks.
 """
 
 import math
@@ -27,7 +28,13 @@ from curvednbody import (
     RelativeEquilibrium,
     Trajectory,
     WitnessForm,
+    classify_case,
+    delta_gamma,
     integrate,
+    pairing_possibility1,
+    pairing_u,
+    pairing_v,
+    rho_grid,
 )
 from curvednbody.cli import RunConfig
 
@@ -36,6 +43,8 @@ TRIANGLE = PolygonConfig.from_turns(("0", "1/4", "1/2"))
 TRIANGLE_REPR = (
     "PolygonConfig(angles=(Fraction(0, 1), Fraction(1, 4), Fraction(1, 2)), representation='exact')"
 )
+# canonical and irregular, so the certificate functions accept it
+RECTANGLE = PolygonConfig.from_turns(("0", "1/8", "1/2", "5/8"))
 FORM = WitnessForm("delta", (0, 0, 1), 1.0, "a_j1 * m3")
 FORM_REPR = "WitnessForm(equation='delta', row=(0, 0, 1), factor=1.0, pattern='a_j1 * m3')"
 CORNERS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
@@ -325,12 +334,26 @@ def test_curvature_stores_a_float():
             "angles must be strictly increasing, got 1/2 >= 1/4",
         ),
         (
+            lambda: PolygonConfig.from_radians((0, 1, 2)).turns,
+            "float-mode polygon has no exact turn angles",
+        ),
+        (lambda: delta_gamma(RECTANGLE, (1.0, 1.0), 0.5), "expected 4 masses, got 2"),
+        (lambda: pairing_possibility1(RECTANGLE, 1), "vertex index 1 outside 2..4"),
+        (lambda: pairing_u(RECTANGLE, 2), "vertex index 2 outside 3..4"),
+        (lambda: pairing_v(RECTANGLE, 5), "vertex index 5 outside 3..4"),
+        (lambda: classify_case(RECTANGLE, 2), "witness index 2 outside 3..4"),
+        (lambda: rho_grid(1.0, 0), "grid needs at least one point"),
+        (
             lambda: BodySystem(SPHERE, (1.0, -1.0, 1.0), CORNERS, REST),
             "masses must be finite and positive, got -1.0",
         ),
         (
             lambda: BodySystem(SPHERE, (1.0, 1.0, 1.0), CORNERS[:2], REST),
             "positions/velocities must have shape (3, 3)",
+        ),
+        (
+            lambda: BodySystem(SPHERE, (1.0,), [(1.0, 0.0, None)], REST[:1]),
+            "positions/velocities must have shape (1, 3)",
         ),
         (
             lambda: BodySystem(SPHERE, (1.0, 1.0, 1.0), CORNERS, [(0.0, 0.0, math.nan)] * 3),
