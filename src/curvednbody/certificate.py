@@ -473,8 +473,8 @@ def _case_analysis(cfg: PolygonConfig, j: int) -> tuple:
             raise InternalConsistencyError(
                 f"s_j1 = 0 at witness j={j} although a u pairing exists"
             )
-        rad = cfg.radians
-        factor = abs(math.sin(rad[j - 1] - rad[0])) / chord_c(rad[j - 1], rad[0])
+        angle = _class_angle(d, full)
+        factor = abs(math.sin(angle)) / chord_c(angle, 0.0)
         return WitnessForm("gamma", row(*terms), factor, f"a_j1 * (s_j1/c_j1) * ({label})")
 
     if u is None and v is None:

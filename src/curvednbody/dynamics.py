@@ -91,44 +91,52 @@ def _accel(Q, V, m, kappa, sigma):
     """Acceleration of every body; raises near collisions and antipodes.
 
     Works on plain floats: Q and V are sequences of (x, y, z) rows, m the
-    masses.  Each pair is visited once and feeds both of its bodies.
+    masses.  Each pair is visited once and feeds both of its bodies.  This is
+    the one place a pair force out of the float range becomes an error.
     """
-    n = len(Q)
-    scale = abs(kappa) ** 1.5
-    # s_i collects -kappa (v_i . v_i) - sum_j P_ij w_ij, the factor of q_i
-    s = [-kappa * (vx * vx + vy * vy + sigma * (vz * vz)) for vx, vy, vz in V]
-    ax = [0.0] * n
-    ay = [0.0] * n
-    az = [0.0] * n
-    for i in range(n - 1):
-        xi, yi, zi = Q[i]
-        mi = m[i]
-        for j in range(i + 1, n):
-            xj, yj, zj = Q[j]
-            w = kappa * (xi * xj + yi * yj + sigma * (zi * zj))
-            d = sigma * (1.0 - w * w)
-            # not-ge rather than lt: a stage overshooting past the antipode
-            # makes d negative or NaN, and those must abort just like a tiny d
-            if not d >= SINGULAR_TOL:
-                raise SingularConfigurationError(
-                    f"pair denominator {d!r} of bodies {i} and {j} below singularity "
-                    "threshold (collision or antipodal pair)"
-                )
-            g = scale / d**1.5
-            p = g * m[j]
-            ax[i] += p * xj
-            ay[i] += p * yj
-            az[i] += p * zj
-            s[i] -= p * w
-            p = g * mi
-            ax[j] += p * xi
-            ay[j] += p * yi
-            az[j] += p * zi
-            s[j] -= p * w
-    return [
-        (a + f * x, b + f * y, e + f * z)
-        for a, b, e, f, (x, y, z) in zip(ax, ay, az, s, Q)
-    ]
+    try:
+        n = len(Q)
+        scale = abs(kappa) ** 1.5
+        # s_i collects -kappa (v_i . v_i) - sum_j P_ij w_ij, the factor of q_i
+        s = [-kappa * (vx * vx + vy * vy + sigma * (vz * vz)) for vx, vy, vz in V]
+        ax = [0.0] * n
+        ay = [0.0] * n
+        az = [0.0] * n
+        for i in range(n - 1):
+            xi, yi, zi = Q[i]
+            mi = m[i]
+            for j in range(i + 1, n):
+                xj, yj, zj = Q[j]
+                w = kappa * (xi * xj + yi * yj + sigma * (zi * zj))
+                d = sigma * (1.0 - w * w)
+                # not-ge rather than lt: a stage overshooting past the antipode
+                # makes d negative or NaN, and those must abort just like a tiny d
+                if not d >= SINGULAR_TOL:
+                    raise SingularConfigurationError(
+                        f"pair denominator {d!r} of bodies {i} and {j} below singularity "
+                        "threshold (collision or antipodal pair)"
+                    )
+                g = scale / d**1.5
+                p = g * m[j]
+                ax[i] += p * xj
+                ay[i] += p * yj
+                az[i] += p * zj
+                s[i] -= p * w
+                p = g * mi
+                ax[j] += p * xi
+                ay[j] += p * yi
+                az[j] += p * zi
+                s[j] -= p * w
+        return [
+            (a + f * x, b + f * y, e + f * z)
+            for a, b, e, f, (x, y, z) in zip(ax, ay, az, s, Q)
+        ]
+    except OverflowError:
+        # a huge |kappa|, a far pair on the hyperboloid or a diverging step
+        raise SingularConfigurationError(
+            "pair force out of the float range: "
+            "|kappa|^(3/2) or a pair denominator's 3/2 power overflows"
+        ) from None
 
 
 def _buffer(values) -> memoryview:
@@ -348,19 +356,13 @@ def project_tangent(p, v, c: Curvature):
 
 
 def acceleration(sys: BodySystem):
-    """Accelerations of all bodies, rows aligned with the state arrays."""
+    """Accelerations of all bodies, rows aligned with the state arrays; `_accel` maps overflow."""
     import numpy as np
 
     c = sys.curvature
     sigma = c.sigma
     Q, V, m = _floats(sys)
-    try:
-        A = _accel(Q, V, m, c.kappa, sigma)
-    except OverflowError:
-        raise SingularConfigurationError(
-            "pair force out of the float range: "
-            "|kappa|^(3/2) or a pair denominator's 3/2 power overflows"
-        ) from None
+    A = _accel(Q, V, m, c.kappa, sigma)
     # On-surface compatibility q . a = -(v . v); BodySystem guarantees the
     # surface residual that makes this identity hold.
     worst = max(
@@ -387,8 +389,8 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
     the point and then the velocity, and measures both residuals; `_closest`
     closes the step.  Returns the new positions and velocities as (x, y, z)
     tuples and their diagnostics as (surface, tangency, closest pair
-    denominator).  Errors carry the given time; a projection failure of any
-    body comes before a drift abort.
+    denominator).  Errors carry the given time, those of `_accel` too; a
+    projection failure of any body comes before a drift abort.
     """
     kappa, sigma = c.kappa, c.sigma
     h, hh, dd = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt
@@ -412,13 +414,6 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
         )
     except SingularConfigurationError as exc:
         raise SingularConfigurationError(str(exc), time=time) from None
-    except OverflowError:
-        # a diverging step, or a huge curvature, leaves a pair force term out of range
-        raise SingularConfigurationError(
-            "pair force out of the float range in an RK4 stage: "
-            "|kappa|^(3/2) or a pair denominator's 3/2 power overflows",
-            time=time,
-        ) from None
     cq, cv = dt * dt / 6.0, dt / 6.0
     project, bound, akappa = cfg.project_each_step, cfg.max_constraint_drift, abs(kappa)
     Qn, Vn = [], []
@@ -581,7 +576,7 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
     the rate adds -kappa (v . v) q_1 with v . v = (r omega)^2, whose radial
     part is -rho r omega^2.  Balancing the sum against the kinematic
     -r omega^2 leaves omega^2 = delta_1 / r^3, which the full acceleration
-    field then checks independently.
+    field then checks independently; `_accel` raises for an overflowing pair.
     """
     m = _masses(masses)
     if not is_regular(polygon):

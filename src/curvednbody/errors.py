@@ -42,7 +42,10 @@ class CoincidentAngleError(CurvedNBodyError):
 
 
 class SingularConfigurationError(_StepError):
-    """A pair denominator fell below the singularity threshold, or a pair force overflowed."""
+    """A pair denominator fell below the singularity threshold, or a pair force overflowed.
+
+    Overflow of the pair force is mapped to this error in `dynamics._accel` alone.
+    """
 
 
 class ConstraintDriftError(_StepError):

@@ -364,6 +364,19 @@ class TestClassifyCase:
         assert dform.row == (0, 0, 1, 0)
         assert dform.sign_definite
 
+    def test_gamma_factor_reads_no_float_radians(self, monkeypatch):
+        # the case2u and case3 fixtures carry a gamma form, whose factor
+        # |s_j1/c_j1| comes from the class angle of the residues
+        polygons = [turns(0, "1/8", "3/8", "3/4"), turns(0, "1/6", "1/3", "1/2", "2/3")]
+        expected = [dumps(certify(p).to_json_dict()) for p in polygons]
+
+        def unavailable(self):
+            raise AssertionError("float radians were read")
+
+        monkeypatch.setattr(PolygonConfig, "radians", property(unavailable))
+        assert [certify(p).case_tag for p in polygons] == ["case2u", "case3"]
+        assert [dumps(certify(p).to_json_dict()) for p in polygons] == expected
+
     def test_rejects_index_where_pairing_exists(self):
         # at j=3 the gap matches the first gap, so there is no contradiction
         with pytest.raises(ValueError):

@@ -802,7 +802,26 @@ class TestSimulate:
             doc = dict(doc, angles=[0.0, 2.0, 4.0], velocities=[[0.0, 0.0, 0.0]] * 3)
         code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])
         assert (code, out) == (2, "")
-        assert re.fullmatch(r"error at t=0\.001: pair force out of the float range in an RK4 stage: .*\n", err)
+        assert re.fullmatch(r"error at t=0\.001: pair force out of the float range: .*\n", err)
+
+    @pytest.mark.parametrize("kappa, rho", [(-1.0, -1e104), (-1e210, -1e5)])
+    def test_rigid_pair_force_overflow_is_an_error(self, tmp_path, kappa, rho):
+        # solve_omega's check of the full field overflows before the first
+        # step, so the message names no time: at rho = -1e104 the 3/2 power of
+        # the far pairs' denominators overflows, at kappa = -1e210 |kappa|^(3/2)
+        doc = {
+            "kappa": kappa,
+            "angles": REGULAR_TRIANGLE,
+            "masses": [1.0, 1.0, 1.0],
+            "rho": rho,
+            "integrator": {"dt": 1e-3, "t_end": 2e-3},
+        }
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: pair force out of the float range: "
+            "|kappa|^(3/2) or a pair denominator's 3/2 power overflows\n"
+        )
 
     def test_irregular_without_velocities_rejected(self, tmp_path):
         doc = dict(TRIANGLE_EXACT, integrator={"dt": 0.001, "t_end": 0.01})

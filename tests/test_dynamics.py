@@ -361,12 +361,6 @@ def ref_advance(Q, V, m, c, dt, cfg, time=None):
         a4 = _accel(ref_axpy(Qd, 0.5 * dt * dt, a2), ref_axpy(V, dt, a3), m, kappa, sigma)
     except SingularConfigurationError as exc:
         raise SingularConfigurationError(str(exc), time=time) from None
-    except OverflowError:
-        raise SingularConfigurationError(
-            "pair force out of the float range in an RK4 stage: "
-            "|kappa|^(3/2) or a pair denominator's 3/2 power overflows",
-            time=time,
-        ) from None
     Qn = ref_axpy(Qd, dt * dt / 6.0, [
         (p1 + p2 + p3, q1 + q2 + q3, r1 + r2 + r3)
         for (p1, q1, r1), (p2, q2, r2), (p3, q3, r3) in zip(a1, a2, a3)
@@ -808,6 +802,14 @@ class TestSolveOmega:
         for c in (SPHERE, HYPER):
             with pytest.raises(ValueError, match="radius must be positive"):
                 solve_omega(regular_polygon(3), (1.0,) * 3, r, c)
+
+    @pytest.mark.parametrize("kappa, rho", [(-1.0, -1e104), (-1e210, -1e5)])
+    def test_pair_force_overflow_is_singular(self, kappa, rho):
+        # the rate is a finite float, but the full field that checks it is
+        # not: far pairs' 3/2 powers, or |kappa|^(3/2), leave the float range
+        poly = PolygonConfig.from_turns((Fraction(0), Fraction(1, 3), Fraction(2, 3)))
+        with pytest.raises(SingularConfigurationError, match="^pair force out of the float range: "):
+            solve_omega(poly, (1.0,) * 3, math.sqrt(rho / kappa), Curvature(kappa))
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_near_equator_matches_mpmath(self, n):
