@@ -22,12 +22,19 @@ omega^2 = delta_1 / r^3.
 The surface formulas are kernels on plain float rows: `_accel` evaluates
 the field for the integrator, `acceleration` and the independent check in
 `solve_omega`; `_residuals` and `_closest` measure the constraints of a
-state.  An RK4 step builds each stage's rows directly and then makes one
-pass over the bodies that combines the stages, projects each point and then
-its velocity back onto the surface and tangent bundle, and measures both
-residuals against the drift bound; `_closest` closes the step.  Each pass
-visits each body or pair once; for the handful of bodies in a polygon that
-costs less than numpy's per-call overhead.  The public projections
+state.  The pair kernels `_accel` and `_closest` visit each pair i < j once,
+row by row, and each body's sums take their terms in ascending index order.
+Inside them sigma is the float +-1.0, so no product mixes an int with a
+float, and sigma z_i is formed once per row: sigma (z_i z_j) and
+(sigma z_i) z_j are the same double.  `_closest` also names the pair of its
+minimum, so a pair at or past the singularity threshold after a step or in
+`BodySystem` raises `_accel`'s error, which names the bodies and the
+denominator.  An RK4 step builds each stage's rows directly and then makes
+one pass over the bodies that combines the stages, projects each point and
+then its velocity back onto the surface and tangent bundle, and measures
+both residuals against the drift bound; `_closest` closes the step.  Each
+pass visits each body or pair once; for the handful of bodies in a polygon
+that costs less than numpy's per-call overhead.  The public projections
 `project_point` and `project_tangent` repeat the step's projection
 arithmetic, in its order of operations, on arrays of shape (..., 3).
 
@@ -73,18 +80,33 @@ def _residuals(Q, V, kappa, sigma):
 
 
 def _closest(Q, kappa, sigma):
-    """Smallest pair denominator sigma * (1 - w^2), w = kappa q_i . q_j; inf for one body."""
+    """Smallest pair denominator sigma * (1 - w^2), w = kappa q_i . q_j, and its bodies i < j.
+
+    (inf, None, None) for one body.
+    """
+    sigma = float(sigma)
     out = math.inf
+    bi = bj = None
     n = len(Q)
     for i in range(n - 1):
         xi, yi, zi = Q[i]
+        szi = sigma * zi
         for j in range(i + 1, n):
             xj, yj, zj = Q[j]
-            w = kappa * (xi * xj + yi * yj + sigma * (zi * zj))
+            w = kappa * (xi * xj + yi * yj + szi * zj)
             d = sigma * (1.0 - w * w)
             if d < out:
-                out = d
-    return out
+                out, bi, bj = d, i, j
+    return out, bi, bj
+
+
+def _singular(d, i, j, time=None):
+    """The error for bodies i and j, whose pair denominator d fails SINGULAR_TOL."""
+    return SingularConfigurationError(
+        f"pair denominator {d!r} of bodies {i} and {j} below singularity threshold "
+        "(collision or antipodal pair)",
+        time=time,
+    )
 
 
 def _accel(Q, V, m, kappa, sigma):
@@ -96,6 +118,7 @@ def _accel(Q, V, m, kappa, sigma):
     """
     try:
         n = len(Q)
+        sigma = float(sigma)
         scale = abs(kappa) ** 1.5
         # s_i collects -kappa (v_i . v_i) - sum_j P_ij w_ij, the factor of q_i
         s = [-kappa * (vx * vx + vy * vy + sigma * (vz * vz)) for vx, vy, vz in V]
@@ -104,29 +127,30 @@ def _accel(Q, V, m, kappa, sigma):
         az = [0.0] * n
         for i in range(n - 1):
             xi, yi, zi = Q[i]
-            mi = m[i]
+            mi, szi = m[i], sigma * zi
+            # body i's sums stay in locals over its row; each still takes its
+            # terms in ascending index order, those of rows before i first
+            sx, sy, sz, si = ax[i], ay[i], az[i], s[i]
             for j in range(i + 1, n):
                 xj, yj, zj = Q[j]
-                w = kappa * (xi * xj + yi * yj + sigma * (zi * zj))
+                w = kappa * (xi * xj + yi * yj + szi * zj)
                 d = sigma * (1.0 - w * w)
                 # not-ge rather than lt: a stage overshooting past the antipode
                 # makes d negative or NaN, and those must abort just like a tiny d
                 if not d >= SINGULAR_TOL:
-                    raise SingularConfigurationError(
-                        f"pair denominator {d!r} of bodies {i} and {j} below singularity "
-                        "threshold (collision or antipodal pair)"
-                    )
+                    raise _singular(d, i, j)
                 g = scale / d**1.5
                 p = g * m[j]
-                ax[i] += p * xj
-                ay[i] += p * yj
-                az[i] += p * zj
-                s[i] -= p * w
+                sx += p * xj
+                sy += p * yj
+                sz += p * zj
+                si -= p * w
                 p = g * mi
                 ax[j] += p * xi
                 ay[j] += p * yi
                 az[j] += p * zi
                 s[j] -= p * w
+            ax[i], ay[i], az[i], s[i] = sx, sy, sz, si
         return [
             (a + f * x, b + f * y, e + f * z)
             for a, b, e, f, (x, y, z) in zip(ax, ay, az, s, Q)
@@ -205,8 +229,9 @@ class BodySystem(_Record):
             scale = max(1.0, math.hypot(*q) * math.hypot(*v))
             if res > STATE_TOL * scale:
                 raise ValueError(f"tangency residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
-        if not _closest(Q, c.kappa, c.sigma) >= SINGULAR_TOL:
-            raise SingularConfigurationError("body pair at or beyond the singularity threshold")
+        d, i, j = _closest(Q, c.kappa, c.sigma)
+        if not d >= SINGULAR_TOL:
+            raise _singular(d, i, j)
         super().__init__(curvature, m, _buffer(Q), _buffer(V))
 
     @property
@@ -379,7 +404,7 @@ def diagnostics(sys: BodySystem) -> DiagnosticsReport:
     c = sys.curvature
     Q, V, _ = _floats(sys)
     surf, tang = _residuals(Q, V, c.kappa, c.sigma)
-    return DiagnosticsReport(max(surf), max(tang), _closest(Q, c.kappa, c.sigma))
+    return DiagnosticsReport(max(surf), max(tang), _closest(Q, c.kappa, c.sigma)[0])
 
 
 def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: float | None = None):
@@ -392,7 +417,7 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
     denominator).  Errors carry the given time, those of `_accel` too; a
     projection failure of any body comes before a drift abort.
     """
-    kappa, sigma = c.kappa, c.sigma
+    kappa, sigma = c.kappa, float(c.sigma)
     h, hh, dd = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt
     try:
         a1 = _accel(Q, V, m, kappa, sigma)
@@ -464,11 +489,9 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
             f"exceed drift bound {bound}",
             time=time,
         )
-    dmin = _closest(Qn, kappa, sigma)
+    dmin, i, j = _closest(Qn, kappa, sigma)
     if not dmin >= SINGULAR_TOL:
-        raise SingularConfigurationError(
-            "body pair at or beyond the singularity threshold", time=time
-        )
+        raise _singular(dmin, i, j, time)
     return Qn, Vn, (smax, tmax, dmin)
 
 

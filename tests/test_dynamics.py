@@ -118,12 +118,14 @@ class TestBodySystem:
         # pair's w = q_i . q_j exceeds 1 and its denominator 1 - w^2 is
         # -1.6e-10; every step rejects that signed value, so validation must
         q = [[1 + 4e-11, 0.0, 0.0], [1 + 4e-11, 1e-12, 0.0]]
-        assert -2e-10 < _closest(q, 1.0, 1) < -1e-10
-        with pytest.raises(SingularConfigurationError):
+        d, i, j = _closest(q, 1.0, 1)
+        assert -2e-10 < d < -1e-10 and (i, j) == (0, 1)
+        message = "^pair denominator -1\\.[0-9e-]+ of bodies 0 and 1 below singularity threshold "
+        with pytest.raises(SingularConfigurationError, match=message):
             make_system(SPHERE, q, [[0, 0, 0], [0, 0, 0]], [1.0, 1.0])
 
     def test_closest_pair_is_signed_minimum(self):
-        assert _closest([(0.0, 0.0, 1.0)], -1.0, -1) == math.inf
+        assert _closest([(0.0, 0.0, 1.0)], -1.0, -1) == (math.inf, None, None)
         system = make_system(
             SPHERE, [[1, 0, 0], [0, 1, 0], [0.6, 0.8, 0]], [[0, 0, 0]] * 3, [1.0] * 3
         )
@@ -304,9 +306,53 @@ class TestStep:
         )
 
 
-# The RK4 step as it was composed from whole-list passes before it finished
-# in one pass over the bodies: the reference the integrator must match bit
-# for bit, errors included.  Only the pair kernel `_accel` is shared.
+# The RK4 step composed from whole-list passes, on a pair loop with the int
+# metric sign that updates both bodies of a pair in the lists: the reference
+# the integrator must match bit for bit, errors included.  It calls no
+# `dynamics` function.
+def ref_accel(Q, V, m, kappa, sigma):
+    """The pair loop with the int metric sign, both bodies' sums updated in the lists."""
+    try:
+        n = len(Q)
+        scale = abs(kappa) ** 1.5
+        s = [-kappa * (vx * vx + vy * vy + sigma * (vz * vz)) for vx, vy, vz in V]
+        ax = [0.0] * n
+        ay = [0.0] * n
+        az = [0.0] * n
+        for i in range(n - 1):
+            xi, yi, zi = Q[i]
+            mi = m[i]
+            for j in range(i + 1, n):
+                xj, yj, zj = Q[j]
+                w = kappa * (xi * xj + yi * yj + sigma * (zi * zj))
+                d = sigma * (1.0 - w * w)
+                if not d >= SINGULAR_TOL:
+                    raise SingularConfigurationError(
+                        f"pair denominator {d!r} of bodies {i} and {j} below singularity "
+                        "threshold (collision or antipodal pair)"
+                    )
+                g = scale / d**1.5
+                p = g * m[j]
+                ax[i] += p * xj
+                ay[i] += p * yj
+                az[i] += p * zj
+                s[i] -= p * w
+                p = g * mi
+                ax[j] += p * xi
+                ay[j] += p * yi
+                az[j] += p * zi
+                s[j] -= p * w
+        return [
+            (a + f * x, b + f * y, e + f * z)
+            for a, b, e, f, (x, y, z) in zip(ax, ay, az, s, Q)
+        ]
+    except OverflowError:
+        raise SingularConfigurationError(
+            "pair force out of the float range: "
+            "|kappa|^(3/2) or a pair denominator's 3/2 power overflows"
+        ) from None
+
+
 def ref_axpy(X, h, Y):
     return [(x + h * u, y + h * v, z + h * w) for (x, y, z), (u, v, w) in zip(X, Y)]
 
@@ -340,12 +386,15 @@ def ref_residuals(Q, V, kappa, sigma):
 
 
 def ref_closest(Q, kappa, sigma):
-    out = math.inf
+    """The smallest pair denominator and its bodies i < j, the first such pair on a tie."""
+    out = math.inf, None, None
     for i in range(len(Q) - 1):
         xi, yi, zi = Q[i]
-        for xj, yj, zj in Q[i + 1 :]:
+        for j, (xj, yj, zj) in enumerate(Q[i + 1 :], i + 1):
             w = kappa * (xi * xj + yi * yj + sigma * (zi * zj))
-            out = min(out, sigma * (1.0 - w * w))
+            d = sigma * (1.0 - w * w)
+            if d < out[0]:
+                out = d, i, j
     return out
 
 
@@ -353,12 +402,12 @@ def ref_advance(Q, V, m, c, dt, cfg, time=None):
     kappa, sigma = c.kappa, c.sigma
     h = 0.5 * dt
     try:
-        a1 = _accel(Q, V, m, kappa, sigma)
+        a1 = ref_accel(Q, V, m, kappa, sigma)
         Qh = ref_axpy(Q, h, V)
-        a2 = _accel(Qh, ref_axpy(V, h, a1), m, kappa, sigma)
-        a3 = _accel(ref_axpy(Qh, 0.25 * dt * dt, a1), ref_axpy(V, h, a2), m, kappa, sigma)
+        a2 = ref_accel(Qh, ref_axpy(V, h, a1), m, kappa, sigma)
+        a3 = ref_accel(ref_axpy(Qh, 0.25 * dt * dt, a1), ref_axpy(V, h, a2), m, kappa, sigma)
         Qd = ref_axpy(Q, dt, V)
-        a4 = _accel(ref_axpy(Qd, 0.5 * dt * dt, a2), ref_axpy(V, dt, a3), m, kappa, sigma)
+        a4 = ref_accel(ref_axpy(Qd, 0.5 * dt * dt, a2), ref_axpy(V, dt, a3), m, kappa, sigma)
     except SingularConfigurationError as exc:
         raise SingularConfigurationError(str(exc), time=time) from None
     Qn = ref_axpy(Qd, dt * dt / 6.0, [
@@ -385,9 +434,13 @@ def ref_advance(Q, V, m, c, dt, cfg, time=None):
                 f"exceed drift bound {bound}",
                 time=time,
             )
-    dmin = ref_closest(Qn, kappa, sigma)
+    dmin, i, j = ref_closest(Qn, kappa, sigma)
     if not dmin >= SINGULAR_TOL:
-        raise SingularConfigurationError("body pair at or beyond the singularity threshold", time=time)
+        raise SingularConfigurationError(
+            f"pair denominator {dmin!r} of bodies {i} and {j} below singularity threshold "
+            "(collision or antipodal pair)",
+            time=time,
+        )
     return Qn, Vn, (max(surf), max(tang), dmin)
 
 
@@ -426,13 +479,41 @@ class TestStepOracle:
         c, m = system.curvature, system.mass_values
         Q, V = system.positions.tolist(), system.velocities.tolist()
         surf, tang = ref_residuals(Q, V, c.kappa, c.sigma)
-        T, P, W, D = [0.0], Q, V, [(max(surf), max(tang), ref_closest(Q, c.kappa, c.sigma))]
+        T, P, W, D = [0.0], Q, V, [(max(surf), max(tang), ref_closest(Q, c.kappa, c.sigma)[0])]
         for k in range(1, self.STEPS + 1):
             Q, V, d = ref_advance(Q, V, m, c, cfg.dt, cfg, time=k * cfg.dt)
             T.append(k * cfg.dt)
             P, W = P + Q, W + V
             D.append(d)
         return array("d", T).tobytes(), doubles(P), doubles(W), doubles(D)
+
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.37, -2.5])
+    def test_pair_kernels_match_reference(self, kappa):
+        """`_accel` and `_closest` against the reference loops, bit for bit, errors included."""
+        c = Curvature(kappa)
+        cases = []
+        for project in (True, False):
+            for system, _ in self.runs(kappa, project):
+                Q, V, m = system.positions.tolist(), system.velocities.tolist(), system.mass_values
+                cases.append((Q, V, m, None))
+                n = len(Q)
+                if n > 1:
+                    # body j moved onto body i, then to its antipode (w = -1; a
+                    # kernel input off the hyperboloid's sheet); every other pair
+                    # keeps a denominator of the valid state
+                    i, j = n // 3, n - 1
+                    for row in (Q[i], [-e for e in Q[i]]):
+                        cases.append((Q[:j] + [row], V, m, (i, j)))
+        for Q, V, m, pair in cases:
+            want = outcome(lambda: doubles(ref_accel(Q, V, m, kappa, c.sigma)))
+            for sigma in (c.sigma, float(c.sigma)):
+                assert outcome(lambda: doubles(_accel(Q, V, m, kappa, sigma))) == want
+                assert repr(_closest(Q, kappa, sigma)) == repr(ref_closest(Q, kappa, c.sigma))
+            if pair is None:
+                assert isinstance(want, bytes)
+            else:
+                assert want[0] is SingularConfigurationError
+                assert f" of bodies {pair[0]} and {pair[1]} below singularity threshold " in want[1]
 
     @pytest.mark.parametrize("project", [True, False])
     @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.37, -2.5])
@@ -900,10 +981,12 @@ class TestInvariantRaises:
 
     def test_singular_pair_after_a_step_carries_its_time(self, monkeypatch):
         system = make_system(SPHERE, np.eye(3), np.zeros((3, 3)), [1.0] * 3)
-        monkeypatch.setattr(dynamics, "_closest", lambda Q, kappa, sigma: 0.0)
+        monkeypatch.setattr(dynamics, "_closest", lambda Q, kappa, sigma: (0.0, 1, 2))
         with pytest.raises(SingularConfigurationError) as err:
             integrate(system, IntegratorConfig(dt=0.01, t_end=0.02))
-        assert str(err.value) == "body pair at or beyond the singularity threshold"
+        assert str(err.value) == (
+            "pair denominator 0.0 of bodies 1 and 2 below singularity threshold (collision or antipodal pair)"
+        )
         assert err.value.time == 0.01
 
 
