@@ -26,15 +26,19 @@ state.  The pair kernels `_accel` and `_closest` visit each pair i < j once,
 row by row, and each body's sums take their terms in ascending index order.
 Inside them sigma is the float +-1.0, so no product mixes an int with a
 float, and sigma z_i is formed once per row: sigma (z_i z_j) and
-(sigma z_i) z_j are the same double.  `_closest` also names the pair of its
-minimum, so a pair at or past the singularity threshold after a step or in
-`BodySystem` raises `_accel`'s error, which names the bodies and the
-denominator.  An RK4 step builds each stage's rows directly and then makes
-one pass over the bodies that combines the stages, projects each point and
-then its velocity back onto the surface and tangent bundle, and measures
-both residuals against the drift bound; `_closest` closes the step.  Each
-pass visits each body or pair once; for the handful of bodies in a polygon
-that costs less than numpy's per-call overhead.  The public projections
+(sigma z_i) z_j are the same double.  `_accel` reads the velocities only as
+the terms -kappa (v_i . v_i) of `_speed_terms`, and emits body i's
+acceleration as soon as row i ends, when its sums hold every term; the last
+body, which has no row, is emitted after the loop.  `_closest` also names
+the pair of its minimum, so a pair at or past the singularity threshold
+after a step or in `BodySystem` raises `_accel`'s error, which names the
+bodies and the denominator.  An RK4 step builds each stage's positions
+directly and only the speed terms of its velocities, no velocity rows; then
+one pass over the bodies combines the stages, projects each point and then
+its velocity back onto the surface and tangent bundle, and measures both
+residuals against the drift bound; `_closest` closes the step.  Each pass
+visits each body or pair once; for the handful of bodies in a polygon that
+costs less than numpy's per-call overhead.  The public projections
 `project_point` and `project_tangent` repeat the step's projection
 arithmetic, in its order of operations, on arrays of shape (..., 3).
 
@@ -109,22 +113,38 @@ def _singular(d, i, j, time=None):
     )
 
 
-def _accel(Q, V, m, kappa, sigma):
+def _speed_terms(V, kappa, sigma):
+    """-kappa (v . v) of each velocity row: all that `_accel` reads of the velocities."""
+    sigma = float(sigma)
+    return [-kappa * (u * u + v * v + sigma * (w * w)) for u, v, w in V]
+
+
+def _stage_speed_terms(V, h, A, kappa, sigma):
+    """`_speed_terms` of the stage velocities V + h A, sigma the float +-1.0, building no rows."""
+    return [
+        -kappa * (x * x + y * y + sigma * (z * z))
+        for (u, v, w), (p, q, r) in zip(V, A)
+        for x, y, z in ((u + h * p, v + h * q, w + h * r),)
+    ]
+
+
+def _accel(Q, s, m, kappa, sigma):
     """Acceleration of every body; raises near collisions and antipodes.
 
-    Works on plain floats: Q and V are sequences of (x, y, z) rows, m the
-    masses.  Each pair is visited once and feeds both of its bodies.  This is
-    the one place a pair force out of the float range becomes an error.
+    Works on plain floats: Q is a sequence of (x, y, z) rows, s the list of
+    `_speed_terms`, which the kernel overwrites, and m the masses.  Each pair
+    is visited once and feeds both of its bodies.  This is the one place a
+    pair force out of the float range becomes an error.
     """
     try:
         n = len(Q)
         sigma = float(sigma)
         scale = abs(kappa) ** 1.5
         # s_i collects -kappa (v_i . v_i) - sum_j P_ij w_ij, the factor of q_i
-        s = [-kappa * (vx * vx + vy * vy + sigma * (vz * vz)) for vx, vy, vz in V]
         ax = [0.0] * n
         ay = [0.0] * n
         az = [0.0] * n
+        A = []
         for i in range(n - 1):
             xi, yi, zi = Q[i]
             mi, szi = m[i], sigma * zi
@@ -150,11 +170,12 @@ def _accel(Q, V, m, kappa, sigma):
                 ay[j] += p * yi
                 az[j] += p * zi
                 s[j] -= p * w
-            ax[i], ay[i], az[i], s[i] = sx, sy, sz, si
-        return [
-            (a + f * x, b + f * y, e + f * z)
-            for a, b, e, f, (x, y, z) in zip(ax, ay, az, s, Q)
-        ]
+            # every term of body i is in once its row ends
+            A.append((sx + si * xi, sy + si * yi, sz + si * zi))
+        x, y, z = Q[-1]
+        si = s[-1]
+        A.append((ax[-1] + si * x, ay[-1] + si * y, az[-1] + si * z))
+        return A
     except OverflowError:
         # a huge |kappa|, a far pair on the hyperboloid or a diverging step
         raise SingularConfigurationError(
@@ -220,14 +241,15 @@ class BodySystem(_Record):
         c = curvature
         surf, tang = _residuals(Q, V, c.kappa, c.sigma)
         # kappa q.q - 1 and q.v cancel terms of size |kappa| |q|^2 and |q| |v|
-        # (Euclidean norms), which grow as r^2 and r out along the hyperboloid
+        # (Euclidean norms), which grow as r^2 and r out along the hyperboloid;
+        # not-le, as in the step's drift guard, so that a NaN residual fails too
         for res, (x, y, z) in zip(surf, Q):
             scale = abs(c.kappa) * (x * x + y * y + z * z)
-            if res > STATE_TOL * scale:
+            if not res <= STATE_TOL * scale:
                 raise ValueError(f"surface residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
         for res, q, v in zip(tang, Q, V):
             scale = max(1.0, math.hypot(*q) * math.hypot(*v))
-            if res > STATE_TOL * scale:
+            if not res <= STATE_TOL * scale:
                 raise ValueError(f"tangency residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
         d, i, j = _closest(Q, c.kappa, c.sigma)
         if not d >= SINGULAR_TOL:
@@ -387,7 +409,7 @@ def acceleration(sys: BodySystem):
     c = sys.curvature
     sigma = c.sigma
     Q, V, m = _floats(sys)
-    A = _accel(Q, V, m, c.kappa, sigma)
+    A = _accel(Q, _speed_terms(V, c.kappa, sigma), m, c.kappa, sigma)
     # On-surface compatibility q . a = -(v . v); BodySystem guarantees the
     # surface residual that makes this identity hold.
     worst = max(
@@ -420,13 +442,12 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
     kappa, sigma = c.kappa, float(c.sigma)
     h, hh, dd = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt
     try:
-        a1 = _accel(Q, V, m, kappa, sigma)
+        a1 = _accel(Q, _speed_terms(V, kappa, sigma), m, kappa, sigma)
         Qh = [(x + h * u, y + h * v, z + h * w) for (x, y, z), (u, v, w) in zip(Q, V)]
-        Vh = [(u + h * p, v + h * q, w + h * r) for (u, v, w), (p, q, r) in zip(V, a1)]
-        a2 = _accel(Qh, Vh, m, kappa, sigma)
+        a2 = _accel(Qh, _stage_speed_terms(V, h, a1, kappa, sigma), m, kappa, sigma)
         a3 = _accel(
             [(x + hh * p, y + hh * q, z + hh * r) for (x, y, z), (p, q, r) in zip(Qh, a1)],
-            [(u + h * p, v + h * q, w + h * r) for (u, v, w), (p, q, r) in zip(V, a2)],
+            _stage_speed_terms(V, h, a2, kappa, sigma),
             m, kappa, sigma,
         )
         a4 = _accel(
@@ -434,7 +455,7 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
                 (x + dt * u + dd * p, y + dt * v + dd * q, z + dt * w + dd * r)
                 for (x, y, z), (u, v, w), (p, q, r) in zip(Q, V, a2)
             ],
-            [(u + dt * p, v + dt * q, w + dt * r) for (u, v, w), (p, q, r) in zip(V, a3)],
+            _stage_speed_terms(V, dt, a3, kappa, sigma),
             m, kappa, sigma,
         )
     except SingularConfigurationError as exc:
@@ -621,7 +642,7 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
         raise ValueError(f"radius {r!r} puts the rate sqrt(delta_1 / r^3) outside the float range")
     req = RelativeEquilibrium.from_radius(polygon, r, omega, c)
     Q, V, m = _floats(build_polygon_state(req, m, c))
-    A = _accel(Q, V, m, c.kappa, c.sigma)
+    A = _accel(Q, _speed_terms(V, c.kappa, c.sigma), m, c.kappa, c.sigma)
     # uniform rotation about the z axis accelerates each body by -omega^2 (x, y, 0)
     w2 = omega * omega
     kin = [(-w2 * x, -w2 * y, 0.0) for x, y, _ in Q]

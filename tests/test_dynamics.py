@@ -38,7 +38,7 @@ from curvednbody import (
 )
 from curvednbody import dynamics
 from curvednbody.cli import load_config
-from curvednbody.dynamics import SINGULAR_TOL, _accel, _closest
+from curvednbody.dynamics import SINGULAR_TOL, _accel, _closest, _speed_terms
 
 SPHERE = Curvature(1.0)
 HYPER = Curvature(-1.0)
@@ -166,6 +166,13 @@ class TestBodySystem:
             make_system(HYPER, [[r, 0, z]], [[0, 0, 0]], [1.0])
         with pytest.raises(ValueError, match="surface residual"):
             make_system(HYPER, [[0, 0, 1.0 + 1e-9]], [[0, 0, 0]], [1.0])
+
+    def test_nan_surface_residual_rejected(self):
+        # x^2 - z^2 = 8e320 is nowhere near the hyperboloid, but both squares
+        # overflow, so kappa q.q - 1 is inf - inf = NaN at the scale inf
+        with pytest.raises(ValueError) as err:
+            BodySystem(Curvature(-1.0), [1], [[3e160, 0, 1e160]], [[0, 0, 0]])
+        assert str(err.value) == "surface residual nan exceeds 1e-10 of scale inf"
 
 
 class TestPairAcceleration:
@@ -500,14 +507,16 @@ class TestStepOracle:
                 if n > 1:
                     # body j moved onto body i, then to its antipode (w = -1; a
                     # kernel input off the hyperboloid's sheet); every other pair
-                    # keeps a denominator of the valid state
-                    i, j = n // 3, n - 1
-                    for row in (Q[i], [-e for e in Q[i]]):
-                        cases.append((Q[:j] + [row], V, m, (i, j)))
+                    # keeps a denominator of the valid state.  (n - 2, n - 1) is
+                    # the last row, after which the last body is emitted
+                    for i, j in sorted({(n // 3, n - 1), (n - 2, n - 1)}):
+                        for row in (Q[i], [-e for e in Q[i]]):
+                            cases.append((Q[:j] + [row], V, m, (i, j)))
         for Q, V, m, pair in cases:
             want = outcome(lambda: doubles(ref_accel(Q, V, m, kappa, c.sigma)))
             for sigma in (c.sigma, float(c.sigma)):
-                assert outcome(lambda: doubles(_accel(Q, V, m, kappa, sigma))) == want
+                got = outcome(lambda: doubles(_accel(Q, _speed_terms(V, kappa, sigma), m, kappa, sigma)))
+                assert got == want
                 assert repr(_closest(Q, kappa, sigma)) == repr(ref_closest(Q, kappa, c.sigma))
             if pair is None:
                 assert isinstance(want, bytes)
@@ -963,7 +972,9 @@ class TestInvariantRaises:
     def test_rate_failing_the_full_balance(self, monkeypatch):
         accel = dynamics._accel
         monkeypatch.setattr(
-            dynamics, "_accel", lambda *args: [tuple(2.0 * e for e in row) for row in accel(*args)]
+            dynamics,
+            "_accel",
+            lambda Q, s, m, kappa, sigma: [tuple(2.0 * e for e in row) for row in accel(Q, s, m, kappa, sigma)],
         )
         with pytest.raises(NoBalanceError) as err:
             solve_omega(regular_polygon(3), (1.0,) * 3, 0.6, SPHERE)
@@ -974,7 +985,7 @@ class TestInvariantRaises:
     def test_acceleration_off_the_constraint(self, monkeypatch):
         # at rest q . a must vanish; a = q gives q . q = 1 on the unit sphere
         system = make_system(SPHERE, np.eye(3), np.zeros((3, 3)), [1.0] * 3)
-        monkeypatch.setattr(dynamics, "_accel", lambda Q, V, m, kappa, sigma: list(Q))
+        monkeypatch.setattr(dynamics, "_accel", lambda Q, s, m, kappa, sigma: list(Q))
         with pytest.raises(InternalConsistencyError) as err:
             acceleration(system)
         assert str(err.value) == "constraint compatibility violated: max residual 1.0"
