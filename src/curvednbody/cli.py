@@ -446,7 +446,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
     # pair c = 1 - kappa (x_i x_j + y_i y_j + z_i (sigma z_j)), summed in that
     # order on plain floats, so that no BLAS kernel chooses the rounding
-    kappa, sigma = c.kappa, float(c.sigma)
+    kappa, sigma = c.kappa, c.sigma
 
     def pair_c(coords):
         it = iter(coords)

@@ -24,15 +24,14 @@ the field for the integrator, `acceleration` and the independent check in
 `solve_omega`; `_residuals` and `_closest` measure the constraints of a
 state.  The pair kernels `_accel` and `_closest` visit each pair i < j once,
 row by row, and each body's sums take their terms in ascending index order.
-Inside them sigma is the float +-1.0, so no product mixes an int with a
-float, and sigma z_i is formed once per row: sigma (z_i z_j) and
-(sigma z_i) z_j are the same double.  `_accel` reads the velocities only as
-the terms -kappa (v_i . v_i) of `_speed_terms`, and emits body i's
-acceleration as soon as row i ends, when its sums hold every term; the last
-body, which has no row, is emitted after the loop.  `_closest` also names
-the pair of its minimum, so a pair at or past the singularity threshold
-after a step or in `BodySystem` raises `_accel`'s error, which names the
-bodies and the denominator.  An RK4 step builds each stage's positions
+They form sigma z_i once per row: sigma (z_i z_j) and (sigma z_i) z_j are
+the same double.  `_accel` reads the velocities only as the terms
+-kappa (v_i . v_i) of `_speed_terms`, and emits body i's acceleration as
+soon as row i ends, when its sums hold every term; the last body, which has
+no row, is emitted after the loop.  `_closest` also names the pair of its
+minimum, so a pair at or past the singularity threshold after a step or in
+`BodySystem` raises `_accel`'s error, which names the bodies and the
+denominator.  An RK4 step builds each stage's positions
 directly and only the speed terms of its velocities, no velocity rows; then
 one pass over the bodies combines the stages, projects each point and then
 its velocity back onto the surface and tangent bundle, and measures both
@@ -88,7 +87,6 @@ def _closest(Q, kappa, sigma):
 
     (inf, None, None) for one body.
     """
-    sigma = float(sigma)
     out = math.inf
     bi = bj = None
     n = len(Q)
@@ -115,12 +113,11 @@ def _singular(d, i, j, time=None):
 
 def _speed_terms(V, kappa, sigma):
     """-kappa (v . v) of each velocity row: all that `_accel` reads of the velocities."""
-    sigma = float(sigma)
     return [-kappa * (u * u + v * v + sigma * (w * w)) for u, v, w in V]
 
 
 def _stage_speed_terms(V, h, A, kappa, sigma):
-    """`_speed_terms` of the stage velocities V + h A, sigma the float +-1.0, building no rows."""
+    """`_speed_terms` of the stage velocities V + h A, building no rows."""
     return [
         -kappa * (x * x + y * y + sigma * (z * z))
         for (u, v, w), (p, q, r) in zip(V, A)
@@ -138,7 +135,6 @@ def _accel(Q, s, m, kappa, sigma):
     """
     try:
         n = len(Q)
-        sigma = float(sigma)
         scale = abs(kappa) ** 1.5
         # s_i collects -kappa (v_i . v_i) - sum_j P_ij w_ij, the factor of q_i
         ax = [0.0] * n
@@ -242,14 +238,15 @@ class BodySystem(_Record):
         surf, tang = _residuals(Q, V, c.kappa, c.sigma)
         # kappa q.q - 1 and q.v cancel terms of size |kappa| |q|^2 and |q| |v|
         # (Euclidean norms), which grow as r^2 and r out along the hyperboloid;
-        # not-le, as in the step's drift guard, so that a NaN residual fails too
+        # not-le, as in the step's drift guard, so that a NaN residual fails too,
+        # and the allowance must be finite: at an overflowed scale inf <= 1e-10 * inf
         for res, (x, y, z) in zip(surf, Q):
             scale = abs(c.kappa) * (x * x + y * y + z * z)
-            if not res <= STATE_TOL * scale:
+            if not res <= STATE_TOL * scale < math.inf:
                 raise ValueError(f"surface residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
         for res, q, v in zip(tang, Q, V):
             scale = max(1.0, math.hypot(*q) * math.hypot(*v))
-            if not res <= STATE_TOL * scale:
+            if not res <= STATE_TOL * scale < math.inf:
                 raise ValueError(f"tangency residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
         d, i, j = _closest(Q, c.kappa, c.sigma)
         if not d >= SINGULAR_TOL:
@@ -439,7 +436,7 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
     denominator).  Errors carry the given time, those of `_accel` too; a
     projection failure of any body comes before a drift abort.
     """
-    kappa, sigma = c.kappa, float(c.sigma)
+    kappa, sigma = c.kappa, c.sigma
     h, hh, dd = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt
     try:
         a1 = _accel(Q, _speed_terms(V, kappa, sigma), m, kappa, sigma)
@@ -498,9 +495,10 @@ def _advance(Q, V, m, c: Curvature, dt: float, cfg: IntegratorConfig, time: floa
         if tr > tmax:
             tmax = tr
         # not-le so that a NaN residual aborts too; as in BodySystem, a bound the
-        # residual exceeds is scaled by the size of the terms the residual cancels
-        within = sr <= bound or sr <= bound * (akappa * (x * x + y * y + z * z))
-        tangent = tr <= bound or tr <= bound * (math.hypot(x, y, z) * math.hypot(u, v, w))
+        # residual exceeds is scaled by the size of the terms the residual
+        # cancels, and a scaled bound must be finite
+        within = sr <= bound or sr <= bound * (akappa * (x * x + y * y + z * z)) < math.inf
+        tangent = tr <= bound or tr <= bound * (math.hypot(x, y, z) * math.hypot(u, v, w)) < math.inf
         if not (within and tangent) and drift is None:
             drift = i, sr, tr
     if drift is not None:

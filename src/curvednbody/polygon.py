@@ -113,7 +113,8 @@ class Curvature(_Record):
 
     The surface is kappa * (x^2 + y^2 + sigma*z^2) = 1: for kappa > 0 the
     sphere of radius 1/sqrt(kappa) with sigma = +1, for kappa < 0 the upper
-    sheet of a hyperboloid with sigma = -1.
+    sheet of a hyperboloid with sigma = -1.  sigma is the float 1.0 or
+    -1.0, so every product with it is an exact float product.
     """
 
     _fields = ("kappa",)
@@ -124,9 +125,9 @@ class Curvature(_Record):
         super().__init__(float(kappa))
 
     @property
-    def sigma(self) -> int:
+    def sigma(self) -> float:
         """Metric sign of the z-axis: +1 for kappa > 0, -1 for kappa < 0."""
-        return 1 if self.kappa > 0 else -1
+        return 1.0 if self.kappa > 0 else -1.0
 
 
 class PolygonConfig(_Record):

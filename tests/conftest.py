@@ -21,7 +21,7 @@ def random_surface_points(rng: np.random.Generator, n: int, c: Curvature) -> np.
             xy = rng.normal(scale=0.8, size=(n, 2))
             zsq = xy[:, 0] ** 2 + xy[:, 1] ** 2 + 1.0 / abs(c.kappa)
             q = np.column_stack((xy, np.sqrt(zsq)))
-        metric = np.array([1.0, 1.0, float(c.sigma)])
+        metric = np.array([1.0, 1.0, c.sigma])
         w = c.kappa * (q @ (q * metric).T)
         np.fill_diagonal(w, 0.0)
         d = c.sigma * (1.0 - w * w)

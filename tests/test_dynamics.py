@@ -118,14 +118,14 @@ class TestBodySystem:
         # pair's w = q_i . q_j exceeds 1 and its denominator 1 - w^2 is
         # -1.6e-10; every step rejects that signed value, so validation must
         q = [[1 + 4e-11, 0.0, 0.0], [1 + 4e-11, 1e-12, 0.0]]
-        d, i, j = _closest(q, 1.0, 1)
+        d, i, j = _closest(q, 1.0, 1.0)
         assert -2e-10 < d < -1e-10 and (i, j) == (0, 1)
         message = "^pair denominator -1\\.[0-9e-]+ of bodies 0 and 1 below singularity threshold "
         with pytest.raises(SingularConfigurationError, match=message):
             make_system(SPHERE, q, [[0, 0, 0], [0, 0, 0]], [1.0, 1.0])
 
     def test_closest_pair_is_signed_minimum(self):
-        assert _closest([(0.0, 0.0, 1.0)], -1.0, -1) == (math.inf, None, None)
+        assert _closest([(0.0, 0.0, 1.0)], -1.0, -1.0) == (math.inf, None, None)
         system = make_system(
             SPHERE, [[1, 0, 0], [0, 1, 0], [0.6, 0.8, 0]], [[0, 0, 0]] * 3, [1.0] * 3
         )
@@ -173,6 +173,24 @@ class TestBodySystem:
         with pytest.raises(ValueError) as err:
             BodySystem(Curvature(-1.0), [1], [[3e160, 0, 1e160]], [[0, 0, 0]])
         assert str(err.value) == "surface residual nan exceeds 1e-10 of scale inf"
+
+    @pytest.mark.parametrize(
+        "positions",
+        [[[1e160, 0, 1e100]], [[1e160, 0, 1e150], [1e150, 0, 1e160]]],
+    )
+    def test_overflowed_surface_scale_rejected(self, positions):
+        # x^2 overflows, so kappa q.q - 1 is inf at the scale inf, and
+        # inf <= 1e-10 * inf would hold: an allowance must be finite
+        with pytest.raises(ValueError) as err:
+            BodySystem(Curvature(-1.0), [1] * len(positions), positions, [[0, 0, 0]] * len(positions))
+        assert str(err.value) == "surface residual inf exceeds 1e-10 of scale inf"
+
+    def test_overflowed_tangency_scale_rejected(self):
+        # |q| |v| overflows, so this velocity, nowhere near tangent at (1, 0, 0),
+        # would pass 1.7e308 <= 1e-10 * inf
+        with pytest.raises(ValueError) as err:
+            make_system(SPHERE, [[1, 0, 0]], [[1.7e308, 1.7e308, 0]], [1.0])
+        assert str(err.value) == "tangency residual 1.7e+308 exceeds 1e-10 of scale inf"
 
 
 class TestPairAcceleration:
@@ -513,11 +531,12 @@ class TestStepOracle:
                         for row in (Q[i], [-e for e in Q[i]]):
                             cases.append((Q[:j] + [row], V, m, (i, j)))
         for Q, V, m, pair in cases:
-            want = outcome(lambda: doubles(ref_accel(Q, V, m, kappa, c.sigma)))
-            for sigma in (c.sigma, float(c.sigma)):
-                got = outcome(lambda: doubles(_accel(Q, _speed_terms(V, kappa, sigma), m, kappa, sigma)))
-                assert got == want
-                assert repr(_closest(Q, kappa, sigma)) == repr(ref_closest(Q, kappa, c.sigma))
+            # the oracles keep the int sign of the older loops; the kernels take c.sigma
+            sigma = int(c.sigma)
+            want = outcome(lambda: doubles(ref_accel(Q, V, m, kappa, sigma)))
+            got = outcome(lambda: doubles(_accel(Q, _speed_terms(V, kappa, c.sigma), m, kappa, c.sigma)))
+            assert got == want
+            assert repr(_closest(Q, kappa, c.sigma)) == repr(ref_closest(Q, kappa, sigma))
             if pair is None:
                 assert isinstance(want, bytes)
             else:
@@ -706,6 +725,21 @@ class TestIntegrate:
         with pytest.raises(ConstraintDriftError) as err:
             integrate(system, cfg)
         assert err.value.time > 0.0
+
+    def test_drift_guard_rejects_an_overflowed_scale(self):
+        # one unprojected step carries this body to |kappa| |q|^2 = inf, where
+        # the surface residual is inf and inf <= 1e-6 * inf would hold
+        c = Curvature(-1e100)
+        q = [-259126676292.41122, -162046691465.86176, 305623566796.4502]
+        v = [2.638507194531691e121, 1.6500090511725324e121, -3.1119527767218407e121]
+        system = BodySystem(c, [1.0], [q], [v])
+        dt = 4.409912790289184e19
+        with pytest.raises(ConstraintDriftError) as err:
+            integrate(system, IntegratorConfig(dt, dt, project_each_step=False))
+        assert str(err.value).startswith(
+            "constraint residuals of body 0 (surface inf, tangency 0.0) exceed drift bound 1e-06"
+        )
+        assert err.value.time == dt
 
     def test_close_approach_aborts_with_time(self):
         # two heavy bodies released from rest fall toward each other

@@ -29,8 +29,9 @@ def sigma_inner(a, b, sigma):
 
 
 def test_curvature_signs():
-    assert Curvature(1.0).sigma == 1
-    assert Curvature(-2.5).sigma == -1
+    for kappa, sigma in ((1.0, 1.0), (-2.5, -1.0)):
+        assert type(Curvature(kappa).sigma) is float
+        assert Curvature(kappa).sigma == sigma
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
