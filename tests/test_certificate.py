@@ -977,6 +977,10 @@ def check_certificate_json(doc):
     assert any(map(definite, patterns)) or any(
         definite([x + sign * y for x, y in zip(*patterns)]) for sign in (1, -1))
     assert doc["feasibility"]["verdict"] == "infeasible"
+    # the cross-check's rho lies in the kernel domain of every class; 2 - c rho
+    # is monotone in c, so the widest class chord c = 1 - cos(2 pi k) checks all
+    widest = max(min(d, 1 - d) for d in ((y - x) % 1 for x, y in itertools.combinations(a, 2)))
+    assert 0 < 2 - (1 - math.cos(2 * math.pi * widest)) * doc["feasibility"]["rho"] < math.inf
 
 
 class TestCertificateJson:
@@ -993,6 +997,17 @@ class TestCertificateJson:
             if not is_regular(cfg):
                 turned = sorted((x + F(k % 13, 13)) % 1 for x in cfg.turns)
                 self.check(PolygonConfig.from_turns(turned))
+
+    def test_rejects_rho_outside_the_kernel_domain(self):
+        # the half-turn chord of (0, 1/6, 1/2) has c = 2, so 2 - c rho = -1 at rho = 1.5
+        poly = PolygonConfig.from_turns(("0", "1/6", "1/2"))
+        doc = json.loads(dumps(certify(poly).to_json_dict()))
+        check_certificate_json(doc)
+        with pytest.raises(KernelDomainError):
+            mass_feasibility(poly, 1.5)
+        doc["feasibility"]["rho"] = 1.5
+        with pytest.raises(AssertionError):
+            check_certificate_json(doc)
 
     def test_random_sample(self):
         rng = random.Random(2011)

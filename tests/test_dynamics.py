@@ -38,7 +38,7 @@ from curvednbody import (
 )
 from curvednbody import dynamics
 from curvednbody.cli import load_config
-from curvednbody.dynamics import SINGULAR_TOL, _accel, _closest, _speed_terms
+from curvednbody.dynamics import SINGULAR_TOL, _UNROLL_MAX, _accel, _closest, _kernel, _kernel_source, _speed_terms
 
 SPHERE = Curvature(1.0)
 HYPER = Curvature(-1.0)
@@ -449,11 +449,12 @@ def ref_advance(Q, V, m, c, dt, cfg, time=None):
     bound = cfg.max_constraint_drift
     surf, tang = ref_residuals(Qn, Vn, kappa, sigma)
     for i, (sr, tr, q, v) in enumerate(zip(surf, tang, Qn, Vn)):
-        # each residual is judged at the scale of the terms it cancels
+        # each residual is judged at the scale of the terms it cancels, and
+        # an allowance at an overflowed scale allows nothing
         x, y, z = q
         scale = max(1.0, abs(kappa) * (x * x + y * y + z * z))
         tscale = max(1.0, math.hypot(*q) * math.hypot(*v))
-        if not (sr <= bound * scale and tr <= bound * tscale):
+        if not (sr <= bound * scale < math.inf and tr <= bound * tscale < math.inf):
             raise ConstraintDriftError(
                 f"constraint residuals of body {i} (surface {sr!r}, tangency {tr!r}) "
                 f"exceed drift bound {bound}",
@@ -482,20 +483,25 @@ def outcome(run):
 
 
 class TestStepOracle:
-    # (dt, velocity scale): a calm run, and two whose steps are too coarse
-    # for their speeds, so that projection, drift and pair errors occur
-    REGIMES = ((2.0**-7, 1.0), (0.5, 6.0), (2.0, 6.0))
+    # (dt, velocity scale, power of n that divides the masses): a calm run,
+    # and two whose steps are too coarse for their speeds, so that
+    # projection, drift and pair errors occur.  The calm run's masses sum to
+    # about one body's: at full masses most of its runs of 10 or more bodies
+    # end early in a close pair
+    REGIMES = ((2.0**-7, 1.0, 1), (0.5, 6.0, 0), (2.0, 6.0, 0))
     STEPS = 12
+    # every count of the generated step, and the first count of the loops
+    BODY_COUNTS = range(1, _UNROLL_MAX + 2)
 
     def runs(self, kappa, project):
         from conftest import random_state
 
         c = Curvature(kappa)
         rng = np.random.default_rng([2025, int(kappa * 100) % 1000, project])
-        for n in range(1, 9):
-            for dt, scale in self.REGIMES:
+        for n in self.BODY_COUNTS:
+            for dt, scale, power in self.REGIMES:
                 base = random_state(rng, n, c)
-                system = BodySystem(c, base.masses, base.positions, scale * base.velocities)
+                system = BodySystem(c, base.masses / n**power, base.positions, scale * base.velocities)
                 # dt is a power of two, so every step time k * dt is exact
                 yield system, IntegratorConfig(dt=dt, t_end=self.STEPS * dt, project_each_step=project)
 
@@ -570,6 +576,49 @@ class TestStepOracle:
         # only the hyperboloid has points that no rescale projects
         expected = {None, SingularConfigurationError, ConstraintDriftError}
         assert seen == expected | ({NonProjectableError} if project and kappa < 0 else set())
+
+    def test_overflowed_scale_matches_reference(self):
+        # the state of TestIntegrate::test_drift_guard_rejects_an_overflowed_scale:
+        # one unprojected step ends with a surface residual inf at the scale
+        # inf, which the reference, the loops and the generated step all reject
+        c = Curvature(-1e100)
+        Q = [-259126676292.41122, -162046691465.86176, 305623566796.4502]
+        V = [2.638507194531691e121, 1.6500090511725324e121, -3.1119527767218407e121]
+        dt = 4.409912790289184e19
+        cfg = IntegratorConfig(dt, dt, project_each_step=False)
+        args = Q, V, dt, False, cfg.max_constraint_drift, dt
+        want = outcome(lambda: ref_advance([Q], [V], (1.0,), c, dt, cfg, time=dt))
+        assert want[0] is ConstraintDriftError and want[2] == dt
+        assert "(surface inf, tangency 0.0)" in want[1]
+        assert outcome(lambda: dynamics._advance((1.0,), c.kappa, c.sigma, *args)) == want
+        assert outcome(lambda: _kernel(1)((1.0,), c.kappa, c.sigma)(*args)) == want
+
+
+class TestKernelSource:
+    """The generated RK4 step: straight-line source, built only when a step runs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, _UNROLL_MAX])
+    def test_straight_line_code(self, n):
+        src = _kernel_source(n)
+        assert src == _kernel_source(n)
+        accel, rk4 = src.split("\n\n\n")
+        assert accel.startswith("def make_accel(") and rk4.startswith("def make_step(")
+        # no loop, comprehension or list; one pair block per pair in accel
+        # and in the closing pass
+        assert not re.search(r"\b(for|while)\b|\[", src)
+        pairs = n * (n - 1) // 2
+        assert accel.count("if not d >= SINGULAR_TOL:") == pairs
+        assert rk4.count("if d < dmin:") == pairs
+        assert rk4.count("= accel(") == 4
+
+    def test_no_kernel_without_a_step(self):
+        system, _ = rotating_triangle(1)
+        _kernel.cache_clear()
+        assert integrate(system, IntegratorConfig(dt=1e-3, t_end=0.0)).position_buf == system.position_buf
+        assert step(system, IntegratorConfig(dt=0.0, t_end=0.0)) is system
+        assert _kernel.cache_info().currsize == 0
+        step(system, IntegratorConfig(dt=1e-3, t_end=1e-3))
+        assert _kernel.cache_info().currsize == 1
 
 
 class TestProjectionPin:
@@ -990,11 +1039,12 @@ class TestSolveOmega:
 
 
 class TestInvariantRaises:
-    """Raises that guard an invariant the code above them already keeps.
+    """Raises that ordinary input does not reach.
 
-    Valid input cannot reach them, so each test breaks the invariant: a
-    record built with inconsistent fields, or a kernel replaced for the
-    duration of the test.
+    Most guard an invariant the code above them already keeps, so their
+    tests break it: a record built with inconsistent fields, or a kernel
+    replaced for the duration of the test.  The post-step pair check is
+    reached by a state built to land one body exactly on another.
     """
 
     def test_height_inconsistent_with_radius(self):
@@ -1024,15 +1074,38 @@ class TestInvariantRaises:
             acceleration(system)
         assert str(err.value) == "constraint compatibility violated: max residual 1.0"
 
-    def test_singular_pair_after_a_step_carries_its_time(self, monkeypatch):
-        system = make_system(SPHERE, np.eye(3), np.zeros((3, 3)), [1.0] * 3)
-        monkeypatch.setattr(dynamics, "_closest", lambda Q, kappa, sigma: (0.0, 1, 2))
-        with pytest.raises(SingularConfigurationError) as err:
-            integrate(system, IntegratorConfig(dt=0.01, t_end=0.02))
-        assert str(err.value) == (
-            "pair denominator 0.0 of bodies 1 and 2 below singularity threshold (collision or antipodal pair)"
-        )
-        assert err.value.time == 0.01
+    def test_singular_pair_after_a_step_carries_its_time(self):
+        # body 1 runs along the equator onto body 2 at rest at (1, 0, 0); with
+        # masses of 1e-100 its pair forces are lost in rounding, so it moves
+        # alone along its great circle, whatever the other bodies.  The rate
+        # and start angle were found by a float search so that its unprojected
+        # y after one step is 0.0 exactly: it then projects onto (1, 0, 0), and
+        # w = 1 gives the denominator 0.0.  Every stage keeps the pair apart
+        # (the stage positions lie off the circle or short of the target), so
+        # only the check that closes the step can raise.  Bodies 3 and up,
+        # at rest elsewhere on the equator, send _UNROLL_MAX + 1 bodies
+        # through the loops
+        rate, theta = 10.2041015625, 0.10204092557612447
+        for n in (3, _UNROLL_MAX + 1):
+            Q = [(0.0, -1.0, 0.0), (math.cos(theta), math.sin(theta), 0.0), (1.0, 0.0, 0.0)]
+            V = [(0.0, 0.0, 0.0), (rate * math.sin(theta), -rate * math.cos(theta), 0.0), (0.0, 0.0, 0.0)]
+            for k in range(3, n):
+                a = math.pi * (0.2 + 1.6 * k / n)
+                Q.append((math.cos(a), math.sin(a), 0.0))
+                V.append((0.0, 0.0, 0.0))
+            system = make_system(SPHERE, Q, V, [1e-100] * n)
+            with pytest.raises(SingularConfigurationError) as err:
+                integrate(system, IntegratorConfig(dt=0.01, t_end=0.02))
+            assert str(err.value) == (
+                "pair denominator 0.0 of bodies 1 and 2 below singularity threshold (collision or antipodal pair)"
+            )
+            assert err.value.time == 0.01
+            # raised by the generated step up to _UNROLL_MAX bodies, by the loops above
+            code = err.traceback[-1].frame.code.raw
+            generated = ("step", f"<rk4 step n={n}>")
+            assert (code.co_name, code.co_filename) == (
+                generated if n <= _UNROLL_MAX else ("_advance", dynamics.__file__)
+            )
 
 
 class TestCriterionAtRest:
@@ -1155,6 +1228,8 @@ class TestTrajectoryArrays:
         # sample (t, 2 x 9 coordinates, 3 diagnostics); a per-step state
         # object would hold several times that
         system, cfg = rotating_triangle(1000)
+        # the generated step is built inside the traced region, and counts
+        _kernel.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
