@@ -36,16 +36,21 @@ directly and only the speed terms of its velocities, no velocity rows; then
 one pass over the bodies combines the stages, projects each point and then
 its velocity back onto the surface and tangent bundle, and measures both
 residuals against the drift bound; a pass over the pairs closes the step.
-Up to `_UNROLL_MAX` bodies that step is Python source generated once per
-body count (`_kernel_source`, compiled by `_kernel` when the first step of
-that count runs): straight-line code on local floats, whose pair block is
-one generated `accel` that each stage calls.  It performs the loops'
-floating-point operations in their order, so its results and errors are
-theirs, bit for bit.  Its length, build time and the memory its compilation
-takes grow as n^2, so above `_UNROLL_MAX` bodies the loops of `_advance`
-step.  The public projections `project_point` and `project_tangent` repeat
-the step's projection arithmetic, in its order of operations, on arrays of
-shape (..., 3).
+`integrate` and `step` each make one call that runs all their steps
+(`_runner`).  Up to `_UNROLL_MAX` bodies that run is Python source
+generated once per body count and metric sign (`_kernel_source`, compiled
+by `_kernel` when the first step of that count and sign runs): one loop over
+the steps around straight-line code on local floats, which keeps the state
+in locals between steps and packs each sample straight into the
+trajectory's buffers.  Its pair block is one generated `accel` that each
+stage calls, and sigma is folded into the text as the sign of each z term.
+It performs the loops' floating-point operations in their order, so its
+results and errors are theirs, bit for bit.  Its length, build time and the
+memory its compilation takes grow as n^2, so above `_UNROLL_MAX` bodies the
+loops of `_advance` run the steps, behind the same call.  The public
+projections `project_point` and `project_tangent` repeat the step's
+projection arithmetic, in its order of operations, on arrays of shape
+(..., 3).
 
 States and trajectories keep their numbers in flat buffers of doubles
 (stdlib `array('d')` behind read-only memoryviews), coordinates as x, y, z
@@ -364,19 +369,21 @@ class Trajectory(_Record):
     def states(self) -> tuple[BodySystem, ...]:
         c, m, k = self.curvature, self.mass_values, 3 * len(self.mass_values)
         P, W, masses = self.position_buf, self.velocity_buf, self.masses
+        new, store = object.__new__, BodySystem._store
         states = []
         for i, q, v in zip(range(0, len(P), k), self.positions, self.velocities):
-            state = BodySystem._trusted(c, m, P[i : i + k], W[i : i + k])
+            state = store(new(BodySystem), (c, m, P[i : i + k], W[i : i + k]))
             # its arrays are the trajectory's own and its row views, which
             # cost less to take here than to build from its buffers on access
-            state.__dict__.update(masses=masses, positions=q, velocities=v)
+            d = state.__dict__
+            d["masses"], d["positions"], d["velocities"] = masses, q, v
             states.append(state)
         return tuple(states)
 
     @functools.cached_property
     def diagnostics(self) -> tuple[DiagnosticsReport, ...]:
-        D = self.diagnostic_buf
-        return tuple(DiagnosticsReport(*D[i : i + 3]) for i in range(0, len(D), 3))
+        new, store, rows = object.__new__, DiagnosticsReport._store, iter(self.diagnostic_buf)
+        return tuple([store(new(DiagnosticsReport), row) for row in zip(rows, rows, rows)])
 
 
 def _vectors(a, name: str):
@@ -452,86 +459,93 @@ def diagnostics(sys: BodySystem) -> DiagnosticsReport:
     return DiagnosticsReport(max(surf), max(tang), _closest(Q, c.kappa, c.sigma)[0])
 
 
-def _advance(m, kappa, sigma, Q, V, dt, project, bound, time):
-    """One RK4 step plus projection, as loops over the bodies and pairs.
+def _advance(m, kappa, sigma, dt, last, final, t_end, project, bound, T, P, W, D):
+    """RK4 steps plus projection, as loops over the bodies and pairs.
 
-    Takes and returns flat coordinates, x, y, z of each body in turn, like
-    the generated step of `_kernel`, which replaces it up to `_UNROLL_MAX`
-    bodies.  After the four stages, one pass over the bodies combines them,
-    projects the point and then the velocity, and measures both residuals;
-    `_closest` closes the step.  Returns the new positions and velocities,
-    the largest surface and tangency residuals and the closest pair
-    denominator.  Errors carry the given time, those of `_accel` too; a
-    projection failure of any body comes before a drift abort.
+    The run of `_runner` above `_UNROLL_MAX` bodies, where it replaces the
+    generated run of `_kernel`.  After the four stages of a step, one pass
+    over the bodies combines them, projects the point and then the velocity,
+    and measures both residuals; `_closest` closes the step.  Errors carry
+    the time of their step, those of `_accel` too; a projection failure of
+    any body comes before a drift abort.
     """
-    Q, V = _rows(Q), _rows(V)
-    h, hh, dd = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt
-    try:
-        a1 = _accel(Q, _speed_terms(V, kappa, sigma), m, kappa, sigma)
-        Qh = [(x + h * u, y + h * v, z + h * w) for (x, y, z), (u, v, w) in zip(Q, V)]
-        a2 = _accel(Qh, _stage_speed_terms(V, h, a1, kappa, sigma), m, kappa, sigma)
-        a3 = _accel(
-            [(x + hh * p, y + hh * q, z + hh * r) for (x, y, z), (p, q, r) in zip(Qh, a1)],
-            _stage_speed_terms(V, h, a2, kappa, sigma),
-            m, kappa, sigma,
-        )
-        a4 = _accel(
-            [
-                (x + dt * u + dd * p, y + dt * v + dd * q, z + dt * w + dd * r)
-                for (x, y, z), (u, v, w), (p, q, r) in zip(Q, V, a2)
-            ],
-            _stage_speed_terms(V, dt, a3, kappa, sigma),
-            m, kappa, sigma,
-        )
-    except SingularConfigurationError as exc:
-        raise SingularConfigurationError(str(exc), time=time) from None
-    cq, cv = dt * dt / 6.0, dt / 6.0
-    akappa = abs(kappa)
-    Qn, Vn = [], []
-    smax = tmax = 0.0
-    drift = None
-    for i, ((x, y, z), (u, v, w), (p1, q1, r1), (p2, q2, r2), (p3, q3, r3), (p4, q4, r4)) in enumerate(
-        zip(Q, V, a1, a2, a3, a4)
-    ):
-        x, y, z = (
-            x + dt * u + cq * (p1 + p2 + p3),
-            y + dt * v + cq * (q1 + q2 + q3),
-            z + dt * w + cq * (r1 + r2 + r3),
-        )
-        u, v, w = (
-            u + cv * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-            v + cv * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
-            w + cv * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
-        )
-        if project:
-            k = kappa * (x * x + y * y + sigma * (z * z))
-            if k <= 0.0:
-                raise _unprojectable(i, kappa, k, time)
-            k = math.sqrt(k)
-            x, y, z = x / k, y / k, z / k
-            k = kappa * (x * u + y * v + sigma * (z * w))
-            u, v, w = u - k * x, v - k * y, w - k * z
-        Qn += x, y, z
-        Vn += u, v, w
-        sr = abs(kappa * (x * x + y * y + sigma * (z * z)) - 1.0)
-        tr = abs(x * u + y * v + sigma * (z * w))
-        if sr > smax:
-            smax = sr
-        if tr > tmax:
-            tmax = tr
-        # not-le so that a NaN residual aborts too; as in BodySystem, a bound the
-        # residual exceeds is scaled by the size of the terms the residual
-        # cancels, and a scaled bound must be finite
-        within = sr <= bound or sr <= bound * (akappa * (x * x + y * y + z * z)) < math.inf
-        tangent = tr <= bound or tr <= bound * (math.hypot(x, y, z) * math.hypot(u, v, w)) < math.inf
-        if not (within and tangent) and drift is None:
-            drift = i, sr, tr
-    if drift is not None:
-        raise _drifted(*drift, bound, time)
-    dmin, i, j = _closest(_rows(Qn), kappa, sigma)
-    if not dmin >= SINGULAR_TOL:
-        raise _singular(dmin, i, j, time)
-    return Qn, Vn, smax, tmax, dmin
+    n3 = 3 * len(m)
+    put, put3, stride = struct.Struct(f"{n3}d").pack_into, struct.Struct("3d").pack_into, 8 * n3
+    Q, V = _rows(P[:n3]), _rows(W[:n3])
+    for sample in range(1, last + 1):
+        # every step but the last has size dt, so its time is exact
+        time, dt = (sample * dt, dt) if sample < last else (t_end, final)
+        h, hh, dd = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt
+        try:
+            a1 = _accel(Q, _speed_terms(V, kappa, sigma), m, kappa, sigma)
+            Qh = [(x + h * u, y + h * v, z + h * w) for (x, y, z), (u, v, w) in zip(Q, V)]
+            a2 = _accel(Qh, _stage_speed_terms(V, h, a1, kappa, sigma), m, kappa, sigma)
+            a3 = _accel(
+                [(x + hh * p, y + hh * q, z + hh * r) for (x, y, z), (p, q, r) in zip(Qh, a1)],
+                _stage_speed_terms(V, h, a2, kappa, sigma),
+                m, kappa, sigma,
+            )
+            a4 = _accel(
+                [
+                    (x + dt * u + dd * p, y + dt * v + dd * q, z + dt * w + dd * r)
+                    for (x, y, z), (u, v, w), (p, q, r) in zip(Q, V, a2)
+                ],
+                _stage_speed_terms(V, dt, a3, kappa, sigma),
+                m, kappa, sigma,
+            )
+        except SingularConfigurationError as exc:
+            raise SingularConfigurationError(str(exc), time=time) from None
+        cq, cv = dt * dt / 6.0, dt / 6.0
+        akappa = abs(kappa)
+        Qn, Vn = [], []
+        smax = tmax = 0.0
+        drift = None
+        for i, ((x, y, z), (u, v, w), (p1, q1, r1), (p2, q2, r2), (p3, q3, r3), (p4, q4, r4)) in enumerate(
+            zip(Q, V, a1, a2, a3, a4)
+        ):
+            x, y, z = (
+                x + dt * u + cq * (p1 + p2 + p3),
+                y + dt * v + cq * (q1 + q2 + q3),
+                z + dt * w + cq * (r1 + r2 + r3),
+            )
+            u, v, w = (
+                u + cv * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+                v + cv * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
+                w + cv * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+            )
+            if project:
+                k = kappa * (x * x + y * y + sigma * (z * z))
+                if k <= 0.0:
+                    raise _unprojectable(i, kappa, k, time)
+                k = math.sqrt(k)
+                x, y, z = x / k, y / k, z / k
+                k = kappa * (x * u + y * v + sigma * (z * w))
+                u, v, w = u - k * x, v - k * y, w - k * z
+            Qn += x, y, z
+            Vn += u, v, w
+            sr = abs(kappa * (x * x + y * y + sigma * (z * z)) - 1.0)
+            tr = abs(x * u + y * v + sigma * (z * w))
+            if sr > smax:
+                smax = sr
+            if tr > tmax:
+                tmax = tr
+            # not-le so that a NaN residual aborts too; as in BodySystem, a bound the
+            # residual exceeds is scaled by the size of the terms the residual
+            # cancels, and a scaled bound must be finite
+            within = sr <= bound or sr <= bound * (akappa * (x * x + y * y + z * z)) < math.inf
+            tangent = tr <= bound or tr <= bound * (math.hypot(x, y, z) * math.hypot(u, v, w)) < math.inf
+            if not (within and tangent) and drift is None:
+                drift = i, sr, tr
+        if drift is not None:
+            raise _drifted(*drift, bound, time)
+        Q, V = _rows(Qn), _rows(Vn)
+        dmin, i, j = _closest(Q, kappa, sigma)
+        if not dmin >= SINGULAR_TOL:
+            raise _singular(dmin, i, j, time)
+        T[sample] = time
+        put(P, sample * stride, *Qn)
+        put(W, sample * stride, *Vn)
+        put3(D, 24 * sample, smax, tmax, dmin)
 
 
 # Body counts up to this one step through code generated for their count
@@ -539,37 +553,53 @@ def _advance(m, kappa, sigma, Q, V, dt, project, bound, time):
 # cut-off: the generated step is faster at every count (2.3x at n = 3, 1.3x at
 # n = 16, 1.2x at n = 48) and repays its build after 140 to 490 steps, a number
 # that grows only slowly with n (Python 3.11 on a 2-core Intel Xeon).  Memory
-# does: compiling the source, which grows as n^2, raises a process's peak RSS
-# by 0.25-0.9 MB at n = 8, 1.0-1.7 MB at n = 9, 2.1-3.4 MB at n = 12 (CPython
+# does: compiling the source, which grows as n^2, raises the peak RSS of a
+# fresh process that integrates a regular polygon, against the loops, by
+# 0.37-0.95 MB at n = 8, 0.43-1.14 MB at n = 9, 1.9-3.4 MB at n = 12 (CPython
 # 3.10-3.13) and 78 MB at n = 64 (3.11).  8 is the largest count whose build
 # stays under 1 MB on each of them.
 _UNROLL_MAX = 8
 
 
-def _kernel_source(n: int) -> str:
-    """Python source of the RK4 step for n bodies, as straight-line code on local floats.
+def _kernel_source(n: int, sigma: float) -> str:
+    """Python source of the RK4 run for n bodies and metric sign sigma, on local floats.
 
-    Two functions, separated by two blank lines.  `make_accel(m, kappa,
-    sigma)` returns `accel(x0, y0, z0, x1, ..., s0, s1, ...)`: `_accel`
-    unrolled, taking a stage's coordinates and `_speed_terms` and returning
-    its accelerations flat.  `make_step(accel, kappa, sigma)` returns
-    `step(Q, V, dt, project, bound, time)`: `_advance` unrolled.  Each
-    performs the floating-point operations of its loops in their order, so
-    its results and errors are theirs, bit for bit.
+    Two functions, separated by two blank lines.  `make_accel(m, kappa)`
+    returns `accel(x0, y0, z0, x1, ..., s0, s1, ...)`: `_accel` unrolled,
+    taking a stage's coordinates and `_speed_terms` and returning its
+    accelerations flat.  `make_run(accel, kappa)` returns the run of
+    `_runner`: one loop over the steps, whose body is `_advance`'s step
+    unrolled, with the state in local floats between steps.  sigma, +1.0 or
+    -1.0, is folded into the text: each signed dot product adds or subtracts
+    its z term, and a pair denominator is 1 - w^2 or its negation.  Both are
+    the products with sigma, exactly, so each function performs the
+    floating-point operations of its loops in their order, and its results
+    and errors are theirs, bit for bit.
     """
     bodies = range(n)
     pairs = [(i, j) for i in bodies for j in range(i + 1, n)]
+    sign = "+" if sigma > 0.0 else "-"
+    # -(1 - w^2) rather than w^2 - 1, which would turn the -0.0 of a pair at
+    # the singularity into 0.0 in its error text
+    denominator = "1.0 - w * w" if sigma > 0.0 else "-(1.0 - w * w)"
 
     def each(fmt, **names):
         return ", ".join(fmt.format(i=i, **names) for i in bodies)
 
+    def dot(a, b):
+        """The signed dot product of the triples of names a and b."""
+        return f"{a[0]} * {b[0]} + {a[1]} * {b[1]} {sign} {a[2]} * {b[2]}"
+
+    def point(i):
+        return f"x{i}", f"y{i}", f"z{i}"
+
     def speed(u, v, w):
-        return f"nk * ({u} * {u} + {v} * {v} + sigma * ({w} * {w}))"
+        return f"nk * ({dot((u, v, w), (u, v, w))})"
 
     # accel: body i's sums are ax{i}, ay{i}, az{i} and s{i}; the first term
     # of ax{i} is added to 0.0, as in `_accel`'s lists of zeros
     accel = [
-        "def make_accel(m, kappa, sigma):",
+        "def make_accel(m, kappa):",
         f"    {each('m{i}')}, = m",
         "",
         f"    def accel({each('x{i}, y{i}, z{i}')}, {each('s{i}')}):",
@@ -578,11 +608,9 @@ def _kernel_source(n: int) -> str:
     ]
     started = set()
     for i, j in pairs:
-        if j == i + 1:
-            accel.append(f"            sz{i} = sigma * z{i}")
         accel += [
-            f"            w = kappa * (x{i} * x{j} + y{i} * y{j} + sz{i} * z{j})",
-            "            d = sigma * (1.0 - w * w)",
+            f"            w = kappa * ({dot(point(i), point(j))})",
+            f"            d = {denominator}",
             "            if not d >= SINGULAR_TOL:",
             f"                raise _singular(d, {i}, {j})",
             "            g = scale / d**1.5",
@@ -604,23 +632,31 @@ def _kernel_source(n: int) -> str:
         "    return accel",
     ]
 
-    # step: stage k's accelerations are p{k}_{i}, q{k}_{i}, r{k}_{i}; stage
+    # run: stage k's accelerations are p{k}_{i}, q{k}_{i}, r{k}_{i}; stage
     # k + 1 takes the speed terms t{i} of V + size * a_k.  The combination
     # overwrites x{i} ... w{i} with the new state
     xs, us = each("x{i}, y{i}, z{i}"), each("u{i}, v{i}, w{i}")
+    sizes = "h, hh, dd, cq, cv = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt, dt * dt / 6.0, dt / 6.0"
     rk4 = [
-        "def make_step(accel, kappa, sigma):",
-        "    nk, akappa, sqrt, hypot, inf = -kappa, abs(kappa), math.sqrt, math.hypot, math.inf",
+        "def make_run(accel, kappa):",
+        f"    put, put3 = struct.Struct('{3 * n}d').pack_into, struct.Struct('3d').pack_into",
         "",
-        "    def step(Q, V, dt, project, bound, time):",
-        f"        {xs}, = Q",
-        f"        {us}, = V",
-        "        h, hh, dd = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt",
-        "        try:",
-        f"            {each('p1_{i}, q1_{i}, r1_{i}')}, = accel({xs}, "
+        "    def run(dt, last, final, t_end, project, bound, T, P, W, D):",
+        f"        {xs}, = P[:{3 * n}]",
+        f"        {us}, = W[:{3 * n}]",
+        "        nk, akappa, sqrt, hypot, inf = -kappa, abs(kappa), math.sqrt, math.hypot, math.inf",
+        f"        {sizes}",
+        "        for sample in range(1, last + 1):",
+        "            if sample < last:",
+        "                time = sample * dt",
+        "            else:",
+        "                time, dt = t_end, final",
+        f"                {sizes}",
+        "            try:",
+        f"                {each('p1_{i}, q1_{i}, r1_{i}')}, = accel({xs}, "
         f"{', '.join(speed(f'u{i}', f'v{i}', f'w{i}') for i in bodies)})",
     ]
-    rk4 += [f"            hx{i}, hy{i}, hz{i} = x{i} + h * u{i}, y{i} + h * v{i}, z{i} + h * w{i}" for i in bodies]
+    rk4 += [f"                hx{i}, hy{i}, hz{i} = x{i} + h * u{i}, y{i} + h * v{i}, z{i} + h * w{i}" for i in bodies]
     stages = (
         (2, "h", each("hx{i}, hy{i}, hz{i}")),
         (3, "h", each("hx{i} + hh * p1_{i}, hy{i} + hh * q1_{i}, hz{i} + hh * r1_{i}")),
@@ -630,20 +666,20 @@ def _kernel_source(n: int) -> str:
     for k, size, positions in stages:
         for i in bodies:
             rk4 += [
-                f"            e, f, g = u{i} + {size} * p{k - 1}_{i}, v{i} + {size} * q{k - 1}_{i}, "
+                f"                e, f, g = u{i} + {size} * p{k - 1}_{i}, v{i} + {size} * q{k - 1}_{i}, "
                 f"w{i} + {size} * r{k - 1}_{i}",
-                f"            t{i} = {speed('e', 'f', 'g')}",
+                f"                t{i} = {speed('e', 'f', 'g')}",
             ]
-        rk4.append(f"            {each('p{k}_{i}, q{k}_{i}, r{k}_{i}', k=k)}, = accel({positions}, {each('t{i}')})")
+        rk4.append(f"                {each('p{k}_{i}, q{k}_{i}, r{k}_{i}', k=k)}, = accel({positions}, {each('t{i}')})")
     rk4 += [
-        "        except SingularConfigurationError as exc:",
-        "            raise SingularConfigurationError(str(exc), time=time) from None",
-        "        cq, cv = dt * dt / 6.0, dt / 6.0",
-        "        smax = tmax = 0.0",
-        "        drift = None",
+        "            except SingularConfigurationError as exc:",
+        "                raise SingularConfigurationError(str(exc), time=time) from None",
+        "            smax = tmax = 0.0",
+        "            drift = None",
     ]
     for i in bodies:
         x, y, z, u, v, w = (f"{c}{i}" for c in "xyzuvw")
+        pos, vel = (x, y, z), (u, v, w)
         positions = ", ".join(
             f"{c}{i} + dt * {d}{i} + cq * ({p}1_{i} + {p}2_{i} + {p}3_{i})" for c, d, p in zip("xyz", "uvw", "pqr")
         )
@@ -651,76 +687,81 @@ def _kernel_source(n: int) -> str:
             f"{d}{i} + cv * ({p}1_{i} + 2.0 * {p}2_{i} + 2.0 * {p}3_{i} + {p}4_{i})" for d, p in zip("uvw", "pqr")
         )
         rk4 += [
-            f"        {x}, {y}, {z} = {positions}",
-            f"        {u}, {v}, {w} = {velocities}",
-            "        if project:",
-            f"            k = kappa * ({x} * {x} + {y} * {y} + sigma * ({z} * {z}))",
-            "            if k <= 0.0:",
-            f"                raise _unprojectable({i}, kappa, k, time)",
-            "            k = sqrt(k)",
-            f"            {x}, {y}, {z} = {x} / k, {y} / k, {z} / k",
-            f"            k = kappa * ({x} * {u} + {y} * {v} + sigma * ({z} * {w}))",
-            f"            {u}, {v}, {w} = {u} - k * {x}, {v} - k * {y}, {w} - k * {z}",
-            f"        sr = abs(kappa * ({x} * {x} + {y} * {y} + sigma * ({z} * {z})) - 1.0)",
-            f"        tr = abs({x} * {u} + {y} * {v} + sigma * ({z} * {w}))",
-            "        if sr > smax:",
-            "            smax = sr",
-            "        if tr > tmax:",
-            "            tmax = tr",
-            "        if drift is None and not (",
-            f"            (sr <= bound or sr <= bound * (akappa * ({x} * {x} + {y} * {y} + {z} * {z})) < inf)",
-            f"            and (tr <= bound or tr <= bound * (hypot({x}, {y}, {z}) * hypot({u}, {v}, {w})) < inf)",
-            "        ):",
-            f"            drift = {i}, sr, tr",
+            f"            {x}, {y}, {z} = {positions}",
+            f"            {u}, {v}, {w} = {velocities}",
+            "            if project:",
+            f"                k = kappa * ({dot(pos, pos)})",
+            "                if k <= 0.0:",
+            f"                    raise _unprojectable({i}, kappa, k, time)",
+            "                k = sqrt(k)",
+            f"                {x}, {y}, {z} = {x} / k, {y} / k, {z} / k",
+            f"                k = kappa * ({dot(pos, vel)})",
+            f"                {u}, {v}, {w} = {u} - k * {x}, {v} - k * {y}, {w} - k * {z}",
+            f"            sr = abs(kappa * ({dot(pos, pos)}) - 1.0)",
+            f"            tr = abs({dot(pos, vel)})",
+            "            if sr > smax:",
+            "                smax = sr",
+            "            if tr > tmax:",
+            "                tmax = tr",
+            "            if drift is None and not (",
+            f"                (sr <= bound or sr <= bound * (akappa * ({x} * {x} + {y} * {y} + {z} * {z})) < inf)",
+            f"                and (tr <= bound or tr <= bound * (hypot({x}, {y}, {z}) * hypot({u}, {v}, {w})) < inf)",
+            "            ):",
+            f"                drift = {i}, sr, tr",
         ]
     rk4 += [
-        "        if drift is not None:",
-        "            raise _drifted(*drift, bound, time)",
-        "        dmin = inf",
+        "            if drift is not None:",
+        "                raise _drifted(*drift, bound, time)",
+        "            dmin = inf",
     ]
     for i, j in pairs:
-        if j == i + 1:
-            rk4.append(f"        sz{i} = sigma * z{i}")
         rk4 += [
-            f"        w = kappa * (x{i} * x{j} + y{i} * y{j} + sz{i} * z{j})",
-            "        d = sigma * (1.0 - w * w)",
-            "        if d < dmin:",
-            f"            dmin, bi, bj = d, {i}, {j}",
+            f"            w = kappa * ({dot(point(i), point(j))})",
+            f"            d = {denominator}",
+            "            if d < dmin:",
+            f"                dmin, bi, bj = d, {i}, {j}",
         ]
     rk4 += [
-        "        if not dmin >= SINGULAR_TOL:",
-        "            raise _singular(dmin, bi, bj, time)",
-        f"        return ({xs}), ({us}), smax, tmax, dmin",
+        "            if not dmin >= SINGULAR_TOL:",
+        "                raise _singular(dmin, bi, bj, time)",
+        "            T[sample] = time",
+        f"            put(P, {24 * n} * sample, {xs})",
+        f"            put(W, {24 * n} * sample, {us})",
+        "            put3(D, 24 * sample, smax, tmax, dmin)",
         "",
-        "    return step",
+        "    return run",
     ]
     return "\n".join(accel) + "\n\n\n" + "\n".join(rk4) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(n: int):
-    """The factory (masses, kappa, sigma) -> step of `_kernel_source(n)`, compiled once per n."""
+def _kernel(n: int, sigma: float):
+    """The factory (masses, kappa) -> run of `_kernel_source(n, sigma)`, compiled once per n and sigma."""
     made = {}
-    for unit in _kernel_source(n).split("\n\n\n"):
+    for unit in _kernel_source(n, sigma).split("\n\n\n"):
         # one code unit per function: the compiler's peak memory grows faster
         # than its unit; with Python 3.11, building the n = 3 and n = 8 steps
         # as one unit each raised a fresh process's peak RSS by 1.5 MB, as
         # two units each by 0.35 MB
         exec(compile(unit, f"<rk4 step n={n}>", "exec"), globals(), made)
-    make_accel, make_step = made["make_accel"], made["make_step"]
-    return lambda masses, kappa, sigma: make_step(make_accel(masses, kappa, sigma), kappa, sigma)
+    make_accel, make_run = made["make_accel"], made["make_run"]
+    return lambda masses, kappa: make_run(make_accel(masses, kappa), kappa)
 
 
-def _stepper(sys: BodySystem):
-    """The RK4 step over flat coordinates for sys's bodies, masses and curvature.
+def _runner(sys: BodySystem):
+    """The RK4 run for sys's bodies, masses and curvature.
 
-    Called as step(Q, V, dt, project, bound, time), it returns (Q', V',
-    largest surface residual, largest tangency residual, closest pair
-    denominator).
+    Called as run(dt, last, final, t_end, project, bound, T, P, W, D), it
+    steps from sample 0 of the position and velocity buffers P and W: steps
+    k = 1 to last - 1 have size dt and time k * dt, step `last` has size
+    `final` and time `t_end`.  Step k writes its time to T[k], its
+    coordinates to sample k of P and W, and its largest surface and
+    tangency residuals and closest pair denominator to row k of D; an error
+    carries the time of its step.
     """
     c = sys.curvature
     if sys.n <= _UNROLL_MAX:
-        return _kernel(sys.n)(sys.mass_values, c.kappa, c.sigma)
+        return _kernel(sys.n, c.sigma)(sys.mass_values, c.kappa)
     return functools.partial(_advance, sys.mass_values, c.kappa, c.sigma)
 
 
@@ -728,11 +769,14 @@ def step(sys: BodySystem, cfg: IntegratorConfig) -> BodySystem:
     """Advance one RK4 step of size cfg.dt; dt = 0 returns the state unchanged."""
     if cfg.dt == 0.0:
         return sys
-    Q, V, *_ = _stepper(sys)(
-        sys.position_buf, sys.velocity_buf, cfg.dt, cfg.project_each_step, cfg.max_constraint_drift, None
-    )
+    n3 = 3 * sys.n
+    P, W = (array("d", buf.tobytes()) * 2 for buf in (sys.position_buf, sys.velocity_buf))
+    # a run of one step at the time None, which its errors carry and a list stores
+    T, D = [0.0, None], array("d", [0.0]) * 6
+    _runner(sys)(cfg.dt, 1, cfg.dt, None, cfg.project_each_step, cfg.max_constraint_drift, T, P, W, D)
     # unchecked: the drift guard has bounded the residuals BodySystem checks
-    return BodySystem._trusted(sys.curvature, sys.mass_values, _buffer(Q), _buffer(V))
+    Q, V = (memoryview(b[n3:]).toreadonly() for b in (P, W))
+    return BodySystem._trusted(sys.curvature, sys.mass_values, Q, V)
 
 
 def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
@@ -758,25 +802,15 @@ def integrate(sys: BodySystem, cfg: IntegratorConfig) -> Trajectory:
     try:
         # allocated in full up front, so a trajectory too large for memory
         # fails before the first step
-        T, P, W, D = (array("d", [0.0]) * (k * (last + 1)) for k in (1, 3 * n, 3 * n, 3))
+        T, D = array("d", [0.0]) * (last + 1), array("d", [0.0]) * (3 * (last + 1))
+        # every sample starts as the initial state, from which the run steps
+        P, W = (array("d", buf.tobytes()) * (last + 1) for buf in (sys.position_buf, sys.velocity_buf))
     except MemoryError:
         raise ValueError(f"t_end / dt = {count:g} steps are too many to store") from None
-    # one sample's coordinates, packed at its byte offset
-    put, stride = struct.Struct(f"{3 * n}d").pack_into, 24 * n
-    Q, V = sys.position_buf, sys.velocity_buf
-    put(P, 0, *Q)
-    put(W, 0, *V)
     d = diagnostics(sys)
     D[0], D[1], D[2] = d.max_surface_residual, d.max_tangency_residual, d.min_pair_denominator
-    advance = _stepper(sys) if last else None
-    project, bound = cfg.project_each_step, cfg.max_constraint_drift
-    for k in range(1, last + 1):
-        # every non-final step has size dt, so its time is exact
-        t, h = (cfg.t_end, final) if k == last else (k * cfg.dt, cfg.dt)
-        Q, V, D[3 * k], D[3 * k + 1], D[3 * k + 2] = advance(Q, V, h, project, bound, t)
-        T[k] = t
-        put(P, k * stride, *Q)
-        put(W, k * stride, *V)
+    if last:
+        _runner(sys)(cfg.dt, last, final, cfg.t_end, cfg.project_each_step, cfg.max_constraint_drift, T, P, W, D)
     bufs = (memoryview(b).toreadonly() for b in (T, P, W, D))
     return Trajectory(sys.curvature, sys.mass_values, *bufs)
 

@@ -53,11 +53,13 @@ class _Record:
 
     A subclass names its fields in order in `_fields`, the defaults of
     trailing ones in `_defaults`, and those its repr leaves out in `_hidden`.
-    The constructor takes the fields by position or keyword and keeps them
-    in the instance `__dict__`, where `functools.cached_property` also keeps
-    its values; it is the one place that stores fields.  A subclass that
-    checks or converts its fields does so in its own `__init__`, then calls
-    it; `_trusted` calls it on field values known to be valid, unchecked.
+    The constructor takes the fields by position or keyword and hands them
+    to `_store`, the one place that stores fields: it keeps them in the
+    instance `__dict__`, where `functools.cached_property` also keeps its
+    values.  A subclass that checks or converts its fields does so in its
+    own `__init__`, then calls the base one; `_trusted`, and code that
+    builds many records of field values known to be valid, call `_store`
+    on a bare instance, unchecked.
     No attribute can be set or deleted afterwards.  Two records are equal,
     and hash alike, when they are of the same class and their fields are equal.
     """
@@ -77,16 +79,19 @@ class _Record:
             if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= values.keys():
                 raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
             args += tuple(values[f] for f in rest)
+        self._store(args)
+
+    def _store(self, values):
+        """Keep the field values, in order, in the instance `__dict__`; returns the instance."""
         d = self.__dict__  # item by item: cheaper than update(zip(...)) at a few fields
-        for f, a in zip(fields, args):
+        for f, a in zip(self._fields, values):
             d[f] = a
+        return self
 
     @classmethod
     def _trusted(cls, *values):
         """An instance holding the given field values in order, unchecked."""
-        obj = object.__new__(cls)
-        _Record.__init__(obj, *values)
-        return obj
+        return object.__new__(cls)._store(values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

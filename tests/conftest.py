@@ -18,7 +18,10 @@ def random_surface_points(rng: np.random.Generator, n: int, c: Curvature) -> np.
             norms = np.linalg.norm(raw, axis=1, keepdims=True)
             q = raw / norms / math.sqrt(c.kappa)
         else:
-            xy = rng.normal(scale=0.8, size=(n, 2))
+            # at the curvature radius's scale, or every pair of a flat
+            # hyperboloid (small |kappa|, large z) is within roundoff of
+            # coinciding and the draw never ends; unscaled for |kappa| >= 1
+            xy = rng.normal(scale=0.8 * max(1.0, 1.0 / math.sqrt(abs(c.kappa))), size=(n, 2))
             zsq = xy[:, 0] ** 2 + xy[:, 1] ** 2 + 1.0 / abs(c.kappa)
             q = np.column_stack((xy, np.sqrt(zsq)))
         metric = np.array([1.0, 1.0, c.sigma])

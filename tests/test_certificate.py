@@ -913,6 +913,25 @@ def definite(row):
     return len({x > 0 for x in row if x}) == 1
 
 
+def pattern(equation, row, case, order, s):
+    """The label of a witness form: its masses m_k, k in the given order, times a_j1.
+
+    A gamma row carries the sign s of s_j1, which the label leaves to the
+    factor s_j1/c_j1; coefficients of a vertex listed twice (u = j) add up.
+    Case 1's single mass goes without parentheses.
+    """
+    order = list(dict.fromkeys(k for k in order if k is not None))
+    assert {k + 1 for k, x in enumerate(row) if x} <= set(order)
+    sign = 1 if equation == "delta" else s
+    terms = [(row[k - 1] * sign, f"m{k}") for k in order if row[k - 1]]
+    text = " ".join(
+        f"{'-' if x < 0 else '+'} {'' if abs(x) == 1 else f'{abs(x)}*'}{m}" for x, m in terms
+    ).removeprefix("+ ")
+    if equation == "gamma":
+        return f"a_j1 * (s_j1/c_j1) * ({text})"
+    return f"a_j1 * {text}" if case == "case1" else f"a_j1 * ({text})"
+
+
 def check_certificate_json(doc):
     """Re-derive a certificate's claims from its emitted JSON, in Fractions alone.
 
@@ -946,6 +965,7 @@ def check_certificate_json(doc):
     terms += [((k, i), [(k, sign, sign)]) for k in range(3, n + 1) for i, sign in ((1, 1), (2, -1))]
     d = (a[j - 1] - a[0]) % 1
     witness_class = min(d, 1 - d)
+    s_j1 = (d < F(1, 2)) - (d > F(1, 2))  # its sign
     rows = {"delta": [0] * n, "gamma": [0] * n}
     for (p, q), coefficients in terms:
         d = (a[p - 1] - a[q - 1]) % 1
@@ -969,6 +989,7 @@ def check_certificate_json(doc):
             factors = {coeffs[k] / row[k - 1] for k in coeffs}
             assert len(factors) == 1 and factors.pop() > 0
         assert w["sign_definite"] == definite(row)
+        assert w["pattern"] == pattern(w["equation"], row, case, [j, v, u], s_j1)
     # a sign-definite form cannot vanish at positive masses; in case 3 one
     # sum or difference of the two rows is 2 m_j, so they cannot vanish together
     patterns = [rows[w["equation"]] for w in forms]
@@ -997,6 +1018,26 @@ class TestCertificateJson:
             if not is_regular(cfg):
                 turned = sorted((x + F(k % 13, 13)) % 1 for x in cfg.turns)
                 self.check(PolygonConfig.from_turns(turned))
+
+    def test_rejects_a_relabelled_pattern(self):
+        # each witness form of each irregular canonical polygon with
+        # denominators <= 12 (712 of them), its mass labels m_k moved to
+        # m_(k+1), cyclically
+        count = 0
+        for cfg in canonical_polygons(12):
+            if is_regular(cfg):
+                continue
+            doc = json.loads(dumps(certify(cfg).to_json_dict()))
+            check_certificate_json(doc)
+            for w in doc["witness_forms"]:
+                good = w["pattern"]
+                w["pattern"] = re.sub(r"m(\d+)", lambda k: f"m{int(k[1]) % cfg.n + 1}", good)
+                assert w["pattern"] != good
+                with pytest.raises(AssertionError):
+                    check_certificate_json(doc)
+                w["pattern"] = good
+            count += 1
+        assert count == 712
 
     def test_rejects_rho_outside_the_kernel_domain(self):
         # the half-turn chord of (0, 1/6, 1/2) has c = 2, so 2 - c rho = -1 at rho = 1.5

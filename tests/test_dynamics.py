@@ -1,9 +1,11 @@
 """Constraint-preserving integration and relative-equilibrium solving."""
 
+import functools
 import json
 import math
 import random
 import re
+import signal
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -505,15 +507,18 @@ class TestStepOracle:
                 # dt is a power of two, so every step time k * dt is exact
                 yield system, IntegratorConfig(dt=dt, t_end=self.STEPS * dt, project_each_step=project)
 
-    def reference(self, system, cfg):
-        """The time, position, velocity and diagnostic buffers of integrate, from ref_advance."""
+    def reference(self, system, cfg, steps=None):
+        """The time, position, velocity and diagnostic buffers of integrate, from ref_advance.
+
+        steps lists the (size, time) of each step, by default STEPS steps of size cfg.dt.
+        """
         c, m = system.curvature, system.mass_values
         Q, V = system.positions.tolist(), system.velocities.tolist()
         surf, tang = ref_residuals(Q, V, c.kappa, c.sigma)
         T, P, W, D = [0.0], Q, V, [(max(surf), max(tang), ref_closest(Q, c.kappa, c.sigma)[0])]
-        for k in range(1, self.STEPS + 1):
-            Q, V, d = ref_advance(Q, V, m, c, cfg.dt, cfg, time=k * cfg.dt)
-            T.append(k * cfg.dt)
+        for size, time in steps or [(cfg.dt, k * cfg.dt) for k in range(1, self.STEPS + 1)]:
+            Q, V, d = ref_advance(Q, V, m, c, size, cfg, time=time)
+            T.append(time)
             P, W = P + Q, W + V
             D.append(d)
         return array("d", T).tobytes(), doubles(P), doubles(W), doubles(D)
@@ -577,6 +582,26 @@ class TestStepOracle:
         expected = {None, SingularConfigurationError, ConstraintDriftError}
         assert seen == expected | ({NonProjectableError} if project and kappa < 0 else set())
 
+    @pytest.mark.parametrize("n", [3, _UNROLL_MAX + 1])
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize("kappa", [1.0, -1.0])
+    def test_shorter_final_step_matches_reference(self, kappa, project, n):
+        # t_end = 5.3 dt: five steps of size dt, then one of the remainder
+        # t_end - 5 dt, at time t_end, through the generated run and the loops
+        from conftest import random_state
+
+        c = Curvature(kappa)
+        base = random_state(np.random.default_rng([34, n, project, kappa > 0]), n, c)
+        system = BodySystem(c, base.masses / n, base.positions, base.velocities)
+        cfg = IntegratorConfig(dt=2.0**-9, t_end=5.3 * 2.0**-9, project_each_step=project)
+        final = cfg.t_end - 5 * cfg.dt
+        assert 0.0 < final < cfg.dt
+        traj = integrate(system, cfg)
+        got = tuple(b.tobytes() for b in (traj.time_buf, traj.position_buf, traj.velocity_buf, traj.diagnostic_buf))
+        steps = [(cfg.dt, k * cfg.dt) for k in range(1, 6)] + [(final, cfg.t_end)]
+        assert got == self.reference(system, cfg, steps)
+        assert traj.times[-1] == cfg.t_end and len(traj.times) == 7
+
     def test_overflowed_scale_matches_reference(self):
         # the state of TestIntegrate::test_drift_guard_rejects_an_overflowed_scale:
         # one unprojected step ends with a surface residual inf at the scale
@@ -586,30 +611,66 @@ class TestStepOracle:
         V = [2.638507194531691e121, 1.6500090511725324e121, -3.1119527767218407e121]
         dt = 4.409912790289184e19
         cfg = IntegratorConfig(dt, dt, project_each_step=False)
-        args = Q, V, dt, False, cfg.max_constraint_drift, dt
         want = outcome(lambda: ref_advance([Q], [V], (1.0,), c, dt, cfg, time=dt))
         assert want[0] is ConstraintDriftError and want[2] == dt
         assert "(surface inf, tangency 0.0)" in want[1]
-        assert outcome(lambda: dynamics._advance((1.0,), c.kappa, c.sigma, *args)) == want
-        assert outcome(lambda: _kernel(1)((1.0,), c.kappa, c.sigma)(*args)) == want
+
+        def one_step(run):
+            # a run of one step of size dt at time dt, as integrate makes it
+            P, W, D = array("d", Q) * 2, array("d", V) * 2, array("d", [0.0]) * 6
+            run(dt, 1, dt, dt, False, cfg.max_constraint_drift, [0.0, 0.0], P, W, D)
+
+        assert outcome(lambda: one_step(functools.partial(dynamics._advance, (1.0,), c.kappa, c.sigma))) == want
+        assert outcome(lambda: one_step(_kernel(1, c.sigma)((1.0,), c.kappa))) == want
+
+
+class TestRandomState:
+    def test_flat_hyperboloid_draw_returns(self):
+        # at kappa = -1e-200 the points lie near z = 1e100; with x and y drawn
+        # at scale 0.8, every pair was within roundoff of coinciding and the
+        # resampling of conftest's random_surface_points never ended
+        from conftest import random_state
+
+        def expire(signum, frame):
+            raise TimeoutError("random_state did not return within 10 s")
+
+        before = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            system = random_state(np.random.default_rng(34), 3, Curvature(-1e-200))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, before)
+        assert system.n == 3 and system.curvature == Curvature(-1e-200)
 
 
 class TestKernelSource:
-    """The generated RK4 step: straight-line source, built only when a step runs."""
+    """The generated RK4 run: straight-line steps in one loop, built only when a step runs."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, _UNROLL_MAX])
     def test_straight_line_code(self, n):
-        src = _kernel_source(n)
-        assert src == _kernel_source(n)
-        accel, rk4 = src.split("\n\n\n")
-        assert accel.startswith("def make_accel(") and rk4.startswith("def make_step(")
-        # no loop, comprehension or list; one pair block per pair in accel
-        # and in the closing pass
-        assert not re.search(r"\b(for|while)\b|\[", src)
-        pairs = n * (n - 1) // 2
-        assert accel.count("if not d >= SINGULAR_TOL:") == pairs
-        assert rk4.count("if d < dmin:") == pairs
-        assert rk4.count("= accel(") == 4
+        for sigma in (1.0, -1.0):
+            src = _kernel_source(n, sigma)
+            assert src == _kernel_source(n, sigma)
+            accel, rk4 = src.split("\n\n\n")
+            assert accel.startswith("def make_accel(") and rk4.startswith("def make_run(")
+            # one loop, over the steps; no other loop, comprehension or list
+            # display (a bracket after a name is a subscript)
+            assert re.findall(r"\b(?:for|while)\b", src) == ["for"]
+            assert "        for sample in range(1, last + 1):\n" in rk4
+            assert not re.search(r"(?<![\w\]])\[", src)
+            # the metric sign is in the text, not a variable
+            assert "sigma" not in src
+            if n > 1:
+                sign = "+" if sigma > 0.0 else "-"
+                assert f"w = kappa * (x0 * x1 + y0 * y1 {sign} z0 * z1)" in src
+                assert ("d = 1.0 - w * w" if sigma > 0.0 else "d = -(1.0 - w * w)") in src
+            # one pair block per pair in accel and in the closing pass, and
+            # four calls of accel in the step
+            pairs = n * (n - 1) // 2
+            assert accel.count("if not d >= SINGULAR_TOL:") == pairs
+            assert rk4.count("if d < dmin:") == pairs
+            assert rk4.count("= accel(") == 4
 
     def test_no_kernel_without_a_step(self):
         system, _ = rotating_triangle(1)
@@ -619,6 +680,12 @@ class TestKernelSource:
         assert _kernel.cache_info().currsize == 0
         step(system, IntegratorConfig(dt=1e-3, t_end=1e-3))
         assert _kernel.cache_info().currsize == 1
+        # kernels are keyed by the body count and the metric sign
+        z = 1.25**0.5
+        hyperbolic = make_system(HYPER, [(0.0, 0.0, 1.0), (0.5, 0.0, z), (0.0, 0.5, z)], np.zeros((3, 3)), [1.0] * 3)
+        for _ in range(2):
+            integrate(hyperbolic, IntegratorConfig(dt=1e-3, t_end=2e-3))
+            assert _kernel.cache_info().currsize == 2
 
 
 class TestProjectionPin:
@@ -1102,7 +1169,7 @@ class TestInvariantRaises:
             assert err.value.time == 0.01
             # raised by the generated step up to _UNROLL_MAX bodies, by the loops above
             code = err.traceback[-1].frame.code.raw
-            generated = ("step", f"<rk4 step n={n}>")
+            generated = ("run", f"<rk4 step n={n}>")
             assert (code.co_name, code.co_filename) == (
                 generated if n <= _UNROLL_MAX else ("_advance", dynamics.__file__)
             )
