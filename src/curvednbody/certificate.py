@@ -34,7 +34,6 @@ tolerance.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -159,8 +158,8 @@ def _difference_groups(res: tuple[int, ...], full: int, only: int | None = None)
 def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, bool]:
     """The polygon's largest class chord, and whether positive masses exist.
 
-    The polygon is given by its canonical residues, which every rotation
-    shares.  For i = 2..n, grouping the terms of delta_i - delta_1 and
+    The polygon is given by its canonical residues, sorted, which every
+    rotation shares.  For i = 2..n, grouping the terms of delta_i - delta_1 and
     gamma_i - gamma_1 by chord class gives one integer delta row and one
     gamma sign row per class, and the system {A m = 0, m >= 1}; rho scales
     each row only by a positive amplitude a(c, rho), so the verdict holds at
@@ -174,10 +173,24 @@ def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, bool]:
          minus those that vertex 1 sees, and the gamma sum counts their
          signed difference.  A half-turn counts in delta only.  So every row
          sums to zero exactly when all vertices see the same separations.
+
+    The widest class pairs a vertex with a neighbour of its antipode: for
+    b after a, min(b - a, full - (b - a)) rises while b < a + full/2 and
+    falls from there on, so only the last b below and the first b at or
+    above count.  Both move forward with a, so one pass finds them.
     """
     seen = sorted((r - res[0]) % full for r in res)
     feasible = all(sorted((r - s) % full for r in res) == seen for s in res[1:])
-    widest = max(min((a - b) % full, (b - a) % full) for a, b in itertools.combinations(res, 2))
+    n = len(res)
+    half = (full + 1) // 2  # b - a >= half exactly when 2 (b - a) >= full
+    widest = k = 0
+    for a in res:
+        while k < n and res[k] < a + half:
+            k += 1
+        if res[k - 1] - a > widest:
+            widest = res[k - 1] - a
+        if k < n and full - (res[k] - a) > widest:
+            widest = full - (res[k] - a)
     return 1.0 - math.cos(_class_angle(widest, full)), feasible
 
 

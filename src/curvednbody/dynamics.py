@@ -556,8 +556,11 @@ def _advance(m, kappa, sigma, dt, last, final, t_end, project, bound, T, P, W, D
 # does: compiling the source, which grows as n^2, raises the peak RSS of a
 # fresh process that integrates a regular polygon, against the loops, by
 # 0.37-0.95 MB at n = 8, 0.43-1.14 MB at n = 9, 1.9-3.4 MB at n = 12 (CPython
-# 3.10-3.13) and 78 MB at n = 64 (3.11).  8 is the largest count whose build
-# stays under 1 MB on each of them.
+# 3.10-3.13) and 78 MB at n = 64 (3.11).  That comparison sets the cut-off:
+# 8 is the largest count whose build stays under 1 MB on each of them.  It
+# is what a run pays beyond the loops it replaces.  Against a fresh process
+# that only imports this module, the n = 8 build alone adds more, 0.75 /
+# 0.95 / 1.38 / 1.63 MB on 3.10 / 3.11 / 3.12 / 3.13.
 _UNROLL_MAX = 8
 
 
@@ -638,9 +641,9 @@ def _kernel_source(n: int, sigma: float) -> str:
     xs, us = each("x{i}, y{i}, z{i}"), each("u{i}, v{i}, w{i}")
     sizes = "h, hh, dd, cq, cv = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt, dt * dt / 6.0, dt / 6.0"
     rk4 = [
-        "def make_run(accel, kappa):",
-        f"    put, put3 = struct.Struct('{3 * n}d').pack_into, struct.Struct('3d').pack_into",
-        "",
+        # the packers are default arguments, built once when the unit runs
+        f"def make_run(accel, kappa, put=struct.Struct('{3 * n}d').pack_into, "
+        "put3=struct.Struct('3d').pack_into):",
         "    def run(dt, last, final, t_end, project, bound, T, P, W, D):",
         f"        {xs}, = P[:{3 * n}]",
         f"        {us}, = W[:{3 * n}]",

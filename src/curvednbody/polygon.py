@@ -138,10 +138,15 @@ class Curvature(_Record):
 class PolygonConfig(_Record):
     """Ordered angles of an inscribed polygon, exact (turns) or float (radians).
 
-    Exact angles are Fractions in [0, 1) interpreted as fractions of a full
+    Exact angles are rationals in [0, 1) interpreted as fractions of a full
     turn; float angles are radians in [0, 2*pi).  Both must be strictly
-    increasing with n >= 3.  An exact polygon stores only its integer turn
-    residues (see `residues`) and builds its Fraction angles when first read.
+    increasing with n >= 3.  Each exact angle is read once as a numerator
+    and a denominator (see `_turn_pair`): a str of decimal digits, or of
+    digits, "/" and a nonzero denominator in digits, is split and read with
+    `int`; any other form goes through `Fraction`, which names what it
+    cannot read.  An exact
+    polygon stores only its integer turn residues (see `residues`) and
+    builds its Fraction angles when first read.
     """
 
     # representation: "exact" | "float"; _value: the residues of an exact
@@ -153,24 +158,26 @@ class PolygonConfig(_Record):
             raise ValueError(f"unknown representation {representation!r}")
         if len(angles) < 3:
             raise ValueError(f"polygon needs at least 3 angles, got {len(angles)}")
-        if representation == "exact":
-            vals = tuple(a if type(a) is Fraction else Fraction(a) for a in angles)
-            for a in vals:
-                if not 0 <= a.numerator < a.denominator:
-                    raise ValueError(f"turn angle {a} outside [0, 1)")
-            full = math.lcm(*(a.denominator for a in vals))
-            order = tuple(a.numerator * (full // a.denominator) for a in vals)
-            value = (order, full)
+        exact = representation == "exact"
+        if exact:
+            pairs = [_turn_pair(a) for a in angles]
+            for p, q in pairs:
+                if not 0 <= p < q:
+                    raise ValueError(f"turn angle {Fraction(p, q)} outside [0, 1)")
+            full = math.lcm(*[q for _, q in pairs])
+            order = tuple(p * (full // q) for p, q in pairs)
+            # unreduced pairs scale the residues and their modulus alike
+            g = math.gcd(full, *order)
+            value = (order, full) if g == 1 else (tuple(r // g for r in order), full // g)
         else:
-            vals = order = value = tuple(float(a) for a in angles)
-            for a in vals:
+            order = value = tuple(float(a) for a in angles)
+            for a in order:
                 if not math.isfinite(a) or not (0.0 <= a < TWO_PI):
                     raise ValueError(f"radian angle {a!r} outside [0, 2*pi)")
-        for k in range(len(vals) - 1):
+        for k in range(len(order) - 1):
             if not order[k] < order[k + 1]:
-                raise ValueError(
-                    f"angles must be strictly increasing, got {vals[k]} >= {vals[k + 1]}"
-                )
+                a, b = (Fraction(r, full) for r in order[k:k + 2]) if exact else order[k:k + 2]
+                raise ValueError(f"angles must be strictly increasing, got {a} >= {b}")
         super().__init__(representation, value)
 
     def __repr__(self):
@@ -230,6 +237,26 @@ class PolygonConfig(_Record):
         best = _min_rotation(res, full)
         g = math.gcd(full, *best)
         return tuple(r // g for r in best), full // g
+
+
+def _turn_pair(a) -> tuple[int, int]:
+    """An exact turn angle as the (numerator, denominator) that Fraction(a) parses, unreduced.
+
+    Text that PolygonConfig splits is read with int; every other form, and
+    a part with more digits than int reads, goes through Fraction.
+    """
+    if type(a) is str:
+        p, slash, q = a.partition("/")
+        if p.isdecimal() and (q.isdecimal() or not slash):
+            try:
+                p, q = int(p), int(q) if slash else 1
+            except ValueError:  # beyond sys.get_int_max_str_digits()
+                pass
+            else:
+                if q:
+                    return p, q
+    f = a if type(a) is Fraction else Fraction(a)
+    return f.numerator, f.denominator
 
 
 def _mass_floats(values) -> tuple[float, ...]:

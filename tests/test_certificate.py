@@ -509,6 +509,29 @@ class TestRhoFreeFeasibility:
                 assert res.masses == (1.0,) * n, (n, rho)
                 assert res.residual == 0.0
 
+    def test_widest_class_is_the_all_pairs_maximum(self, monkeypatch):
+        # _exact_system tries the two neighbours of each vertex's antipode;
+        # the reference scans every pair.  Odd and even moduli, small and
+        # large, and sets with a half-turn pair, which only an even one has
+        widest = []
+        monkeypatch.setattr(certificate, "_class_angle", lambda k, full: widest.append(k) or 1.0)
+        solve = certificate._exact_system.__wrapped__
+        rng = random.Random(35)
+        for trial in range(10_000):
+            n = rng.randint(3, 14)
+            full = 2 * rng.randint(n, 30 if trial % 4 < 2 else 5000) + trial % 2
+            res = set()
+            if full % 2 == 0 and trial % 3 == 0:
+                a = rng.randrange(full)
+                res = {a, (a + full // 2) % full}
+            while len(res) < n:
+                res.add(rng.randrange(full))
+            res = tuple(sorted(res))
+            solve(res, full)
+            assert widest.pop() == max(
+                min((b - a) % full, (a - b) % full) for a, b in itertools.combinations(res, 2)
+            ), (res, full)
+
     def test_results_do_not_depend_on_call_history(self):
         rhos = (0.25, 0.5, 0.75, -1.0)
         # Distinct canonical polygons, one more than the memo holds.
@@ -998,6 +1021,20 @@ def check_certificate_json(doc):
     assert any(map(definite, patterns)) or any(
         definite([x + sign * y for x, y in zip(*patterns)]) for sign in (1, -1))
     assert doc["feasibility"]["verdict"] == "infeasible"
+    # the numbers that the narrative states: the canonical angles, both gaps,
+    # j and its successor, u, v and the cross-check's rho, printed with %g
+    said = re.search(
+        r"canonical turn angles \((?P<angles>[^)]*)\)\.\n.*gap\(1,2\) = (?P<gap1>\S+)\.\n"
+        r"Witness index j = (?P<j>\d+): gap\((?P<j2>\d+),(?P<succ>\d+)\) = (?P<gapj>\S+) .*"
+        r"\(mod 1\): (?:u = (?P<u>\d+)|none)\n.*v != j: (?:v = (?P<v>\d+)|none)\n.*"
+        r"at rho = (?P<rho>\S+) -> infeasible\.$",
+        doc["narrative"], re.S)
+    assert said, doc["narrative"]
+    assert [F(x) for x in said["angles"].split(", ")] == a
+    assert (F(said["gap1"]), F(said["gapj"])) == (gaps[0], gaps[j - 1])
+    assert [int(said[k]) for k in ("j", "j2", "succ")] == [j, j, j % n + 1]
+    assert [None if said[k] is None else int(said[k]) for k in "uv"] == [u, v]
+    assert float(said["rho"]) == float(f"{doc['feasibility']['rho']:g}")
     # the cross-check's rho lies in the kernel domain of every class; 2 - c rho
     # is monotone in c, so the widest class chord c = 1 - cos(2 pi k) checks all
     widest = max(min(d, 1 - d) for d in ((y - x) % 1 for x, y in itertools.combinations(a, 2)))
@@ -1036,6 +1073,26 @@ class TestCertificateJson:
                 with pytest.raises(AssertionError):
                     check_certificate_json(doc)
                 w["pattern"] = good
+            count += 1
+        assert count == 712
+
+    def test_rejects_a_changed_narrative_number(self):
+        # each irregular canonical polygon with denominators <= 12, one digit
+        # run of its narrative's angles, gaps, j, u, v or rho raised by one:
+        # the k-th polygon's k-th run, cyclically
+        stated = re.compile(r"angles \([^)]*\)|gap\(\d+,\d+\) = \S+|index j = \d+|: [uv] = \d+|rho = \S+")
+        count = 0
+        for cfg in canonical_polygons(12):
+            if is_regular(cfg):
+                continue
+            doc = json.loads(dumps(certify(cfg).to_json_dict()))
+            text = doc["narrative"]
+            runs = [(m.start() + d.start(), m.start() + d.end())
+                    for m in stated.finditer(text) for d in re.finditer(r"\d+", m[0])]
+            start, end = runs[count % len(runs)]
+            doc["narrative"] = f"{text[:start]}{int(text[start:end]) + 1}{text[end:]}"
+            with pytest.raises(AssertionError):
+                check_certificate_json(doc)
             count += 1
         assert count == 712
 

@@ -524,6 +524,54 @@ class TestResidues:
                 build()
             assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "angle, split",
+        [
+            # decimal digits, "/" and nonzero decimal digits: read with int
+            ("2/4", True),
+            ("007/10", True),
+            ("0", True),
+            ("\u0661/\u0663", True),  # ARABIC-INDIC ONE / THREE
+            # every other form goes through Fraction, errors included
+            (" 1/3", False),
+            ("+1/3", False),
+            ("1_0/30", False),  # an error before Python 3.11, 1/3 from it on
+            ("0.25", False),
+            ("1e-1", False),
+            ("-1/3", False),
+            ("\u00b2/3", False),  # SUPERSCRIPT TWO: a digit, not a decimal one
+            ("1/0", False),
+            ("0/0", False),
+            ("1" * 5000 + "/3", False),  # more digits than int reads
+        ],
+    )
+    def test_angle_forms_read_as_fraction_reads_them(self, monkeypatch, angle, split):
+        def outcome(build):
+            try:
+                return build()
+            except Exception as exc:  # the error is part of the outcome compared
+                return type(exc), str(exc)
+
+        built = [0]
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        for angles in ((angle, "4/5", "9/10"), ("1/20", angle, "9/10")):
+            expected = outcome(lambda: PolygonConfig.from_turns([F(a) for a in angles]))
+            built[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(F, "__new__", staticmethod(counting))
+                got = outcome(lambda: PolygonConfig(angles, "exact"))
+            if isinstance(expected, PolygonConfig):
+                assert (got.residues, got.turns) == (expected.residues, expected.turns)
+                # a split angle builds no Fraction
+                assert (built[0] == 0) == split
+            else:
+                assert got == expected
+
     def test_mixed_exact_inputs(self):
         cfg = PolygonConfig((0, "1/4", 0.5, F(3, 4)), "exact")
         assert cfg.turns == (F(0), F(1, 4), F(1, 2), F(3, 4))
