@@ -19,38 +19,30 @@ gamma_i zero is the rigid-rotation condition.  `solve_omega` takes the rate
 of a regular equal-mass polygon from it in closed form,
 omega^2 = delta_1 / r^3.
 
-The surface formulas are kernels on plain float rows: `_accel` evaluates
-the field for the integrator, `acceleration` and the independent check in
-`solve_omega`; `_residuals` and `_closest` measure the constraints of a
-state.  The pair kernels `_accel` and `_closest` visit each pair i < j once,
-row by row, and each body's sums take their terms in ascending index order.
-They form sigma z_i once per row: sigma (z_i z_j) and (sigma z_i) z_j are
-the same double.  `_accel` reads the velocities only as the terms
--kappa (v_i . v_i) of `_speed_terms`, and emits body i's acceleration as
-soon as row i ends, when its sums hold every term; the last body, which has
-no row, is emitted after the loop.  `_closest` also names the pair of its
-minimum, so a pair at or past the singularity threshold after a step or in
-`BodySystem` raises `_accel`'s error, which names the bodies and the
-denominator.  An RK4 step builds each stage's positions
-directly and only the speed terms of its velocities, no velocity rows; then
-one pass over the bodies combines the stages, projects each point and then
-its velocity back onto the surface and tangent bundle, and measures both
-residuals against the drift bound; a pass over the pairs closes the step.
+The step is Python source that one emitter writes (`_Templates`): each of
+its operations is a statement template, written once, and the emitter
+writes it out in two forms, with sigma folded into the text as the sign of
+each z term.  The unrolled form (`_kernel_source`, built by `_kernel` once
+per body count up to `_UNROLL_MAX` and sign) is straight-line code on local
+floats; the loop form (`_loop_source`, built by `_loops` once per sign)
+runs the same templates inside loops over the rows.  The loop form steps
+larger systems and serves the one-shot callers: `acceleration` and
+`solve_omega` take its field (`_field`), `BodySystem` and `diagnostics` its
+closest pair.  Its pair loops visit each pair i < j once, row by row, keep
+body i's sums in locals over its row and emit body i when its row ends, so
+each body's sums take their terms in ascending index order; the unrolled
+form does the same operations in the same order, so the two agree bit for
+bit, errors included.  The field reads the velocities only as the speed
+terms -kappa (v_i . v_i).  A step builds each stage's positions and speed
+terms, then one pass over the bodies combines the stages, projects each
+point and then its velocity back onto the surface and tangent bundle, and
+measures both residuals against the drift bound; a pass over the pairs
+closes the step, and a pair past the singularity threshold there or in
+`BodySystem` raises the field's error, which names the bodies.
 `integrate` and `step` each make one call that runs all their steps
-(`_runner`).  Up to `_UNROLL_MAX` bodies that run is Python source
-generated once per body count and metric sign (`_kernel_source`, compiled
-by `_kernel` when the first step of that count and sign runs): one loop over
-the steps around straight-line code on local floats, which keeps the state
-in locals between steps and packs each sample straight into the
-trajectory's buffers.  Its pair block is one generated `accel` that each
-stage calls, and sigma is folded into the text as the sign of each z term.
-It performs the loops' floating-point operations in their order, so its
-results and errors are theirs, bit for bit.  Its length, build time and the
-memory its compilation takes grow as n^2, so above `_UNROLL_MAX` bodies the
-loops of `_advance` run the steps, behind the same call.  The public
-projections `project_point` and `project_tangent` repeat the step's
-projection arithmetic, in its order of operations, on arrays of shape
-(..., 3).
+(`_runner`).  The public projections `project_point` and `project_tangent`
+repeat the step's projection arithmetic, in its order of operations, on
+arrays of shape (..., 3).
 
 States and trajectories keep their numbers in flat buffers of doubles
 (stdlib `array('d')` behind read-only memoryviews), coordinates as x, y, z
@@ -65,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import types
 from array import array
 from itertools import chain
 from sys import maxsize
@@ -91,26 +84,6 @@ def _residuals(Q, V, kappa, sigma):
     surf = [abs(kappa * (x * x + y * y + sigma * (z * z)) - 1.0) for x, y, z in Q]
     tang = [abs(x * u + y * v + sigma * (z * w)) for (x, y, z), (u, v, w) in zip(Q, V)]
     return surf, tang
-
-
-def _closest(Q, kappa, sigma):
-    """Smallest pair denominator sigma * (1 - w^2), w = kappa q_i . q_j, and its bodies i < j.
-
-    (inf, None, None) for one body.
-    """
-    out = math.inf
-    bi = bj = None
-    n = len(Q)
-    for i in range(n - 1):
-        xi, yi, zi = Q[i]
-        szi = sigma * zi
-        for j in range(i + 1, n):
-            xj, yj, zj = Q[j]
-            w = kappa * (xi * xj + yi * yj + szi * zj)
-            d = sigma * (1.0 - w * w)
-            if d < out:
-                out, bi, bj = d, i, j
-    return out, bi, bj
 
 
 def _singular(d, i, j, time=None):
@@ -143,72 +116,6 @@ def _drifted(i, sr, tr, bound, time):
         f"exceed drift bound {bound}",
         time=time,
     )
-
-
-def _speed_terms(V, kappa, sigma):
-    """-kappa (v . v) of each velocity row: all that `_accel` reads of the velocities."""
-    return [-kappa * (u * u + v * v + sigma * (w * w)) for u, v, w in V]
-
-
-def _stage_speed_terms(V, h, A, kappa, sigma):
-    """`_speed_terms` of the stage velocities V + h A, building no rows."""
-    return [
-        -kappa * (x * x + y * y + sigma * (z * z))
-        for (u, v, w), (p, q, r) in zip(V, A)
-        for x, y, z in ((u + h * p, v + h * q, w + h * r),)
-    ]
-
-
-def _accel(Q, s, m, kappa, sigma):
-    """Acceleration of every body; raises near collisions and antipodes.
-
-    Works on plain floats: Q is a sequence of (x, y, z) rows, s the list of
-    `_speed_terms`, which the kernel overwrites, and m the masses.  Each pair
-    is visited once and feeds both of its bodies.  This is the one place a
-    pair force out of the float range becomes an error.
-    """
-    try:
-        n = len(Q)
-        scale = abs(kappa) ** 1.5
-        # s_i collects -kappa (v_i . v_i) - sum_j P_ij w_ij, the factor of q_i
-        ax = [0.0] * n
-        ay = [0.0] * n
-        az = [0.0] * n
-        A = []
-        for i in range(n - 1):
-            xi, yi, zi = Q[i]
-            mi, szi = m[i], sigma * zi
-            # body i's sums stay in locals over its row; each still takes its
-            # terms in ascending index order, those of rows before i first
-            sx, sy, sz, si = ax[i], ay[i], az[i], s[i]
-            for j in range(i + 1, n):
-                xj, yj, zj = Q[j]
-                w = kappa * (xi * xj + yi * yj + szi * zj)
-                d = sigma * (1.0 - w * w)
-                # not-ge rather than lt: a stage overshooting past the antipode
-                # makes d negative or NaN, and those must abort just like a tiny d
-                if not d >= SINGULAR_TOL:
-                    raise _singular(d, i, j)
-                g = scale / d**1.5
-                p = g * m[j]
-                sx += p * xj
-                sy += p * yj
-                sz += p * zj
-                si -= p * w
-                p = g * mi
-                ax[j] += p * xi
-                ay[j] += p * yi
-                az[j] += p * zi
-                s[j] -= p * w
-            # every term of body i is in once its row ends
-            A.append((sx + si * xi, sy + si * yi, sz + si * zi))
-        x, y, z = Q[-1]
-        si = s[-1]
-        A.append((ax[-1] + si * x, ay[-1] + si * y, az[-1] + si * z))
-        return A
-    except OverflowError:
-        # a huge |kappa|, a far pair on the hyperboloid or a diverging step
-        raise SingularConfigurationError(_OVERFLOW) from None
 
 
 def _buffer(values) -> memoryview:
@@ -279,7 +186,7 @@ class BodySystem(_Record):
             scale = max(1.0, math.hypot(*q) * math.hypot(*v))
             if not res <= STATE_TOL * scale < math.inf:
                 raise ValueError(f"tangency residual {res!r} exceeds {STATE_TOL} of scale {scale!r}")
-        d, i, j = _closest(Q, c.kappa, c.sigma)
+        d, i, j = _loops(c.sigma).closest(Q, c.kappa)
         if not d >= SINGULAR_TOL:
             raise _singular(d, i, j)
         super().__init__(curvature, m, *(_buffer(chain.from_iterable(rows)) for rows in (Q, V)))
@@ -433,13 +340,13 @@ def project_tangent(p, v, c: Curvature):
 
 
 def acceleration(sys: BodySystem):
-    """Accelerations of all bodies, rows aligned with the state arrays; `_accel` maps overflow."""
+    """Accelerations of all bodies, rows aligned with the state arrays, from the loop form's field (`_field`)."""
     import numpy as np
 
     c = sys.curvature
     sigma = c.sigma
     Q, V, m = _floats(sys)
-    A = _accel(Q, _speed_terms(V, c.kappa, sigma), m, c.kappa, sigma)
+    A = _field(Q, V, m, c)
     # On-surface compatibility q . a = -(v . v); BodySystem guarantees the
     # surface residual that makes this identity hold.
     worst = max(
@@ -456,106 +363,17 @@ def diagnostics(sys: BodySystem) -> DiagnosticsReport:
     c = sys.curvature
     Q, V, _ = _floats(sys)
     surf, tang = _residuals(Q, V, c.kappa, c.sigma)
-    return DiagnosticsReport(max(surf), max(tang), _closest(Q, c.kappa, c.sigma)[0])
+    return DiagnosticsReport(max(surf), max(tang), _loops(c.sigma).closest(Q, c.kappa)[0])
 
 
-def _advance(m, kappa, sigma, dt, last, final, t_end, project, bound, T, P, W, D):
-    """RK4 steps plus projection, as loops over the bodies and pairs.
-
-    The run of `_runner` above `_UNROLL_MAX` bodies, where it replaces the
-    generated run of `_kernel`.  After the four stages of a step, one pass
-    over the bodies combines them, projects the point and then the velocity,
-    and measures both residuals; `_closest` closes the step.  Errors carry
-    the time of their step, those of `_accel` too; a projection failure of
-    any body comes before a drift abort.
-    """
-    n3 = 3 * len(m)
-    put, put3, stride = struct.Struct(f"{n3}d").pack_into, struct.Struct("3d").pack_into, 8 * n3
-    Q, V = _rows(P[:n3]), _rows(W[:n3])
-    for sample in range(1, last + 1):
-        # every step but the last has size dt, so its time is exact
-        time, dt = (sample * dt, dt) if sample < last else (t_end, final)
-        h, hh, dd = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt
-        try:
-            a1 = _accel(Q, _speed_terms(V, kappa, sigma), m, kappa, sigma)
-            Qh = [(x + h * u, y + h * v, z + h * w) for (x, y, z), (u, v, w) in zip(Q, V)]
-            a2 = _accel(Qh, _stage_speed_terms(V, h, a1, kappa, sigma), m, kappa, sigma)
-            a3 = _accel(
-                [(x + hh * p, y + hh * q, z + hh * r) for (x, y, z), (p, q, r) in zip(Qh, a1)],
-                _stage_speed_terms(V, h, a2, kappa, sigma),
-                m, kappa, sigma,
-            )
-            a4 = _accel(
-                [
-                    (x + dt * u + dd * p, y + dt * v + dd * q, z + dt * w + dd * r)
-                    for (x, y, z), (u, v, w), (p, q, r) in zip(Q, V, a2)
-                ],
-                _stage_speed_terms(V, dt, a3, kappa, sigma),
-                m, kappa, sigma,
-            )
-        except SingularConfigurationError as exc:
-            raise SingularConfigurationError(str(exc), time=time) from None
-        cq, cv = dt * dt / 6.0, dt / 6.0
-        akappa = abs(kappa)
-        Qn, Vn = [], []
-        smax = tmax = 0.0
-        drift = None
-        for i, ((x, y, z), (u, v, w), (p1, q1, r1), (p2, q2, r2), (p3, q3, r3), (p4, q4, r4)) in enumerate(
-            zip(Q, V, a1, a2, a3, a4)
-        ):
-            x, y, z = (
-                x + dt * u + cq * (p1 + p2 + p3),
-                y + dt * v + cq * (q1 + q2 + q3),
-                z + dt * w + cq * (r1 + r2 + r3),
-            )
-            u, v, w = (
-                u + cv * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-                v + cv * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
-                w + cv * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
-            )
-            if project:
-                k = kappa * (x * x + y * y + sigma * (z * z))
-                if k <= 0.0:
-                    raise _unprojectable(i, kappa, k, time)
-                k = math.sqrt(k)
-                x, y, z = x / k, y / k, z / k
-                k = kappa * (x * u + y * v + sigma * (z * w))
-                u, v, w = u - k * x, v - k * y, w - k * z
-            Qn += x, y, z
-            Vn += u, v, w
-            sr = abs(kappa * (x * x + y * y + sigma * (z * z)) - 1.0)
-            tr = abs(x * u + y * v + sigma * (z * w))
-            if sr > smax:
-                smax = sr
-            if tr > tmax:
-                tmax = tr
-            # not-le so that a NaN residual aborts too; as in BodySystem, a bound the
-            # residual exceeds is scaled by the size of the terms the residual
-            # cancels, and a scaled bound must be finite
-            within = sr <= bound or sr <= bound * (akappa * (x * x + y * y + z * z)) < math.inf
-            tangent = tr <= bound or tr <= bound * (math.hypot(x, y, z) * math.hypot(u, v, w)) < math.inf
-            if not (within and tangent) and drift is None:
-                drift = i, sr, tr
-        if drift is not None:
-            raise _drifted(*drift, bound, time)
-        Q, V = _rows(Qn), _rows(Vn)
-        dmin, i, j = _closest(Q, kappa, sigma)
-        if not dmin >= SINGULAR_TOL:
-            raise _singular(dmin, i, j, time)
-        T[sample] = time
-        put(P, sample * stride, *Qn)
-        put(W, sample * stride, *Vn)
-        put3(D, 24 * sample, smax, tmax, dmin)
-
-
-# Body counts up to this one step through code generated for their count
-# (`_kernel`), the rest through the loops of `_advance`.  Time does not set the
-# cut-off: the generated step is faster at every count (2.3x at n = 3, 1.3x at
-# n = 16, 1.2x at n = 48) and repays its build after 140 to 490 steps, a number
-# that grows only slowly with n (Python 3.11 on a 2-core Intel Xeon).  Memory
-# does: compiling the source, which grows as n^2, raises the peak RSS of a
-# fresh process that integrates a regular polygon, against the loops, by
-# 0.37-0.95 MB at n = 8, 0.43-1.14 MB at n = 9, 1.9-3.4 MB at n = 12 (CPython
+# Body counts up to this one step through the unrolled form (`_kernel`), the
+# rest through the loop form (`_loops`).  Time does not set the cut-off: the
+# unrolled step is faster at every count (2.3x at n = 3, 1.3x at n = 16, 1.2x
+# at n = 48) and repays its build after 140 to 490 steps, a number that grows
+# only slowly with n (Python 3.11 on a 2-core Intel Xeon).  Memory does:
+# compiling the source, which grows as n^2, raises the peak RSS of a fresh
+# process that integrates a regular polygon, against the loops, by 0.37-0.95
+# MB at n = 8, 0.43-1.14 MB at n = 9, 1.9-3.4 MB at n = 12 (CPython
 # 3.10-3.13) and 78 MB at n = 64 (3.11).  That comparison sets the cut-off:
 # 8 is the largest count whose build stays under 1 MB on each of them.  It
 # is what a run pays beyond the loops it replaces.  Against a fresh process
@@ -563,192 +381,362 @@ def _advance(m, kappa, sigma, dt, last, final, t_end, project, bound, T, P, W, D
 # 0.95 / 1.38 / 1.63 MB on 3.10 / 3.11 / 3.12 / 3.13.
 _UNROLL_MAX = 8
 
+# The names of each body's values, as a row of a list in the loop form: its
+# point, velocity, half-step point and the accelerations of stages 1 to 4
+_ROWS = {
+    "Q": "x{i}, y{i}, z{i}", "V": "u{i}, v{i}, w{i}", "H": "hx{i}, hy{i}, hz{i}",
+    **{f"A{s}": f"p{s}_{{i}}, q{s}_{{i}}, r{s}_{{i}}" for s in range(1, 5)},
+}
+# the half-step point, where stage 2 takes the field
+_HALF = "x{i} + h * u{i}, y{i} + h * v{i}, z{i} + h * w{i}"
+# stages 2 to 4: the size by which the velocity steps from the stage before,
+# the points where the stage takes the field (a row name, or an expression of
+# the rows the last field names)
+_STAGES = (
+    (2, "h", "H", ""),
+    (3, "h", "hx{i} + hh * p1_{i}, hy{i} + hh * q1_{i}, hz{i} + hh * r1_{i}", "H A1"),
+    (4, "dt", "x{i} + dt * u{i} + dd * p2_{i}, y{i} + dt * v{i} + dd * q2_{i}, z{i} + dt * w{i} + dd * r2_{i}",
+     "Q V A2"),
+)
+_SIZES = "h, hh, dd, cq, cv = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt, dt * dt / 6.0, dt / 6.0"
+
+
+def _names(row: str, i) -> tuple:
+    return tuple(_ROWS[row].format(i=i).split(", "))
+
+
+def _indent(lines, depth: int) -> list:
+    return ["    " * depth + line for line in lines]
+
+
+class _Templates:
+    """Each operation of the RK4 step, once, as Python source for metric sign sigma.
+
+    A template names a body by a token i, which the unrolled form sets to
+    the body's index and the loop form to its loop variable: its values are
+    named as in `_ROWS`, its sums ax{i}, ay{i}, az{i} and s{i} and its mass
+    m{i}.  A pair's bodies are (index, sums) tokens, the sums token being
+    "[j]" for the loop form's body j, whose sums and mass are list items.
+    sigma, +1.0 or -1.0, is folded into the text: each signed dot product
+    adds or subtracts its z term, and a pair denominator is 1 - w^2 or its
+    negation.  Both are the products with sigma, exactly.
+    """
+
+    def __init__(self, sigma: float):
+        self.sign = "+" if sigma > 0.0 else "-"
+        # -(1 - w^2) rather than w^2 - 1, which would turn the -0.0 of a pair at
+        # the singularity into 0.0 in its error text
+        self.denominator = "1.0 - w * w" if sigma > 0.0 else "-(1.0 - w * w)"
+
+    def dot(self, a, b) -> str:
+        """The signed dot product of the triples of names a and b."""
+        return f"{a[0]} * {b[0]} + {a[1]} * {b[1]} {self.sign} {a[2]} * {b[2]}"
+
+    def speed(self, u, v, w) -> str:
+        """The speed term -kappa (v . v) of the velocity u, v, w; nk is -kappa."""
+        return f"nk * ({self.dot((u, v, w), (u, v, w))})"
+
+    def stage(self, i, size, s) -> tuple:
+        """Body i's velocity stepped by size times its stage-s acceleration, as e, f, g, and its speed term."""
+        velocity = ", ".join(f"{d} + {size} * {p}" for d, p in zip(_names("V", i), _names(f"A{s}", i)))
+        return velocity, self.speed("e", "f", "g")
+
+    def pair(self, i, j) -> list:
+        """w = kappa q_i . q_j and the pair denominator d of bodies i and j."""
+        return [f"w = kappa * ({self.dot(_names('Q', i), _names('Q', j))})", f"d = {self.denominator}"]
+
+    def force(self, i, j, ops) -> list:
+        """The singular test of the pair of (index, sums) tokens i and j, then its terms in both bodies' sums.
+
+        s{i} collects -kappa (v_i . v_i) - sum_j P_ij w_ij, the factor of
+        q_i.  Body i's sums take the pair's terms first; ops gives, for i and
+        j, the operator of a position sum's term, "+=" or "= 0.0 +" for a
+        sum's first term.
+        """
+        lines = self.pair(i[0], j[0]) + [
+            # not-ge rather than lt: a stage overshooting past the antipode
+            # makes d negative or NaN, and those must abort just like a tiny d
+            "if not d >= SINGULAR_TOL:",
+            f"    raise _singular(d, {i[0]}, {j[0]})",
+            "g = scale / d**1.5",
+        ]
+        for (_, a), (b, sb), op in ((i, j, ops[0]), (j, i, ops[1])):
+            lines.append(f"p = g * m{sb}")
+            lines += [f"a{c}{a} {op} p * {c}{b}" for c in "xyz"]
+            lines.append(f"s{a} -= p * w")
+        return lines
+
+    @staticmethod
+    def emit(i, started=True) -> str:
+        """Body i's acceleration, from its sums once they hold every term (0.0 for a sum with none)."""
+        return ", ".join(f"{f'a{c}{i}' if started else '0.0'} + s{i} * {c}{i}" for c in "xyz")
+
+    def update(self, i) -> list:
+        """Body i's RK4 combination, projection and residuals, and its drift test."""
+        x, y, z, u, v, w = pos_vel = _names("Q", i) + _names("V", i)
+        pos, vel = pos_vel[:3], pos_vel[3:]
+        a1, a2, a3, a4 = (_names(f"A{s}", i) for s in range(1, 5))
+        positions = ", ".join(f"{c} + dt * {d} + cq * ({p} + {q} + {r})" for c, d, p, q, r in zip(pos, vel, a1, a2, a3))
+        velocities = ", ".join(
+            f"{d} + cv * ({p} + 2.0 * {q} + 2.0 * {r} + {s})" for d, p, q, r, s in zip(vel, a1, a2, a3, a4)
+        )
+        return [
+            f"{x}, {y}, {z} = {positions}",
+            f"{u}, {v}, {w} = {velocities}",
+            "if project:",
+            f"    k = kappa * ({self.dot(pos, pos)})",
+            "    if k <= 0.0:",
+            f"        raise _unprojectable({i}, kappa, k, time)",
+            "    k = sqrt(k)",
+            f"    {x}, {y}, {z} = {x} / k, {y} / k, {z} / k",
+            f"    k = kappa * ({self.dot(pos, vel)})",
+            f"    {u}, {v}, {w} = {u} - k * {x}, {v} - k * {y}, {w} - k * {z}",
+            f"sr = abs(kappa * ({self.dot(pos, pos)}) - 1.0)",
+            f"tr = abs({self.dot(pos, vel)})",
+            "if sr > smax:",
+            "    smax = sr",
+            "if tr > tmax:",
+            "    tmax = tr",
+            # not-le so that a NaN residual aborts too; as in BodySystem, a bound the
+            # residual exceeds is scaled by the size of the terms the residual
+            # cancels, and a scaled bound must be finite
+            "if drift is None and not (",
+            f"    (sr <= bound or sr <= bound * (akappa * ({x} * {x} + {y} * {y} + {z} * {z})) < inf)",
+            f"    and (tr <= bound or tr <= bound * (hypot({x}, {y}, {z}) * hypot({u}, {v}, {w})) < inf)",
+            "):",
+            f"    drift = {i}, sr, tr",
+        ]
+
+    def closer(self, i, j) -> list:
+        """The closing pass's pair i, j against the smallest denominator dmin so far."""
+        return self.pair(i, j) + ["if d < dmin:", f"    dmin, bi, bj = d, {i}, {j}"]
+
+    @staticmethod
+    def kernel(start, params, pairs, result) -> list:
+        """`make_accel` around one form's pair lines: the one place a pair force out of the float range is an error."""
+        return [
+            "def make_accel(m, kappa):",
+            start,
+            "",
+            f"    def accel({params}):",
+            "        try:",
+            "            scale = abs(kappa) ** 1.5",
+            *pairs,
+            f"            return {result}",
+            # a huge |kappa|, a far pair on the hyperboloid or a diverging step
+            "        except OverflowError:",
+            "            raise SingularConfigurationError(_OVERFLOW) from None",
+            "",
+            "    return accel",
+        ]
+
+    @staticmethod
+    def run(make, start, stages, update, close, store) -> list:
+        """The run of `_runner` around one form's lines for each part of the step.
+
+        Errors carry the time of their step; a projection failure of any body comes before a drift abort.
+        """
+        return [
+            *make,
+            "    def run(dt, last, final, t_end, project, bound, T, P, W, D):",
+            *start,
+            "        nk, akappa, sqrt, hypot, inf = -kappa, abs(kappa), math.sqrt, math.hypot, math.inf",
+            f"        {_SIZES}",
+            "        for sample in range(1, last + 1):",
+            # every step but the last has size dt, so its time is exact
+            "            if sample < last:",
+            "                time = sample * dt",
+            "            else:",
+            "                time, dt = t_end, final",
+            f"                {_SIZES}",
+            "            try:",
+            *stages,
+            "            except SingularConfigurationError as exc:",
+            "                raise SingularConfigurationError(str(exc), time=time) from None",
+            "            smax = tmax = 0.0",
+            "            drift = None",
+            *update,
+            "            if drift is not None:",
+            "                raise _drifted(*drift, bound, time)",
+            "            dmin = inf",
+            *close,
+            "            if not dmin >= SINGULAR_TOL:",
+            "                raise _singular(dmin, bi, bj, time)",
+            "            T[sample] = time",
+            *store,
+            "            put3(D, 24 * sample, smax, tmax, dmin)",
+            "",
+            "    return run",
+        ]
+
 
 def _kernel_source(n: int, sigma: float) -> str:
-    """Python source of the RK4 run for n bodies and metric sign sigma, on local floats.
+    """The unrolled form: Python source of the RK4 run for n bodies and metric sign sigma, on local floats.
 
     Two functions, separated by two blank lines.  `make_accel(m, kappa)`
-    returns `accel(x0, y0, z0, x1, ..., s0, s1, ...)`: `_accel` unrolled,
-    taking a stage's coordinates and `_speed_terms` and returning its
-    accelerations flat.  `make_run(accel, kappa)` returns the run of
-    `_runner`: one loop over the steps, whose body is `_advance`'s step
-    unrolled, with the state in local floats between steps.  sigma, +1.0 or
-    -1.0, is folded into the text: each signed dot product adds or subtracts
-    its z term, and a pair denominator is 1 - w^2 or its negation.  Both are
-    the products with sigma, exactly, so each function performs the
-    floating-point operations of its loops in their order, and its results
-    and errors are theirs, bit for bit.
+    returns `accel(x0, y0, z0, x1, ..., s0, s1, ...)`, which takes a stage's
+    coordinates and speed terms and returns its accelerations flat.
+    `make_run(accel, kappa)` returns the run of `_runner`: one loop over the
+    steps around straight-line code, with the state in locals between steps.
+    Each template is written out once per body or pair.
     """
+    t = _Templates(sigma)
     bodies = range(n)
     pairs = [(i, j) for i in bodies for j in range(i + 1, n)]
-    sign = "+" if sigma > 0.0 else "-"
-    # -(1 - w^2) rather than w^2 - 1, which would turn the -0.0 of a pair at
-    # the singularity into 0.0 in its error text
-    denominator = "1.0 - w * w" if sigma > 0.0 else "-(1.0 - w * w)"
 
-    def each(fmt, **names):
-        return ", ".join(fmt.format(i=i, **names) for i in bodies)
+    def each(fmt):
+        return ", ".join(fmt.format(i=i) for i in bodies)
 
-    def dot(a, b):
-        """The signed dot product of the triples of names a and b."""
-        return f"{a[0]} * {b[0]} + {a[1]} * {b[1]} {sign} {a[2]} * {b[2]}"
-
-    def point(i):
-        return f"x{i}", f"y{i}", f"z{i}"
-
-    def speed(u, v, w):
-        return f"nk * ({dot((u, v, w), (u, v, w))})"
-
-    # accel: body i's sums are ax{i}, ay{i}, az{i} and s{i}; the first term
-    # of ax{i} is added to 0.0, as in `_accel`'s lists of zeros
-    accel = [
-        "def make_accel(m, kappa):",
+    # body i's sums are ax{i}, ay{i}, az{i} and s{i}; the first term of ax{i}
+    # is added to 0.0, as in the loop form's lists of zeros
+    blocks, started = [], set()
+    for i, j in pairs:
+        ops = ["+=" if a in started else "= 0.0 +" for a in (i, j)]
+        started.update((i, j))
+        blocks += _indent(t.force((i, i), (j, j), ops), 3)
+    accel = t.kernel(
         f"    {each('m{i}')}, = m",
-        "",
-        f"    def accel({each('x{i}, y{i}, z{i}')}, {each('s{i}')}):",
-        "        try:",
-        "            scale = abs(kappa) ** 1.5",
-    ]
-    started = set()
-    for i, j in pairs:
-        accel += [
-            f"            w = kappa * ({dot(point(i), point(j))})",
-            f"            d = {denominator}",
-            "            if not d >= SINGULAR_TOL:",
-            f"                raise _singular(d, {i}, {j})",
-            "            g = scale / d**1.5",
-        ]
-        for a, b in ((i, j), (j, i)):
-            op = "+=" if a in started else "= 0.0 +"
-            started.add(a)
-            accel.append(f"            p = g * m{b}")
-            accel += [f"            a{c}{a} {op} p * {c}{b}" for c in "xyz"]
-            accel.append(f"            s{a} -= p * w")
-    result = ", ".join(
-        f"{f'a{c}{i}' if i in started else '0.0'} + s{i} * {c}{i}" for i in bodies for c in "xyz"
+        f"{each(_ROWS['Q'])}, {each('s{i}')}",
+        blocks,
+        ", ".join(t.emit(i, i in started) for i in bodies),
     )
-    accel += [
-        f"            return {result}",
-        "        except OverflowError:",
-        "            raise SingularConfigurationError(_OVERFLOW) from None",
-        "",
-        "    return accel",
-    ]
 
-    # run: stage k's accelerations are p{k}_{i}, q{k}_{i}, r{k}_{i}; stage
-    # k + 1 takes the speed terms t{i} of V + size * a_k.  The combination
+    # stage k's accelerations are p{k}_{i}, q{k}_{i}, r{k}_{i}; stage k + 1
+    # takes the speed terms t{i} of V + size * a_k.  The combination
     # overwrites x{i} ... w{i} with the new state
-    xs, us = each("x{i}, y{i}, z{i}"), each("u{i}, v{i}, w{i}")
-    sizes = "h, hh, dd, cq, cv = 0.5 * dt, 0.25 * dt * dt, 0.5 * dt * dt, dt * dt / 6.0, dt / 6.0"
-    rk4 = [
-        # the packers are default arguments, built once when the unit runs
-        f"def make_run(accel, kappa, put=struct.Struct('{3 * n}d').pack_into, "
-        "put3=struct.Struct('3d').pack_into):",
-        "    def run(dt, last, final, t_end, project, bound, T, P, W, D):",
-        f"        {xs}, = P[:{3 * n}]",
-        f"        {us}, = W[:{3 * n}]",
-        "        nk, akappa, sqrt, hypot, inf = -kappa, abs(kappa), math.sqrt, math.hypot, math.inf",
-        f"        {sizes}",
-        "        for sample in range(1, last + 1):",
-        "            if sample < last:",
-        "                time = sample * dt",
-        "            else:",
-        "                time, dt = t_end, final",
-        f"                {sizes}",
-        "            try:",
-        f"                {each('p1_{i}, q1_{i}, r1_{i}')}, = accel({xs}, "
-        f"{', '.join(speed(f'u{i}', f'v{i}', f'w{i}') for i in bodies)})",
+    xs, us = each(_ROWS["Q"]), each(_ROWS["V"])
+    stages = [
+        f"                {each(_ROWS['A1'])}, = accel({xs}, {', '.join(t.speed(*_names('V', i)) for i in bodies)})",
+        *(f"                {_ROWS['H'].format(i=i)} = {_HALF.format(i=i)}" for i in bodies),
     ]
-    rk4 += [f"                hx{i}, hy{i}, hz{i} = x{i} + h * u{i}, y{i} + h * v{i}, z{i} + h * w{i}" for i in bodies]
-    stages = (
-        (2, "h", each("hx{i}, hy{i}, hz{i}")),
-        (3, "h", each("hx{i} + hh * p1_{i}, hy{i} + hh * q1_{i}, hz{i} + hh * r1_{i}")),
-        (4, "dt", each("x{i} + dt * u{i} + dd * p2_{i}, y{i} + dt * v{i} + dd * q2_{i}, "
-                       "z{i} + dt * w{i} + dd * r2_{i}")),
-    )
-    for k, size, positions in stages:
+    for k, size, positions, _ in _STAGES:
         for i in bodies:
-            rk4 += [
-                f"                e, f, g = u{i} + {size} * p{k - 1}_{i}, v{i} + {size} * q{k - 1}_{i}, "
-                f"w{i} + {size} * r{k - 1}_{i}",
-                f"                t{i} = {speed('e', 'f', 'g')}",
-            ]
-        rk4.append(f"                {each('p{k}_{i}, q{k}_{i}, r{k}_{i}', k=k)}, = accel({positions}, {each('t{i}')})")
-    rk4 += [
-        "            except SingularConfigurationError as exc:",
-        "                raise SingularConfigurationError(str(exc), time=time) from None",
-        "            smax = tmax = 0.0",
-        "            drift = None",
-    ]
-    for i in bodies:
-        x, y, z, u, v, w = (f"{c}{i}" for c in "xyzuvw")
-        pos, vel = (x, y, z), (u, v, w)
-        positions = ", ".join(
-            f"{c}{i} + dt * {d}{i} + cq * ({p}1_{i} + {p}2_{i} + {p}3_{i})" for c, d, p in zip("xyz", "uvw", "pqr")
-        )
-        velocities = ", ".join(
-            f"{d}{i} + cv * ({p}1_{i} + 2.0 * {p}2_{i} + 2.0 * {p}3_{i} + {p}4_{i})" for d, p in zip("uvw", "pqr")
-        )
-        rk4 += [
-            f"            {x}, {y}, {z} = {positions}",
-            f"            {u}, {v}, {w} = {velocities}",
-            "            if project:",
-            f"                k = kappa * ({dot(pos, pos)})",
-            "                if k <= 0.0:",
-            f"                    raise _unprojectable({i}, kappa, k, time)",
-            "                k = sqrt(k)",
-            f"                {x}, {y}, {z} = {x} / k, {y} / k, {z} / k",
-            f"                k = kappa * ({dot(pos, vel)})",
-            f"                {u}, {v}, {w} = {u} - k * {x}, {v} - k * {y}, {w} - k * {z}",
-            f"            sr = abs(kappa * ({dot(pos, pos)}) - 1.0)",
-            f"            tr = abs({dot(pos, vel)})",
-            "            if sr > smax:",
-            "                smax = sr",
-            "            if tr > tmax:",
-            "                tmax = tr",
-            "            if drift is None and not (",
-            f"                (sr <= bound or sr <= bound * (akappa * ({x} * {x} + {y} * {y} + {z} * {z})) < inf)",
-            f"                and (tr <= bound or tr <= bound * (hypot({x}, {y}, {z}) * hypot({u}, {v}, {w})) < inf)",
-            "            ):",
-            f"                drift = {i}, sr, tr",
-        ]
-    rk4 += [
-        "            if drift is not None:",
-        "                raise _drifted(*drift, bound, time)",
-        "            dmin = inf",
-    ]
-    for i, j in pairs:
-        rk4 += [
-            f"            w = kappa * ({dot(point(i), point(j))})",
-            f"            d = {denominator}",
-            "            if d < dmin:",
-            f"                dmin, bi, bj = d, {i}, {j}",
-        ]
-    rk4 += [
-        "            if not dmin >= SINGULAR_TOL:",
-        "                raise _singular(dmin, bi, bj, time)",
-        "            T[sample] = time",
-        f"            put(P, {24 * n} * sample, {xs})",
-        f"            put(W, {24 * n} * sample, {us})",
-        "            put3(D, 24 * sample, smax, tmax, dmin)",
-        "",
-        "    return run",
-    ]
+            velocity, speed = t.stage(i, size, k - 1)
+            stages += [f"                e, f, g = {velocity}", f"                t{i} = {speed}"]
+        where = each(_ROWS.get(positions, positions))
+        stages.append(f"                {each(_ROWS[f'A{k}'])}, = accel({where}, {each('t{i}')})")
+    rk4 = t.run(
+        # the packers are default arguments, built once when the unit runs
+        [f"def make_run(accel, kappa, put=struct.Struct('{3 * n}d').pack_into, put3=struct.Struct('3d').pack_into):"],
+        [f"        {xs}, = P[:{3 * n}]", f"        {us}, = W[:{3 * n}]"],
+        stages,
+        [line for i in bodies for line in _indent(t.update(i), 3)],
+        [line for i, j in pairs for line in _indent(t.closer(i, j), 3)],
+        [f"            put(P, {24 * n} * sample, {xs})", f"            put(W, {24 * n} * sample, {us})"],
+    )
     return "\n".join(accel) + "\n\n\n" + "\n".join(rk4) + "\n"
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel(n: int, sigma: float):
-    """The factory (masses, kappa) -> run of `_kernel_source(n, sigma)`, compiled once per n and sigma."""
+def _loop_source(sigma: float) -> str:
+    """The loop form: Python source of the RK4 run for any body count and metric sign sigma.
+
+    Four functions, separated by two blank lines: `make_accel(m, kappa)`
+    returns `accel(Q, s)`, which maps a stage's (x, y, z) rows and speed
+    terms to its acceleration rows; `speed_terms(V, kappa)`; `closest(Q,
+    kappa)`, the smallest pair denominator with its bodies i < j ((inf,
+    None, None) for one body); `make_run(accel, kappa, n)`, the run of
+    `_runner` for n bodies.  Each template runs once inside loops over the
+    rows; body i's sums stay in locals over its row, the later bodies' in lists.
+    """
+    t = _Templates(sigma)
+
+    def over(lists):
+        """The loop targets and the iterable of body i's rows of the named lists."""
+        lists = lists.split()
+        if len(lists) == 1:
+            return _ROWS[lists[0]].format(i="i"), lists[0]
+        return ", ".join(f"({_ROWS[a].format(i='i')})" for a in lists), f"zip({', '.join(lists)})"
+
+    def rows(expr, lists, then=""):
+        """The list of expr, a template, for each body, over the rows of the named lists."""
+        targets, iterable = over(lists)
+        return f"[{expr.format(i='i')} for {targets} in {iterable}{then}]"
+
+    def pairs(row, pair, end=()):
+        """Lines that run pair for each pair i < j, row by row, with row and end before and after a row's pairs."""
+        return [
+            "for i in range(n):",
+            "    xi, yi, zi = Q[i]",
+            *_indent(row, 1),
+            "    for j in range(i + 1, n):",
+            "        xj, yj, zj = Q[j]",
+            *_indent(pair, 2),
+            *_indent(end, 1),
+        ]
+
+    speeds = rows(t.speed(*_names("V", "i")), "V")
+    accel = t.kernel("    n = len(m)", "Q, s", [
+        "            ax, ay, az, A = [0.0] * n, [0.0] * n, [0.0] * n, []",
+        *_indent(pairs(
+            ["mi, axi, ayi, azi, si = m[i], ax[i], ay[i], az[i], s[i]"],
+            t.force(("i", "i"), ("j", "[j]"), ("+=", "+=")),
+            [f"A.append(({t.emit('i')}))"],
+        ), 3),
+    ], "A")
+    speed_terms = ["def speed_terms(V, kappa):", "    nk = -kappa", f"    return {speeds}"]
+    closest = [
+        "def closest(Q, kappa):",
+        "    n, dmin, bi, bj = len(Q), math.inf, None, None",
+        *_indent(pairs([], t.closer("i", "j")), 1),
+        "    return dmin, bi, bj",
+    ]
+    stages = [f"                A1 = accel(Q, {speeds})", f"                H = {rows(f'({_HALF})', 'Q V')}"]
+    for k, size, positions, lists in _STAGES:
+        where = positions if positions in _ROWS else rows(f"({positions})", lists)
+        velocity, speed = t.stage("i", size, k - 1)
+        terms = rows(speed, f"V A{k - 1}", f" for e, f, g in (({velocity}),)")
+        stages.append(f"                A{k} = accel({where}, {terms})")
+    update = [
+        "            Qn, Vn = [], []",
+        "            for i, ({}) in enumerate({}):".format(*over("Q V A1 A2 A3 A4")),
+        *_indent(t.update("i"), 4),
+        "                Qn += xi, yi, zi",
+        "                Vn += ui, vi, wi",
+        "            Q, V = _rows(Qn), _rows(Vn)",
+    ]
+    rk4 = t.run(
+        [
+            "def make_run(accel, kappa, n, put3=struct.Struct('3d').pack_into):",
+            "    put, stride = struct.Struct(f'{3 * n}d').pack_into, 24 * n",
+            "",
+        ],
+        ["        Q, V = _rows(P[:3 * n]), _rows(W[:3 * n])"],
+        stages,
+        update,
+        _indent(pairs([], t.closer("i", "j")), 3),
+        ["            put(P, stride * sample, *Qn)", "            put(W, stride * sample, *Vn)"],
+    )
+    return "\n\n\n".join("\n".join(unit) for unit in (accel, speed_terms, closest, rk4)) + "\n"
+
+
+def _compiled(source: str, filename: str) -> types.SimpleNamespace:
+    """The functions that source defines, each compiled as a code unit of its own."""
     made = {}
-    for unit in _kernel_source(n, sigma).split("\n\n\n"):
+    for unit in source.split("\n\n\n"):
         # one code unit per function: the compiler's peak memory grows faster
         # than its unit; with Python 3.11, building the n = 3 and n = 8 steps
         # as one unit each raised a fresh process's peak RSS by 1.5 MB, as
         # two units each by 0.35 MB
-        exec(compile(unit, f"<rk4 step n={n}>", "exec"), globals(), made)
-    make_accel, make_run = made["make_accel"], made["make_run"]
-    return lambda masses, kappa: make_run(make_accel(masses, kappa), kappa)
+        exec(compile(unit, filename, "exec"), globals(), made)
+    return types.SimpleNamespace(**made)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(n: int, sigma: float) -> types.SimpleNamespace:
+    """`make_accel` and `make_run` of `_kernel_source(n, sigma)`, compiled once per n and sigma."""
+    return _compiled(_kernel_source(n, sigma), f"<rk4 step n={n}>")
+
+
+@functools.lru_cache(maxsize=None)
+def _loops(sigma: float) -> types.SimpleNamespace:
+    """The functions of `_loop_source(sigma)`, compiled once per sign when a state or step first needs them."""
+    return _compiled(_loop_source(sigma), f"<rk4 loops sigma={sigma}>")
+
+
+def _field(Q, V, m, c: Curvature) -> list:
+    """The acceleration rows of bodies at rows Q with velocity rows V: the loop form's kernel."""
+    loops = _loops(c.sigma)
+    return loops.make_accel(m, c.kappa)(Q, loops.speed_terms(V, c.kappa))
 
 
 def _runner(sys: BodySystem):
@@ -762,10 +750,12 @@ def _runner(sys: BodySystem):
     tangency residuals and closest pair denominator to row k of D; an error
     carries the time of its step.
     """
-    c = sys.curvature
+    c, m = sys.curvature, sys.mass_values
     if sys.n <= _UNROLL_MAX:
-        return _kernel(sys.n, c.sigma)(sys.mass_values, c.kappa)
-    return functools.partial(_advance, sys.mass_values, c.kappa, c.sigma)
+        k = _kernel(sys.n, c.sigma)
+        return k.make_run(k.make_accel(m, c.kappa), c.kappa)
+    k = _loops(c.sigma)
+    return k.make_run(k.make_accel(m, c.kappa), c.kappa, sys.n)
 
 
 def step(sys: BodySystem, cfg: IntegratorConfig) -> BodySystem:
@@ -868,7 +858,8 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
     the rate adds -kappa (v . v) q_1 with v . v = (r omega)^2, whose radial
     part is -rho r omega^2.  Balancing the sum against the kinematic
     -r omega^2 leaves omega^2 = delta_1 / r^3, which the full acceleration
-    field then checks independently; `_accel` raises for an overflowing pair.
+    field of the loop form (`_field`) then checks independently; that field
+    raises for an overflowing pair.
     """
     m = _masses(masses)
     if not is_regular(polygon):
@@ -890,7 +881,7 @@ def solve_omega(polygon: PolygonConfig, masses, r: float, c: Curvature) -> float
         raise ValueError(f"radius {r!r} puts the rate sqrt(delta_1 / r^3) outside the float range")
     req = RelativeEquilibrium.from_radius(polygon, r, omega, c)
     Q, V, m = _floats(build_polygon_state(req, m, c))
-    A = _accel(Q, _speed_terms(V, c.kappa, c.sigma), m, c.kappa, c.sigma)
+    A = _field(Q, V, m, c)
     # uniform rotation about the z axis accelerates each body by -omega^2 (x, y, 0)
     w2 = omega * omega
     kin = [(-w2 * x, -w2 * y, 0.0) for x, y, _ in Q]

@@ -44,7 +44,8 @@ class CoincidentAngleError(CurvedNBodyError):
 class SingularConfigurationError(_StepError):
     """A pair denominator fell below the singularity threshold, or a pair force overflowed.
 
-    Overflow of the pair force is mapped to this error in `dynamics._accel` alone.
+    Overflow of the pair force is mapped to this error in the generated `accel` of
+    `dynamics` alone, which both forms of the step write from one template.
     """
 
 

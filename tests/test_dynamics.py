@@ -1,6 +1,5 @@
 """Constraint-preserving integration and relative-equilibrium solving."""
 
-import functools
 import json
 import math
 import random
@@ -40,7 +39,7 @@ from curvednbody import (
 )
 from curvednbody import dynamics
 from curvednbody.cli import load_config
-from curvednbody.dynamics import SINGULAR_TOL, _UNROLL_MAX, _accel, _closest, _kernel, _kernel_source, _speed_terms
+from curvednbody.dynamics import SINGULAR_TOL, _UNROLL_MAX, _kernel, _kernel_source, _loop_source, _loops
 
 SPHERE = Curvature(1.0)
 HYPER = Curvature(-1.0)
@@ -120,14 +119,14 @@ class TestBodySystem:
         # pair's w = q_i . q_j exceeds 1 and its denominator 1 - w^2 is
         # -1.6e-10; every step rejects that signed value, so validation must
         q = [[1 + 4e-11, 0.0, 0.0], [1 + 4e-11, 1e-12, 0.0]]
-        d, i, j = _closest(q, 1.0, 1.0)
+        d, i, j = _loops(1.0).closest(q, 1.0)
         assert -2e-10 < d < -1e-10 and (i, j) == (0, 1)
         message = "^pair denominator -1\\.[0-9e-]+ of bodies 0 and 1 below singularity threshold "
         with pytest.raises(SingularConfigurationError, match=message):
             make_system(SPHERE, q, [[0, 0, 0], [0, 0, 0]], [1.0, 1.0])
 
     def test_closest_pair_is_signed_minimum(self):
-        assert _closest([(0.0, 0.0, 1.0)], -1.0, -1.0) == (math.inf, None, None)
+        assert _loops(-1.0).closest([(0.0, 0.0, 1.0)], -1.0) == (math.inf, None, None)
         system = make_system(
             SPHERE, [[1, 0, 0], [0, 1, 0], [0.6, 0.8, 0]], [[0, 0, 0]] * 3, [1.0] * 3
         )
@@ -492,7 +491,7 @@ class TestStepOracle:
     # end early in a close pair
     REGIMES = ((2.0**-7, 1.0, 1), (0.5, 6.0, 0), (2.0, 6.0, 0))
     STEPS = 12
-    # every count of the generated step, and the first count of the loops
+    # every count of the unrolled form, and the first count of the loop form
     BODY_COUNTS = range(1, _UNROLL_MAX + 2)
 
     def runs(self, kappa, project):
@@ -525,7 +524,11 @@ class TestStepOracle:
 
     @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.37, -2.5])
     def test_pair_kernels_match_reference(self, kappa):
-        """`_accel` and `_closest` against the reference loops, bit for bit, errors included."""
+        """Both forms' accel and the loop form's closest against the reference loops, bit for bit, errors included.
+
+        The unrolled accel runs for every count it is built for, the loop
+        form's for every count of `runs`.
+        """
         c = Curvature(kappa)
         cases = []
         for project in (True, False):
@@ -545,9 +548,14 @@ class TestStepOracle:
             # the oracles keep the int sign of the older loops; the kernels take c.sigma
             sigma = int(c.sigma)
             want = outcome(lambda: doubles(ref_accel(Q, V, m, kappa, sigma)))
-            got = outcome(lambda: doubles(_accel(Q, _speed_terms(V, kappa, c.sigma), m, kappa, c.sigma)))
+            loops = _loops(c.sigma)
+            got = outcome(lambda: doubles(loops.make_accel(m, kappa)(Q, loops.speed_terms(V, kappa))))
             assert got == want
-            assert repr(_closest(Q, kappa, c.sigma)) == repr(ref_closest(Q, kappa, sigma))
+            if len(Q) <= _UNROLL_MAX:
+                accel = _kernel(len(Q), c.sigma).make_accel(m, kappa)
+                flat = [e for row in Q for e in row]
+                assert outcome(lambda: array("d", accel(*flat, *loops.speed_terms(V, kappa))).tobytes()) == want
+            assert repr(loops.closest(Q, kappa)) == repr(ref_closest(Q, kappa, sigma))
             if pair is None:
                 assert isinstance(want, bytes)
             else:
@@ -587,7 +595,7 @@ class TestStepOracle:
     @pytest.mark.parametrize("kappa", [1.0, -1.0])
     def test_shorter_final_step_matches_reference(self, kappa, project, n):
         # t_end = 5.3 dt: five steps of size dt, then one of the remainder
-        # t_end - 5 dt, at time t_end, through the generated run and the loops
+        # t_end - 5 dt, at time t_end, through the unrolled form and the loop form
         from conftest import random_state
 
         c = Curvature(kappa)
@@ -605,7 +613,7 @@ class TestStepOracle:
     def test_overflowed_scale_matches_reference(self):
         # the state of TestIntegrate::test_drift_guard_rejects_an_overflowed_scale:
         # one unprojected step ends with a surface residual inf at the scale
-        # inf, which the reference, the loops and the generated step all reject
+        # inf, which the reference and both forms of the step all reject
         c = Curvature(-1e100)
         Q = [-259126676292.41122, -162046691465.86176, 305623566796.4502]
         V = [2.638507194531691e121, 1.6500090511725324e121, -3.1119527767218407e121]
@@ -620,8 +628,9 @@ class TestStepOracle:
             P, W, D = array("d", Q) * 2, array("d", V) * 2, array("d", [0.0]) * 6
             run(dt, 1, dt, dt, False, cfg.max_constraint_drift, [0.0, 0.0], P, W, D)
 
-        assert outcome(lambda: one_step(functools.partial(dynamics._advance, (1.0,), c.kappa, c.sigma))) == want
-        assert outcome(lambda: one_step(_kernel(1, c.sigma)((1.0,), c.kappa))) == want
+        loops, unrolled = _loops(c.sigma), _kernel(1, c.sigma)
+        assert outcome(lambda: one_step(loops.make_run(loops.make_accel((1.0,), c.kappa), c.kappa, 1))) == want
+        assert outcome(lambda: one_step(unrolled.make_run(unrolled.make_accel((1.0,), c.kappa), c.kappa))) == want
 
 
 class TestRandomState:
@@ -672,12 +681,49 @@ class TestKernelSource:
             assert rk4.count("if d < dmin:") == pairs
             assert rk4.count("= accel(") == 4
 
+    @pytest.mark.parametrize("sigma", [1.0, -1.0])
+    def test_loop_form(self, sigma):
+        from conftest import random_state
+
+        src = _loop_source(sigma)
+        assert src == _loop_source(sigma)
+        # the metric sign is in the text, not a variable
+        assert "sigma" not in src
+        # the unrolled form's pair statements up to the names of the bodies:
+        # pair (1, 2) of three bodies, whose sums already hold terms, read with
+        # 1 as i and 2 as j, and body j's sums and mass as list items
+        unrolled, loops = ([line.strip() for line in s.splitlines()] for s in (_kernel_source(3, sigma), src))
+
+        def renamed(block):
+            block = re.sub(r"\b(ax|ay|az|s|m)2\b", r"\1[j]", "\n".join(block))
+            block = re.sub(r"(?<=[a-z])1\b", "i", re.sub(r"(?<=[a-z])2\b", "j", block))
+            return block.replace("d, 1, 2", "d, i, j")
+
+        starts = [k for k, line in enumerate(unrolled) if line.startswith("w = kappa * (x1 * x2 ")]
+        force, closer = (renamed(unrolled[k : k + length]) for k, length in zip(starts, (15, 4)))
+        assert "w = kappa * (xi * xj " in force and "ax[j] += p * xi" in force and "raise _singular(d, i, j)" in force
+        # the pair's block in accel, and in closest and the run's closing pass
+        text = "\n".join(loops)
+        assert text.count(force) == 1 and text.count(closer) == 2
+        # one build per sign serves the states, the one-shot callers and the runs above _UNROLL_MAX
+        _loops.cache_clear()
+        rng = np.random.default_rng([36, sigma > 0])
+        for _ in range(2):
+            system = random_state(rng, _UNROLL_MAX + 1, Curvature(sigma))
+            acceleration(system)
+            diagnostics(system)
+            integrate(system, IntegratorConfig(dt=2.0**-12, t_end=2.0**-11))
+        info = _loops.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
     def test_no_kernel_without_a_step(self):
         system, _ = rotating_triangle(1)
         _kernel.cache_clear()
+        _loops.cache_clear()
         assert integrate(system, IntegratorConfig(dt=1e-3, t_end=0.0)).position_buf == system.position_buf
         assert step(system, IntegratorConfig(dt=0.0, t_end=0.0)) is system
-        assert _kernel.cache_info().currsize == 0
+        # the initial sample's diagnostics take the loop form, keyed by the sign alone
+        assert (_kernel.cache_info().currsize, _loops.cache_info().currsize) == (0, 1)
         step(system, IntegratorConfig(dt=1e-3, t_end=1e-3))
         assert _kernel.cache_info().currsize == 1
         # kernels are keyed by the body count and the metric sign
@@ -1121,11 +1167,11 @@ class TestInvariantRaises:
         assert str(err.value) == "height 0.5 inconsistent with radius 0.6 at kappa 1.0"
 
     def test_rate_failing_the_full_balance(self, monkeypatch):
-        accel = dynamics._accel
+        field = dynamics._field
         monkeypatch.setattr(
             dynamics,
-            "_accel",
-            lambda Q, s, m, kappa, sigma: [tuple(2.0 * e for e in row) for row in accel(Q, s, m, kappa, sigma)],
+            "_field",
+            lambda Q, V, m, c: [tuple(2.0 * e for e in row) for row in field(Q, V, m, c)],
         )
         with pytest.raises(NoBalanceError) as err:
             solve_omega(regular_polygon(3), (1.0,) * 3, 0.6, SPHERE)
@@ -1136,7 +1182,7 @@ class TestInvariantRaises:
     def test_acceleration_off_the_constraint(self, monkeypatch):
         # at rest q . a must vanish; a = q gives q . q = 1 on the unit sphere
         system = make_system(SPHERE, np.eye(3), np.zeros((3, 3)), [1.0] * 3)
-        monkeypatch.setattr(dynamics, "_accel", lambda Q, s, m, kappa, sigma: list(Q))
+        monkeypatch.setattr(dynamics, "_field", lambda Q, V, m, c: list(Q))
         with pytest.raises(InternalConsistencyError) as err:
             acceleration(system)
         assert str(err.value) == "constraint compatibility violated: max residual 1.0"
@@ -1151,7 +1197,7 @@ class TestInvariantRaises:
         # (the stage positions lie off the circle or short of the target), so
         # only the check that closes the step can raise.  Bodies 3 and up,
         # at rest elsewhere on the equator, send _UNROLL_MAX + 1 bodies
-        # through the loops
+        # through the loop form
         rate, theta = 10.2041015625, 0.10204092557612447
         for n in (3, _UNROLL_MAX + 1):
             Q = [(0.0, -1.0, 0.0), (math.cos(theta), math.sin(theta), 0.0), (1.0, 0.0, 0.0)]
@@ -1167,11 +1213,10 @@ class TestInvariantRaises:
                 "pair denominator 0.0 of bodies 1 and 2 below singularity threshold (collision or antipodal pair)"
             )
             assert err.value.time == 0.01
-            # raised by the generated step up to _UNROLL_MAX bodies, by the loops above
+            # raised by the unrolled run up to _UNROLL_MAX bodies, by the loop form's above
             code = err.traceback[-1].frame.code.raw
-            generated = ("run", f"<rk4 step n={n}>")
             assert (code.co_name, code.co_filename) == (
-                generated if n <= _UNROLL_MAX else ("_advance", dynamics.__file__)
+                "run", f"<rk4 step n={n}>" if n <= _UNROLL_MAX else "<rk4 loops sigma=1.0>"
             )
 
 
