@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from . import _LAZY_NAMES
 from .errors import (
@@ -48,6 +47,7 @@ from .polygon import (
     _Record,
     _check_kernel_domain,
     _kernel_power,
+    _turn_strings,
     canonicalize,
     chord_c,
     is_regular,
@@ -208,6 +208,8 @@ def base_groups(cfg: PolygonConfig, rho) -> tuple[BaseGroup, ...]:
     the shared amplitude a(c, rho) as a positive common factor, the gamma row
     also the class's |s/c|, and the bases g must increase strictly with c.
     """
+    from fractions import Fraction
+
     _require_canonical(cfg)
     res, full = cfg.residues
     groups = []
@@ -333,12 +335,6 @@ class WitnessForm(_Record):
     def sign_definite(self) -> bool:
         """Whether the form cannot vanish for positive masses: one strict sign, some entry."""
         return len({x > 0 for x in self.row if x}) == 1
-
-
-def _turn_strings(res, full: int) -> list[str]:
-    """str(Fraction(r, full)) of each residue 0 <= r < full, without building a Fraction."""
-    gcds = [math.gcd(r, full) for r in res]
-    return [str(r // g) if g == full else f"{r // g}/{full // g}" for r, g in zip(res, gcds)]
 
 
 class Certificate(_Record):

@@ -9,7 +9,9 @@ partial file.
 
 Each subcommand imports only what it runs: certify and feasibility load the
 certificate module, simulate loads dynamics, and criterion and sweep run the
-scalar kernel of `criterion`.  No subcommand loads numpy.
+scalar kernel of `criterion`.  No subcommand loads numpy, or `fractions`:
+exact angles are read as integer (numerator, denominator) pairs and printed
+from integer residues.
 
 Exit codes: 0 success / satisfied / feasible / certificate, 1 criterion not
 satisfied or masses infeasible, 2 configuration or domain errors, 3 certify
@@ -24,7 +26,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .errors import (
     ConfigError,
@@ -37,8 +38,10 @@ from .polygon import (
     TWO_PI,
     Curvature,
     PolygonConfig,
+    _gap_residues,
     _masses,
     _Record,
+    _turn_strings,
     canonicalize,
     chord_c,
     cyclic_gaps,
@@ -109,7 +112,12 @@ def _parse_seed(value) -> int:
 
 
 class RunConfig(_Record):
-    """Parsed and validated configuration document."""
+    """Parsed and validated configuration document.
+
+    angles holds an exact config's turns as the (numerator, denominator)
+    integer pairs of its "p/q" strings, unreduced, and a float config's
+    radians as floats.
+    """
 
     _fields = (
         "curvature", "representation", "angles", "polygon", "masses", "rho", "dt", "t_end",
@@ -123,7 +131,8 @@ class RunConfig(_Record):
     @property
     def radians(self) -> tuple[float, ...]:
         if self.representation == "exact":
-            return tuple(float(a) * TWO_PI for a in self.angles)
+            # p / q rounds the same rational as float(Fraction(p, q)), once
+            return tuple((p / q) * TWO_PI for p, q in self.angles)
         return self.angles
 
 
@@ -137,16 +146,19 @@ def _parse_angles(raw) -> tuple[str, tuple]:
     if exact:
         turns = []
         for i, a in enumerate(raw):
-            # Fraction() would also parse "1e-10000000", a ten-million-digit integer
+            # int() alone would also take signs, spaces, underscores and non-ASCII digits
             if not re.fullmatch(r"[0-9]+(/[0-9]+)?", a):
                 raise ConfigError("angles", f"entry {i}: {a!r} is not a \"p/q\" string")
+            p, _, q = a.partition("/")
             try:
-                f = Fraction(a)
-            except (ValueError, ZeroDivisionError):
+                p, q = int(p), int(q or 1)
+                if not q:
+                    raise ValueError
+            except ValueError:  # a zero denominator, or more digits than int reads
                 raise ConfigError("angles", f"entry {i}: {a!r} is not a valid fraction") from None
-            if not (0 <= f < 1):
+            if not p < q:
                 raise ConfigError("angles", f"entry {i}: turn {a!r} outside [0, 1)")
-            turns.append(f)
+            turns.append((p, q))
         vals: tuple = tuple(turns)
         rep = "exact"
     else:
@@ -159,7 +171,9 @@ def _parse_angles(raw) -> tuple[str, tuple]:
         vals = tuple(rads)
         rep = "float"
     for i in range(1, len(vals)):
-        if not vals[i] > vals[i - 1]:
+        a, b = vals[i - 1], vals[i]
+        # turns compare p_i / q_i with p_{i-1} / q_{i-1} cross-multiplied
+        if not (b[0] * a[1] > a[0] * b[1] if exact else b > a):
             raise ConfigError("angles", f"entries must be strictly increasing (index {i})")
     return rep, vals
 
@@ -197,8 +211,9 @@ def load_config(path: str) -> RunConfig:
     rep, angles = _parse_angles(doc["angles"])
     polygon = None
     if len(angles) >= 3:
-        # _parse_angles has applied the constructor's range and order checks
-        polygon = PolygonConfig(angles, rep)
+        # _parse_angles has applied the constructor's range and order checks;
+        # exact angles go in as the "p/q" strings it checked
+        polygon = PolygonConfig(doc["angles"] if rep == "exact" else angles, rep)
 
     masses = None
     if doc.get("masses") is not None:
@@ -314,14 +329,22 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         for i in range(cfg.n)
         for j in range(i + 1, cfg.n)
     ]
-    if cfg.polygon is not None:
-        canonical = list(canonicalize(cfg.polygon).angles)
-        gaps = list(cyclic_gaps(cfg.polygon))
-        regular = is_regular(cfg.polygon)
+    if cfg.representation == "exact":
+        # each turn prints as str(Fraction) prints it, from integer residues
+        full = math.lcm(*[q for _, q in cfg.angles])
+        angles = _turn_strings([p * (full // q) for p, q in cfg.angles], full)
     else:
-        canonical = list(cfg.angles)
-        gaps = None
-        regular = None
+        angles = list(cfg.angles)
+    polygon = cfg.polygon
+    canonical, gaps, regular = angles, None, None
+    if polygon is not None:
+        if polygon.is_exact:
+            res, full = polygon.residues
+            canonical = _turn_strings(*canonicalize(polygon).residues)
+            gaps = _turn_strings(_gap_residues(res, full), full)
+        else:
+            canonical, gaps = list(canonicalize(polygon).angles), list(cyclic_gaps(polygon))
+        regular = is_regular(polygon)
     _emit(
         {
             "command": "validate",
@@ -329,7 +352,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
             "representation": cfg.representation,
             "kappa": cfg.curvature.kappa,
             "sigma": cfg.curvature.sigma,
-            "angles": list(cfg.angles),
+            "angles": angles,
             "canonical_angles": canonical,
             "gaps": gaps,
             "pair_c": pair_c,

@@ -57,7 +57,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-import types
 from array import array
 from itertools import chain
 from sys import maxsize
@@ -653,9 +652,13 @@ def _loop_source(sigma: float) -> str:
         return f"[{expr.format(i='i')} for {targets} in {iterable}{then}]"
 
     def pairs(row, pair, end=()):
-        """Lines that run pair for each pair i < j, row by row, with row and end before and after a row's pairs."""
+        """Lines that run pair for each pair i < j, row by row, with row and end before and after a row's pairs.
+
+        The last row has no pairs; it runs only when end has lines, as in
+        `accel`, which emits the last body there.
+        """
         return [
-            "for i in range(n):",
+            f"for i in range({'n' if end else 'n - 1'}):",
             "    xi, yi, zi = Q[i]",
             *_indent(row, 1),
             "    for j in range(i + 1, n):",
@@ -709,27 +712,42 @@ def _loop_source(sigma: float) -> str:
     return "\n\n\n".join("\n".join(unit) for unit in (accel, speed_terms, closest, rk4)) + "\n"
 
 
-def _compiled(source: str, filename: str) -> types.SimpleNamespace:
-    """The functions that source defines, each compiled as a code unit of its own."""
-    made = {}
-    for unit in source.split("\n\n\n"):
-        # one code unit per function: the compiler's peak memory grows faster
-        # than its unit; with Python 3.11, building the n = 3 and n = 8 steps
-        # as one unit each raised a fresh process's peak RSS by 1.5 MB, as
-        # two units each by 0.35 MB
-        exec(compile(unit, filename, "exec"), globals(), made)
-    return types.SimpleNamespace(**made)
+class _compiled:
+    """The functions that source defines, each compiled as a code unit of its own when first read.
+
+    One code unit per function: the compiler's peak memory grows faster
+    than its unit; with Python 3.11, building the n = 3 and n = 8 steps as
+    one unit each raised a fresh process's peak RSS by 1.5 MB, as two units
+    each by 0.35 MB.  A function no caller reads is never compiled: a run
+    of up to `_UNROLL_MAX` bodies reads the loop form's field and closest
+    pair, never its `make_run`.
+    """
+
+    def __init__(self, source: str, filename: str):
+        # each unit is "def name(...", separated by two blank lines
+        self._units = {unit[4:unit.index("(")]: unit for unit in source.split("\n\n\n")}
+        self._filename = filename
+
+    def __getattr__(self, name):
+        try:
+            unit = self._units[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        made = {}
+        exec(compile(unit, self._filename, "exec"), globals(), made)
+        self.__dict__[name] = made[name]  # later reads find it without __getattr__
+        return made[name]
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(n: int, sigma: float) -> types.SimpleNamespace:
+def _kernel(n: int, sigma: float) -> _compiled:
     """`make_accel` and `make_run` of `_kernel_source(n, sigma)`, compiled once per n and sigma."""
     return _compiled(_kernel_source(n, sigma), f"<rk4 step n={n}>")
 
 
 @functools.lru_cache(maxsize=None)
-def _loops(sigma: float) -> types.SimpleNamespace:
-    """The functions of `_loop_source(sigma)`, compiled once per sign when a state or step first needs them."""
+def _loops(sigma: float) -> _compiled:
+    """The functions of `_loop_source(sigma)`, each compiled once per sign when first read."""
     return _compiled(_loop_source(sigma), f"<rk4 loops sigma={sigma}>")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 __all__ = ["format_float", "dumps", "write_text_atomic", "csv_text"]
@@ -55,7 +55,9 @@ def _plain(obj):
     A subclass becomes its base type, a Fraction its "p/q" string and an
     array-like (any value with a tolist(), an array('d') among them) its tolist().
     """
-    if isinstance(obj, Fraction):
+    # no Fraction exists before fractions is imported, so a report without one never imports it
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return str(obj)
     if isinstance(obj, str):
         return str.__str__(obj)  # the text itself, whatever __str__ a subclass defines
@@ -114,8 +116,16 @@ def csv_text(header: list, rows) -> str:
     The header is always written; a non-finite cell prints as nan.
     """
     lines = [",".join(header)]
+    size, fmt = 0, ""
     for row in rows:
-        lines.append(",".join([format_float(x) if math.isfinite(x) else "nan" for x in row]))
+        row = tuple(row)
+        if len(row) != size:
+            size, fmt = len(row), ",".join(["%.17g"] * len(row))
+        # one format for the whole row; only an inf or nan cell prints an n
+        line = fmt % row
+        if "n" in line:
+            line = ",".join([format_float(x) if math.isfinite(x) else "nan" for x in row])
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

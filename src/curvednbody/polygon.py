@@ -17,17 +17,18 @@ evaluates mu and nu.
 
 Angles carry one of two representations: exact fractions of a turn, held as
 integer residues and used by the certification machinery, or float radians,
-used for simulation.  Everything here is plain Python (integers, Fractions
-and floats), as are the certificate, the criterion kernels built on it and
-the integrator in `dynamics`; numpy loads only when a library caller asks
-`dynamics` for an array.
+used for simulation.  Everything here is plain Python (integers and
+floats), as are the certificate, the criterion kernels built on it and the
+integrator in `dynamics`; numpy loads only when a library caller asks
+`dynamics` for an array.  `fractions` loads only where a Fraction is built:
+for an angle that is not split as text, for `PolygonConfig.turns`, for
+`cyclic_gaps` of an exact polygon and for the texts of some errors.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from operator import attrgetter
 
 from .errors import CoincidentAngleError, KernelDomainError
@@ -143,10 +144,10 @@ class PolygonConfig(_Record):
     increasing with n >= 3.  Each exact angle is read once as a numerator
     and a denominator (see `_turn_pair`): a str of decimal digits, or of
     digits, "/" and a nonzero denominator in digits, is split and read with
-    `int`; any other form goes through `Fraction`, which names what it
-    cannot read.  An exact
+    `int`, and no Fraction is built; any other form goes through `Fraction`,
+    which is imported for it and names what it cannot read.  An exact
     polygon stores only its integer turn residues (see `residues`) and
-    builds its Fraction angles when first read.
+    builds its Fraction angles when `turns` is first read.
     """
 
     # representation: "exact" | "float"; _value: the residues of an exact
@@ -163,7 +164,7 @@ class PolygonConfig(_Record):
             pairs = [_turn_pair(a) for a in angles]
             for p, q in pairs:
                 if not 0 <= p < q:
-                    raise ValueError(f"turn angle {Fraction(p, q)} outside [0, 1)")
+                    raise ValueError(f"turn angle {_turn_strings((p,), q)[0]} outside [0, 1)")
             full = math.lcm(*[q for _, q in pairs])
             order = tuple(p * (full // q) for p, q in pairs)
             # unreduced pairs scale the residues and their modulus alike
@@ -176,7 +177,7 @@ class PolygonConfig(_Record):
                     raise ValueError(f"radian angle {a!r} outside [0, 2*pi)")
         for k in range(len(order) - 1):
             if not order[k] < order[k + 1]:
-                a, b = (Fraction(r, full) for r in order[k:k + 2]) if exact else order[k:k + 2]
+                a, b = _turn_strings(order[k:k + 2], full) if exact else order[k:k + 2]
                 raise ValueError(f"angles must be strictly increasing, got {a} >= {b}")
         super().__init__(representation, value)
 
@@ -207,6 +208,8 @@ class PolygonConfig(_Record):
     def turns(self) -> tuple[Fraction, ...]:
         if not self.is_exact:
             raise ValueError("float-mode polygon has no exact turn angles")
+        from fractions import Fraction
+
         res, full = self._value
         return tuple(Fraction(r, full) for r in res)
 
@@ -255,8 +258,16 @@ def _turn_pair(a) -> tuple[int, int]:
             else:
                 if q:
                     return p, q
+    from fractions import Fraction
+
     f = a if type(a) is Fraction else Fraction(a)
     return f.numerator, f.denominator
+
+
+def _turn_strings(res, full: int) -> list[str]:
+    """str(Fraction(r, full)) of each integer r in res, for full > 0, without building a Fraction."""
+    gcds = [math.gcd(r, full) for r in res]
+    return [str(r // g) if g == full else f"{r // g}/{full // g}" for r, g in zip(res, gcds)]
 
 
 def _mass_floats(values) -> tuple[float, ...]:
@@ -323,13 +334,12 @@ def _kernel_power(c: float, rho: float, p: float = 1.5) -> tuple[float, float]:
     try:
         power = base**p
     except OverflowError:
-        raise KernelDomainError(
-            f"kernel base 2 - c*rho = {base!r} overflows its {Fraction(p)} power"
-        ) from None
-    if power == 0.0:
-        raise KernelDomainError(
-            f"kernel base 2 - c*rho = {base!r} underflows its {Fraction(p)} power"
-        )
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        from fractions import Fraction
+
+        way = "underflows" if power == 0.0 else "overflows"
+        raise KernelDomainError(f"kernel base 2 - c*rho = {base!r} {way} its {Fraction(p)} power")
     return base, power
 
 
@@ -372,10 +382,17 @@ def canonicalize(cfg: PolygonConfig) -> PolygonConfig:
 def cyclic_gaps(cfg: PolygonConfig) -> tuple:
     """Gaps alpha_{i+1} - alpha_i including the wrap gap back to alpha_1."""
     if cfg.is_exact:
+        from fractions import Fraction
+
         res, full = cfg.residues
-        return tuple(Fraction((b - a) % full, full) for a, b in zip(res, res[1:] + res[:1]))
+        return tuple(Fraction(g, full) for g in _gap_residues(res, full))
     a = cfg.angles
     return tuple(a[i + 1] - a[i] for i in range(len(a) - 1)) + (TWO_PI - a[-1] + a[0],)
+
+
+def _gap_residues(res, full: int) -> list[int]:
+    """The cyclic gaps of the residues res modulo full, as residues."""
+    return [(b - a) % full for a, b in zip(res, res[1:] + res[:1])]
 
 
 def is_regular(cfg: PolygonConfig) -> bool:

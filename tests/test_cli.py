@@ -156,6 +156,44 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["seed"] == 7
 
+    # sha256 of the whole report: exact angles, canonical angles and gaps
+    # print as str(Fraction) prints them, reduced, whatever form the input had
+    PINNED = {
+        # irregular, unreduced inputs, already in canonical rotation
+        "unreduced": (
+            {"kappa": 1.0, "angles": ["0/1", "2/8", "5/7"], "masses": [1.0, 2.0, 3.0], "rho": 0.5},
+            "60ac6df1a5a920eacef1781f9aa4231c370be01dec54b40bb2a0c4a0445ff94d",
+        ),
+        # unreduced inputs whose canonical rotation starts at the second vertex
+        "rotated": (
+            {"kappa": 1.0, "angles": ["0", "2/6", "3/6", "10/12"], "masses": [1.0] * 4, "rho": 0.5},
+            "9a82f02d2416950d978d19dd29415e711b2e564ece7be564eba57bdc7cf06327",
+        ),
+        # two exact angles make no polygon: no gaps, canonical angles as given
+        "two_exact": (
+            {"kappa": -1.0, "angles": ["3/12", "4/6"], "masses": [1.0, 1.0], "rho": -0.5},
+            "47337b54b62a3f2d5aae71b5c55f684879500b260753a8e338e4830b2907aca9",
+        ),
+        "float": (
+            {"kappa": 1.0, "angles": [0.0, 2.0, 4.5], "masses": [1.0, 1.0, 1.0], "rho": 0.25},
+            "0dd8f9bc4c571e00013904adf9a136728b9e2de198c58b92c04362f8f0e19994",
+        ),
+    }
+
+    def test_exact_angles_are_integer_pairs(self, tmp_path):
+        tiny = "1/" + "9" * 400  # no float can hold its denominator
+        doc = {"kappa": 1.0, "angles": ["0/1", tiny, "2/8", "5/7"]}
+        cfg = cli.load_config(write_config(tmp_path, doc))
+        assert cfg.angles == ((0, 1), (1, 10**400 - 1), (2, 8), (5, 7))
+        assert cfg.radians == tuple(float(Fraction(p, q)) * (2.0 * math.pi) for p, q in cfg.angles)
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_report_pinned(self, tmp_path, case):
+        doc, stdout_sha = self.PINNED[case]
+        code, out, err = run_cli(["validate", "--config", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
 
 DROP = object()
 
@@ -177,8 +215,15 @@ class TestConfigErrors:
                      "angles: expected a nonempty list", id="angles-not-a-list"),
         pytest.param(edited(angles=["0", "1/0", "1/2"]), ["validate"],
                      "angles: entry 1: '1/0' is not a valid fraction", id="angles-invalid-fraction"),
+        pytest.param(edited(angles=["0/0", "1/3", "1/2"]), ["validate"],
+                     "angles: entry 0: '0/0' is not a valid fraction", id="angles-zero-over-zero"),
+        # more digits than int() reads under the default sys.get_int_max_str_digits()
+        pytest.param(edited(angles=["0", "1" * 5000 + "/7", "1/2"]), ["validate"],
+                     f"angles: entry 1: {'1' * 5000 + '/7'!r} is not a valid fraction", id="angles-too-many-digits"),
         pytest.param(edited(angles=["0", "1/2", "3/2"]), ["validate"],
                      "angles: entry 2: turn '3/2' outside [0, 1)", id="angles-turn-out-of-range"),
+        pytest.param(edited(angles=["0", "1/2", "2/4"]), ["validate"],
+                     "angles: entries must be strictly increasing (index 2)", id="angles-equal-turns"),
         pytest.param(edited(angles=[0.0, 1.0, 7.0]), ["validate"],
                      "angles: entry 2: radian 7.0 outside [0, 2*pi)", id="angles-radian-out-of-range"),
         pytest.param(edited(angles=["0", "1/2", "1/4"]), ["validate"],
@@ -1110,6 +1155,22 @@ class TestImports:
             [0, False, False],  # simulate
         ]
 
+    def test_no_subcommand_loads_fractions(self, tmp_path):
+        # exact angles are read as integer pairs and printed from residues:
+        # neither the package import nor any subcommand loads fractions, or
+        # decimal, which fractions imports on some versions
+        argv = self.subcommands(tmp_path)
+        runs = [argv[k] for k in ("validate", "certify", "feasibility", "criterion", "sweep", "simulate")]
+        assert fresh_main(runs, ["fractions", "decimal"]) == [
+            [None, False, False],
+            [0, False, False],  # validate
+            [0, False, False],  # certify
+            [1, False, False],  # feasibility
+            [1, False, False],  # criterion
+            [0, False, False],  # sweep
+            [0, False, False],  # simulate
+        ]
+
     def test_dynamics_import_loads_no_numpy(self):
         # numpy loads only when a library caller asks for an array
         script = (
@@ -1219,6 +1280,28 @@ class TestCsvText:
     def test_float_cells(self):
         rows = [[0.5, np.float64(0.1)], [math.nan, -math.inf]]
         assert csv_text(["a", "b"], rows) == "a,b\n0.5,0.10000000000000001\nnan,nan\n"
+
+    def test_rows_follow_the_per_cell_rule(self):
+        # each cell on its own: %.17g when finite, else nan; rows of any
+        # length, the header's or not, and non-finite cells among finite ones
+        rng = random.Random(37)
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0, 7, -12, 10**17 + 1, 2**53 + 1]
+        header = ["t", "x", "y", "z"]
+        rows = []
+        for _ in range(400):
+            size = rng.choice([0, 1, 3, 4, 4, 4, 5, 19])
+            row = [rng.choice(special) if rng.random() < 0.2 else rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-320, 300)
+                   for _ in range(size)]
+            rows.append(tuple(row) if rng.random() < 0.5 else row)
+        def cell(x):
+            return "%.17g" % x if math.isfinite(x) else "nan"
+
+        expected = "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n"
+        text = csv_text(header, iter(rows))
+        assert text == expected
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "62364beff9a8a903bad4651d73846c7f8a4997f1386f29603c7c2016f9f7c9a7")
 
 
 class Level(enum.IntEnum):

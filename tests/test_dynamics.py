@@ -726,6 +726,8 @@ class TestKernelSource:
         assert (_kernel.cache_info().currsize, _loops.cache_info().currsize) == (0, 1)
         step(system, IntegratorConfig(dt=1e-3, t_end=1e-3))
         assert _kernel.cache_info().currsize == 1
+        # below _UNROLL_MAX the loop form's run is never read, so never compiled
+        assert "make_run" not in vars(_loops(system.curvature.sigma))
         # kernels are keyed by the body count and the metric sign
         z = 1.25**0.5
         hyperbolic = make_system(HYPER, [(0.0, 0.0, 1.0), (0.5, 0.0, z), (0.0, 0.5, z)], np.zeros((3, 3)), [1.0] * 3)
