@@ -47,6 +47,7 @@ from .polygon import (
     _Record,
     _check_kernel_domain,
     _kernel_power,
+    _turn_radians,
     _turn_strings,
     canonicalize,
     chord_c,
@@ -179,8 +180,8 @@ def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, bool]:
     falls from there on, so only the last b below and the first b at or
     above count.  Both move forward with a, so one pass finds them.
     """
-    seen = sorted((r - res[0]) % full for r in res)
-    feasible = all(sorted((r - s) % full for r in res) == seen for s in res[1:])
+    seen = {(r - res[0]) % full for r in res}
+    feasible = all({(r - s) % full for r in res} == seen for s in res[1:])
     n = len(res)
     half = (full + 1) // 2  # b - a >= half exactly when 2 (b - a) >= full
     widest = k = 0
@@ -191,13 +192,7 @@ def _exact_system(res: tuple[int, ...], full: int) -> tuple[float, bool]:
             widest = res[k - 1] - a
         if k < n and full - (res[k] - a) > widest:
             widest = full - (res[k] - a)
-    return 1.0 - math.cos(_class_angle(widest, full)), feasible
-
-
-def _class_angle(k: int, full: int) -> float:
-    """The radian angle of the chord class k modulo full, for any size of full."""
-    # integer true division rounds correctly; float(full) overflows above 1e308
-    return 2.0 * math.pi * (k / full)
+    return 1.0 - math.cos(_turn_radians(widest, full)), feasible
 
 
 def base_groups(cfg: PolygonConfig, rho) -> tuple[BaseGroup, ...]:
@@ -214,7 +209,7 @@ def base_groups(cfg: PolygonConfig, rho) -> tuple[BaseGroup, ...]:
     res, full = cfg.residues
     groups = []
     for k, (members, delta, gamma) in sorted(_difference_groups(res, full).items()):
-        angle = _class_angle(k, full)
+        angle = _turn_radians(k, full)
         c = 1.0 - math.cos(angle)
         a, g = decompose(c, rho)
         t = a * math.sin(angle) / c
@@ -482,7 +477,7 @@ def _case_analysis(cfg: PolygonConfig, j: int) -> tuple:
             raise InternalConsistencyError(
                 f"s_j1 = 0 at witness j={j} although a u pairing exists"
             )
-        angle = _class_angle(d, full)
+        angle = _turn_radians(d, full)
         factor = abs(math.sin(angle)) / chord_c(angle, 0.0)
         return WitnessForm("gamma", row(*terms), factor, f"a_j1 * (s_j1/c_j1) * ({label})")
 

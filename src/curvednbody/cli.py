@@ -41,6 +41,7 @@ from .polygon import (
     _gap_residues,
     _masses,
     _Record,
+    _turn_radians,
     _turn_strings,
     canonicalize,
     chord_c,
@@ -131,8 +132,7 @@ class RunConfig(_Record):
     @property
     def radians(self) -> tuple[float, ...]:
         if self.representation == "exact":
-            # p / q rounds the same rational as float(Fraction(p, q)), once
-            return tuple((p / q) * TWO_PI for p, q in self.angles)
+            return tuple(_turn_radians(p, q) for p, q in self.angles)
         return self.angles
 
 
@@ -330,9 +330,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         for j in range(i + 1, cfg.n)
     ]
     if cfg.representation == "exact":
-        # each turn prints as str(Fraction) prints it, from integer residues
-        full = math.lcm(*[q for _, q in cfg.angles])
-        angles = _turn_strings([p * (full // q) for p, q in cfg.angles], full)
+        angles = [_turn_strings((p,), q)[0] for p, q in cfg.angles]
     else:
         angles = list(cfg.angles)
     polygon = cfg.polygon

@@ -22,7 +22,7 @@ floats), as are the certificate, the criterion kernels built on it and the
 integrator in `dynamics`; numpy loads only when a library caller asks
 `dynamics` for an array.  `fractions` loads only where a Fraction is built:
 for an angle that is not split as text, for `PolygonConfig.turns`, for
-`cyclic_gaps` of an exact polygon and for the texts of some errors.
+`cyclic_gaps` of an exact polygon and for the keys of `base_groups`.
 """
 
 from __future__ import annotations
@@ -217,9 +217,8 @@ class PolygonConfig(_Record):
     def radians(self) -> tuple[float, ...]:
         if not self.is_exact:
             return self._value
-        # r / full rounds the same rational as float(Fraction(r, full)), once
         res, full = self._value
-        return tuple(TWO_PI * (r / full) for r in res)
+        return tuple(_turn_radians(r, full) for r in res)
 
     @property
     def residues(self) -> tuple[tuple[int, ...], int]:
@@ -268,6 +267,13 @@ def _turn_strings(res, full: int) -> list[str]:
     """str(Fraction(r, full)) of each integer r in res, for full > 0, without building a Fraction."""
     gcds = [math.gcd(r, full) for r in res]
     return [str(r // g) if g == full else f"{r // g}/{full // g}" for r, g in zip(res, gcds)]
+
+
+def _turn_radians(r: int, full: int) -> float:
+    """The radian angle of the turn r/full, for integers of any size."""
+    # r / full rounds the exact quotient once, as float(Fraction(r, full)) does,
+    # also where float(full) would overflow (above 1e308)
+    return TWO_PI * (r / full)
 
 
 def _mass_floats(values) -> tuple[float, ...]:
@@ -336,10 +342,10 @@ def _kernel_power(c: float, rho: float, p: float = 1.5) -> tuple[float, float]:
     except OverflowError:
         power = math.inf
     if not 0.0 < power < math.inf:
-        from fractions import Fraction
-
         way = "underflows" if power == 0.0 else "overflows"
-        raise KernelDomainError(f"kernel base 2 - c*rho = {base!r} {way} its {Fraction(p)} power")
+        r, q = p.as_integer_ratio()
+        exponent = _turn_strings((r,), q)[0]
+        raise KernelDomainError(f"kernel base 2 - c*rho = {base!r} {way} its {exponent} power")
     return base, power
 
 
@@ -407,7 +413,7 @@ def is_regular(cfg: PolygonConfig) -> bool:
         return rem == 0 and all(r - res[0] == k * step for k, r in enumerate(res))
     gaps = cyclic_gaps(cfg)
     target = TWO_PI / cfg.n
-    return all(abs(float(g) - target) <= _GAP_TOL for g in gaps)
+    return all(abs(g - target) <= _GAP_TOL for g in gaps)
 
 
 def rho_grid(kappa: float, count: int) -> tuple[float, ...]:

@@ -107,7 +107,9 @@ class TestMuDerivative:
         (lambda: mu_derivative(1.0, -1e200, 1), "5/2"),
         (lambda: decompose(1.0, -1e300), "3/2"),
         (lambda: base_groups(turns(0, "1/5", "1/2"), -1e300), "3/2"),
-    ], ids=["mu_derivative-0", "mu_derivative-1", "decompose", "base_groups"])
+        # 1.5 + 2**60 rounds to the integer 2**60, which prints without a denominator
+        (lambda: mu_derivative(1.0, 0.5, 2**60), "1152921504606846976"),
+    ], ids=["mu_derivative-0", "mu_derivative-1", "decompose", "base_groups", "mu_derivative-2**60"])
     def test_far_hyperbolic_power_overflow_is_a_domain_error(self, call, power):
         # a valid rho whose base 2 - c*rho is finite but too large for its power
         with pytest.raises(KernelDomainError, match=rf"= \S+ overflows its {power} power$"):
@@ -514,7 +516,7 @@ class TestRhoFreeFeasibility:
         # the reference scans every pair.  Odd and even moduli, small and
         # large, and sets with a half-turn pair, which only an even one has
         widest = []
-        monkeypatch.setattr(certificate, "_class_angle", lambda k, full: widest.append(k) or 1.0)
+        monkeypatch.setattr(certificate, "_turn_radians", lambda k, full: widest.append(k) or 1.0)
         solve = certificate._exact_system.__wrapped__
         rng = random.Random(35)
         for trial in range(10_000):

@@ -1,5 +1,6 @@
 """Polygon representations, the chord and mu kernels, and the balance criterion."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -436,6 +437,37 @@ class TestCanonicalize:
             assert canonicalize(poly).turns == reference(poly.turns, F(1))
             rad = PolygonConfig.from_radians(poly.radians)
             assert canonicalize(rad).angles == reference(rad.angles, TWO_PI)
+
+    @staticmethod
+    def every_small_polygon():
+        """Each n-subset of the residues modulo q, q = 3..12, n = 3..q, with its
+        canonical residues scaled back to modulus q: 7,814 polygons."""
+        for q in range(3, 13):
+            for n in range(3, q + 1):
+                for subset in itertools.combinations(range(q), n):
+                    res, full = PolygonConfig.from_turns([f"{r}/{q}" for r in subset]).canonical_residues
+                    yield q, n, subset, tuple(r * (q // full) for r in res)
+
+    def test_rotation_classes_number_the_necklaces(self):
+        # Burnside's lemma (Gilbert & Riordan 1961): rotation splits the
+        # n-subsets of Z_q into (1/q) sum_{d | gcd(q, n)} phi(d) C(q/d, n/d) classes
+        def phi(d):
+            return sum(math.gcd(d, k) == 1 for k in range(1, d + 1))
+
+        classes = {}
+        for q, n, _, canonical in self.every_small_polygon():
+            classes.setdefault((q, n), set()).add(canonical)
+        for (q, n), found in classes.items():
+            divisors = [d for d in range(1, n + 1) if q % d == 0 and n % d == 0]
+            assert len(found) * q == sum(phi(d) * math.comb(q // d, n // d) for d in divisors), (q, n)
+
+    def test_least_rotation_of_the_gap_sequence(self):
+        # the canonical rotation starts where the cyclic gap sequence is
+        # lexicographically least, which the partial sums of the gaps keep
+        for q, n, subset, canonical in self.every_small_polygon():
+            gaps = [(b - a) % q for a, b in zip(subset, subset[1:] + subset[:1])]
+            least = min(gaps[k:] + gaps[:k] for k in range(n))
+            assert canonical == tuple(itertools.accumulate(least[:-1], initial=0)), subset
 
 
 def test_is_regular():
